@@ -24,7 +24,7 @@ from stabrec.derived import (
     nu_family_check,
     verify_family_pattern,
 )
-from stabrec.errors import PresentationError, StabrecError, Undecided
+from stabrec.errors import Inconclusive, PresentationError, StabrecError
 from stabrec.filtration import has_projective_remainder, hyp_check, is_filtrable, \
     verify_s_radical
 from stabrec.graded import graded_iso_check
@@ -54,40 +54,45 @@ def _parse(text: str, label: str):
         raise _InputError(f"{label} is not valid JSON: {e}") from e
 
 
-def _load_algebra(text: str):
+# what a loader raises on malformed input: FieldError is a ValueError, a
+# missing key a KeyError, a list where an object belongs an AttributeError,
+# an entry past int64 an OverflowError
+_MALFORMED = (PresentationError, AttributeError, KeyError, IndexError,
+              OverflowError, TypeError, ValueError)
+
+
+def _load(path: str, label: str, loader, *args):
+    """Read and parse one input file and build it with loader(data, *args).
+
+    Every way the input can be malformed ends as an _InputError (exit 3)."""
+    data = _parse(_read(path), label)
     try:
-        return io.load_algebra(_parse(text, "algebra"))
-    except PresentationError as e:
-        raise _InputError(str(e)) from e
+        return loader(data, *args)
+    except _MALFORMED as e:
+        raise _InputError(f"malformed {label}: {e}") from e
 
 
-def _load_set(text: str, algebra):
-    data = _parse(text, "set")
+def _nonempty_list(data) -> list:
     if not isinstance(data, list) or not data:
-        raise _InputError("set file must be a nonempty JSON array")
-    try:
-        return [io.load_module(entry, algebra) for entry in data]
-    except PresentationError as e:
-        raise _InputError(str(e)) from e
+        raise ValueError("the file must be a nonempty JSON array")
+    return data
 
 
-def _load_objects(text: str, algebra, label: str):
+def _modules(data, algebra) -> list:
+    return [io.load_module(entry, algebra) for entry in _nonempty_list(data)]
+
+
+def _complexes(data, algebra) -> list:
     """Array of module.v1 or complex.v1 entries, coerced to complexes."""
-    data = _parse(text, label)
-    if not isinstance(data, list) or not data:
-        raise _InputError(f"{label} file must be a nonempty JSON array")
     out = []
-    for entry in data:
+    for entry in _nonempty_list(data):
         schema = entry.get("schema") if isinstance(entry, dict) else None
-        try:
-            if schema == "module.v1":
-                out.append(as_complex(io.load_module(entry, algebra)))
-            elif schema == "complex.v1":
-                out.append(io.load_complex(entry, algebra))
-            else:
-                raise _InputError(f"{label} entries must be module.v1 or complex.v1")
-        except PresentationError as e:
-            raise _InputError(str(e)) from e
+        if schema == "module.v1":
+            out.append(as_complex(io.load_module(entry, algebra)))
+        elif schema == "complex.v1":
+            out.append(io.load_complex(entry, algebra))
+        else:
+            raise ValueError("entries must be module.v1 or complex.v1")
     return out
 
 
@@ -115,7 +120,7 @@ def _clean(obj):
 
 
 def cmd_validate(args):
-    alg = _load_algebra(_read(args.algebra))
+    alg = _load(args.algebra, "algebra", io.load_algebra)
     si = alg.self_injectivity()
     result = {
         "algebra": alg.name,
@@ -133,8 +138,8 @@ def cmd_validate(args):
 
 
 def cmd_hypcheck(args):
-    alg = _load_algebra(_read(args.algebra))
-    sset = _load_set(_read(args.set), alg)
+    alg = _load(args.algebra, "algebra", io.load_algebra)
+    sset = _load(args.set, "set", _modules, alg)
     rep = hyp_check(alg, sset, cap=args.padding_cap, seed=args.seed)
     result = {
         "simple_set_ok": rep.simple_report.ok,
@@ -150,12 +155,9 @@ def cmd_hypcheck(args):
 
 
 def cmd_filtrate(args):
-    alg = _load_algebra(_read(args.algebra))
-    sset = _load_set(_read(args.set), alg)
-    try:
-        mod = io.load_module(_parse(_read(args.module), "module"), alg)
-    except PresentationError as e:
-        raise _InputError(str(e)) from e
+    alg = _load(args.algebra, "algebra", io.load_algebra)
+    sset = _load(args.set, "set", _modules, alg)
+    mod = _load(args.module, "module", io.load_module, alg)
     filt = is_filtrable(mod, sset, seed=args.seed, search_cap=args.search_cap)
     if filt is None:
         result = {
@@ -177,14 +179,11 @@ def cmd_filtrate(args):
 
 
 def cmd_reconstruct(args):
-    alg = _load_algebra(_read(args.algebra))
-    sset = _load_set(_read(args.set), alg)
+    alg = _load(args.algebra, "algebra", io.load_algebra)
+    sset = _load(args.set, "set", _modules, alg)
     oracle = None
     if args.oracle:
-        try:
-            oracle = io.load_graded(_parse(_read(args.oracle), "oracle"), alg.field)
-        except PresentationError as e:
-            raise _InputError(str(e)) from e
+        oracle = _load(args.oracle, "oracle", io.load_graded, alg.field)
     gen = generator_build(alg, sset, seed=args.seed, padding_cap=args.padding_cap)
     g = end_g(gen, seed=args.seed, name=f"EndG({alg.name})")
     art = io.canon_dumps(io.dump_graded(g))
@@ -194,7 +193,7 @@ def cmd_reconstruct(args):
     arts = [("graded.json", "graded_algebra.v1", art)]
     if oracle is None:
         return EXIT_PASS, "built", result, arts
-    ver = graded_iso_check(g, oracle, seed=args.seed)
+    ver = graded_iso_check(g, oracle)
     result["oracle_verdict"] = ver.verdict
     result["oracle_reason"] = ver.reason
     if ver.verdict == "iso":
@@ -205,9 +204,9 @@ def cmd_reconstruct(args):
 
 
 def cmd_derived(args):
-    alg = _load_algebra(_read(args.algebra))
-    members = _load_objects(_read(args.set), alg, "set")
-    cands = _load_objects(_read(args.candidates), alg, "candidates")
+    alg = _load(args.algebra, "algebra", io.load_algebra)
+    members = _load(args.set, "set", _complexes, alg)
+    cands = _load(args.candidates, "candidates", _complexes, alg)
     rep = verify_family_pattern(members, cands, "I")
     endo = endo_dg_cohomology(cands, window=args.window)
     nu = nu_family_check(cands, seed=args.seed)
@@ -293,7 +292,7 @@ def main(argv=None) -> int:
     except _InputError as e:
         print(f"stabrec: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except Undecided as e:
+    except Inconclusive as e:
         print(f"stabrec: undecided: {e}", file=sys.stderr)
         return EXIT_UNDECIDED
     except StabrecError as e:

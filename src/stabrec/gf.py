@@ -1,10 +1,13 @@
 """Exact arithmetic and linear algebra over finite fields GF(p^k) with q = p^k <= 256.
 
 Field elements are plain Python ints (and numpy integer arrays) in the range
-0..q-1.  For k > 1 an element encodes the coefficient vector of a polynomial
-in the generator t, in base p: n = sum(c_i * p**i) represents sum(c_i * t**i).
-Arithmetic for extension fields goes through dense q x q lookup tables built
-once per field; prime fields use modular integer arithmetic directly.
+0..q-1.  An element encodes the coefficient vector of a polynomial in the
+generator t, in base p: n = sum(c_i * p**i) represents sum(c_i * t**i); for a
+prime field (k = 1, modulus t) that is n itself.  Every field takes its
+arithmetic from dense q x q lookup tables built once per field.  A matrix
+product is a single integer product over GF(p): the left factor is written
+out in base-p digits and each entry of the right factor becomes the k x k
+GF(p)-matrix of multiplication by that entry.
 
 All matrix routines are exact and deterministic.  Matrices are numpy arrays
 of dtype int16 (int64 internally where products can overflow).
@@ -49,7 +52,8 @@ class FieldError(ValueError):
 class Field:
     """The finite field GF(p^k), q = p^k <= 256.
 
-    Scalar methods (add, mul, ...) accept ints or numpy arrays elementwise.
+    Scalar methods (add, mul, ...) accept ints or integer numpy arrays
+    elementwise, with entries in 0..q-1: they index the field's tables.
     """
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
@@ -60,34 +64,22 @@ class Field:
         self.p = p
         self.k = k
         self.q = p ** k
-        if k == 1:
-            self.modulus = None
-            self._add_t = self._mul_t = self._neg_t = self._inv_t = None
-            self._inv_cache = self._build_prime_inverses()
-        else:
-            if modulus is None:
-                modulus = DEFAULT_MODULI[(p, k)]
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise FieldError("modulus must be monic of degree k")
-            self.modulus = modulus
-            self._build_extension_tables()
+        if modulus is None:
+            # every (p, k) with k > 1 and q <= 256 has a default; k = 1 is t
+            modulus = DEFAULT_MODULI.get((p, k), (0, 1))
+        modulus = tuple(int(c) % p for c in modulus)
+        if len(modulus) != k + 1 or modulus[-1] != 1:
+            raise FieldError("modulus must be monic of degree k")
+        self.modulus = modulus
+        self._build_tables()
 
     # -- construction ------------------------------------------------------
 
-    def _build_prime_inverses(self) -> np.ndarray:
-        a = np.arange(self.p, dtype=np.int64)
-        inv = np.zeros(self.p, dtype=np.int16)
-        inv[1:] = np.vectorize(lambda x: pow(int(x), self.p - 2, self.p))(a[1:])
-        return inv
-
-    def _build_extension_tables(self) -> None:
+    def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.q
-        digits = np.zeros((q, k), dtype=np.int64)
-        n = np.arange(q)
-        for i in range(k):
-            digits[:, i] = (n // p ** i) % p
+        n = np.arange(q, dtype=np.int64)
         powers = p ** np.arange(k, dtype=np.int64)
+        digits = (n[:, None] // powers) % p
 
         add_digits = (digits[:, None, :] + digits[None, :, :]) % p
         self._add_t = (add_digits @ powers).astype(np.int16)
@@ -119,32 +111,30 @@ class Field:
         if np.count_nonzero(self._inv_t[1:]) != q - 1:
             raise FieldError("modulus is not irreducible over GF(p)")
 
+        # for matmul: the base-p digits of each element, and the GF(p)-matrices
+        # of x -> x * b: _blowup[i, b] holds the digits of t^i * b
+        self._digits = digits
+        self._powers = powers
+        self._blowup = digits[self._mul_t[powers]]
+
     # -- scalar / elementwise arithmetic -----------------------------------
 
     def add(self, a, b):
-        if self.k == 1:
-            return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.p
-        return self._add_t[np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)]
+        return self._add_t[a, b]
 
     def neg(self, a):
-        if self.k == 1:
-            return (-np.asarray(a, dtype=np.int64)) % self.p
-        return self._neg_t[np.asarray(a, dtype=np.intp)]
+        return self._neg_t[a]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self.k == 1:
-            return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
-        return self._mul_t[np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)]
+        return self._mul_t[a, b]
 
     def inv(self, a: int) -> int:
         a = int(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self.k == 1:
-            return int(self._inv_cache[a])
         return int(self._inv_t[a])
 
     def pow(self, a: int, n: int) -> int:
@@ -185,17 +175,19 @@ class Field:
         return np.eye(n, dtype=np.int16)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b as one integer product over GF(p): the base-p digits of a
+        (m x nk) times the blow-up of b into multiplication matrices
+        (nk x rk), reduced mod p and recombined digit by digit."""
         a = np.asarray(a, dtype=np.int16)
         b = np.asarray(b, dtype=np.int16)
         if a.shape[1] != b.shape[0]:
             raise FieldError(f"shape mismatch {a.shape} @ {b.shape}")
-        if self.k == 1:
-            return ((a.astype(np.int64) @ b.astype(np.int64)) % self.p).astype(np.int16)
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int16)
-        for t in range(a.shape[1]):
-            term = self._mul_t[a[:, t].astype(np.intp)[:, None], b[t, :].astype(np.intp)[None, :]]
-            out = self._add_t[out.astype(np.intp), term.astype(np.intp)]
-        return out
+        (m, n), r, k = a.shape, b.shape[1], self.k
+        digits = self._digits.take(a, axis=0).reshape(m, n * k)
+        blown = self._blowup[np.arange(k)[:, None], b[:, None, :]].reshape(n * k, r * k)
+        out = digits @ blown
+        out %= self.p
+        return (out.reshape(m, r, k) @ self._powers).astype(np.int16)
 
     def scale(self, c: int, a: np.ndarray) -> np.ndarray:
         return np.asarray(self.mul(int(c), np.asarray(a)), dtype=np.int16)
@@ -235,14 +227,14 @@ class Field:
                 m[[r, i]] = m[[i, r]]
             piv = int(m[r, c])
             if piv != 1:
-                m[r] = np.asarray(self.mul(self.inv(piv), m[r]), dtype=np.int16)
+                m[r] = self.mul(self.inv(piv), m[r])
             col = m[:, c].copy()
             col[r] = 0
             rows_to_fix = np.nonzero(col)[0]
             if rows_to_fix.size:
                 factors = m[rows_to_fix, c]
-                update = np.asarray(self.mul(factors[:, None], m[r][None, :]), dtype=np.int16)
-                m[rows_to_fix] = np.asarray(self.sub(m[rows_to_fix], update), dtype=np.int16)
+                update = self.mul(factors[:, None], m[r][None, :])
+                m[rows_to_fix] = self.sub(m[rows_to_fix], update)
             pivots.append(c)
             r += 1
         return m, tuple(pivots)
@@ -264,10 +256,8 @@ class Field:
         if not free:
             return np.zeros((0, ncols), dtype=np.int16)
         basis = np.zeros((len(free), ncols), dtype=np.int16)
-        for idx, fc in enumerate(free):
-            basis[idx, fc] = 1
-            for ri, pc in enumerate(piv):
-                basis[idx, pc] = self.neg(int(r[ri, fc]))
+        basis[range(len(free)), free] = 1
+        basis[:, piv] = self.neg(r[: len(piv), free].T)
         return self.row_space(basis)
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -305,10 +295,7 @@ class Field:
         n = a.shape[0]
         if a.shape != (n, n):
             raise FieldError("matinv expects a square matrix")
-        x = self.solve_matrix(a, self.eye(n))
-        if x is None:
-            return None
-        return x
+        return self.solve_matrix(a, self.eye(n))
 
     def is_invertible(self, a: np.ndarray) -> bool:
         a = np.asarray(a)
@@ -402,28 +389,3 @@ def coset_rank_maximize(field: Field, base: np.ndarray, directions: list[np.ndar
             best_m, best_c, best_r = m, c, r
         t += 1
     return best_m, best_c, best_r, False
-
-
-def subspace_contains(field: Field, space_rows: np.ndarray, vec: np.ndarray) -> bool:
-    """Whether vec lies in the row space of space_rows."""
-    space_rows = np.asarray(space_rows, dtype=np.int16)
-    vec = np.asarray(vec, dtype=np.int16).reshape(1, -1)
-    if not np.any(vec):
-        return True
-    r0 = field.rank(space_rows)
-    r1 = field.rank(np.concatenate([space_rows, vec], axis=0))
-    return r0 == r1
-
-
-def subspace_intersection(field: Field, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    """Canonical basis of (row space of a) intersect (row space of b)."""
-    a = field.row_space(rows_a)
-    b = field.row_space(rows_b)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((0, rows_a.shape[1]), dtype=np.int16)
-    stacked = np.concatenate([a, b], axis=0)
-    ker = field.kernel(stacked.T)
-    if ker.shape[0] == 0:
-        return np.zeros((0, a.shape[1]), dtype=np.int16)
-    combo = field.matmul(ker[:, : a.shape[0]], a)
-    return field.row_space(combo)

@@ -273,7 +273,7 @@ def _is_degree_one_generated(g: GradedAlgebra) -> bool:
     return True
 
 
-def graded_iso_check(g1: GradedAlgebra, g2: GradedAlgebra, *, seed: int = 0,
+def graded_iso_check(g1: GradedAlgebra, g2: GradedAlgebra, *,
                      budget: int = 200000) -> GradedIsoResult:
     """Decide whether two graded algebras are isomorphic as graded algebras.
 

@@ -27,10 +27,6 @@ def canon_dumps(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
 
 
-def save(path, obj) -> None:
-    Path(path).write_text(canon_dumps(obj), encoding="utf-8")
-
-
 def _as_dict(src) -> dict:
     if isinstance(src, dict):
         return src
@@ -40,6 +36,17 @@ def _as_dict(src) -> dict:
 def _expect_schema(data: dict, schema: str) -> None:
     if data.get("schema") != schema:
         raise PresentationError(f"expected schema {schema!r}, got {data.get('schema')!r}")
+
+
+def _in_range(values, bound: int, what: str) -> np.ndarray:
+    """JSON integers as an int64 array, each required to lie in 0..bound-1.
+
+    Field elements and indices from a file must be checked before they
+    reach the field's lookup tables or an array index."""
+    a = np.array(values, dtype=np.int64)
+    if a.size and (a.min() < 0 or a.max() >= bound):
+        raise PresentationError(f"{what} out of range")
+    return a
 
 
 # -- algebra.v1 --------------------------------------------------------------
@@ -88,7 +95,7 @@ def load_module(src, algebra: Algebra) -> Module:
     arrs = data.get("arrows", {})
     for name, s, t in algebra.arrows:
         if name in arrs:
-            mats.append(np.array(arrs[name], dtype=np.int16).reshape(dims[t], dims[s]))
+            mats.append(np.array(arrs[name], dtype=np.int64).reshape(dims[t], dims[s]))
         else:
             mats.append(np.zeros((dims[t], dims[s]), dtype=np.int16))
     return Module(algebra, dims, mats, name=data.get("name", "M"))
@@ -137,9 +144,10 @@ def load_graded(src, field: Field | None = None) -> GradedAlgebra:
     f = field if field is not None else Field(int(fld["p"]), int(fld.get("k", 1)))
     degrees = data["degrees"]
     n = len(degrees)
+    entries = np.array(data["table"], dtype=np.int64).reshape(len(data["table"]), 4)
+    i, j, l = _in_range(entries[:, :3], n, "structure constant index").T
     table = np.zeros((n, n, n), dtype=np.int16)
-    for i, j, l, c in data["table"]:
-        table[int(i), int(j), int(l)] = int(c)
+    table[i, j, l] = _in_range(entries[:, 3], f.q, "structure constant")
     return GradedAlgebra(f, degrees, data["labels"], table, name=data.get("name", "G"))
 
 
@@ -153,7 +161,7 @@ def _dump_blocks(fmap: ModuleMap) -> list:
 def _load_map(src_mod: Module, tgt_mod: Module, blocks) -> ModuleMap:
     out = []
     for v in range(len(src_mod.dims)):
-        b = np.array(blocks[v], dtype=np.int16)
+        b = _in_range(blocks[v], src_mod.algebra.field.q, "map entries")
         out.append(b.reshape(tgt_mod.dims[v], src_mod.dims[v]))
     return ModuleMap(src_mod, tgt_mod, out, check=True)
 
@@ -204,7 +212,8 @@ def load_filtration(src, algebra: Algebra) -> Filtration:
     _expect_schema(data, "filtration.v1")
     module = load_module(data["module"], algebra)
     sset = [load_module(s, algebra) for s in data["members"]]
-    chain = [np.array(level, dtype=np.int16).reshape(-1, module.dim)
+    q = algebra.field.q
+    chain = [_in_range(level, q, "chain entries").reshape(-1, module.dim).astype(np.int16)
              for level in data["chain"]]
     return Filtration(module, sset, chain)
 

@@ -40,8 +40,11 @@ class Module:
         f = algebra.field
         fixed = []
         for a, (_, src, tgt) in enumerate(algebra.arrows):
-            m = np.asarray(mats[a], dtype=np.int16).reshape(self.dims[tgt], self.dims[src])
-            fixed.append(m)
+            m = np.asarray(mats[a]).reshape(self.dims[tgt], self.dims[src])
+            # entries index the field's tables, so range-check before any use
+            if m.size and (int(m.min()) < 0 or int(m.max()) >= f.q):
+                raise PresentationError("matrix entries out of field range")
+            fixed.append(np.asarray(m, dtype=np.int16))
         self.mats = tuple(fixed)
         self.name = name
         self.offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(self.dims)]))
@@ -49,8 +52,6 @@ class Module:
         self._key = None
         if check:
             algebra.check_relations(self)
-        if any(m.size and int(m.max()) >= f.q for m in self.mats):
-            raise PresentationError("matrix entries out of field range")
 
     def __repr__(self):
         return f"Module({self.name}, dims={self.dims})"

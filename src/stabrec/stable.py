@@ -124,10 +124,6 @@ def stable_hom(m: Module, n: Module) -> StableHom:
     return sh
 
 
-def stable_end_dim(m: Module) -> int:
-    return stable_hom(m, m).dim
-
-
 def stable_core(m: Module, seed: int = 0):
     """Largest direct summand of m without projective indecomposables.
 

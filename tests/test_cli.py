@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import stabrec
-from stabrec import fixtures, io
+from stabrec import cli, fixtures, io
 from stabrec.cli import main
 from stabrec.derived import Complex
+from stabrec.errors import DecompositionInconclusive
 from stabrec.modules import direct_sum, hom_space, quotient, radical_series
 
 DATA = Path(stabrec.__file__).parent / "data"
@@ -197,3 +198,43 @@ def test_module_entry_point():
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert json.loads(r.stdout)["schema"] == "runreport.v1"
+
+
+def _with_entry(sset, value):
+    arrows = sset[0]["arrows"]
+    arrows[next(iter(arrows))][0][0] = value
+    return sset
+
+
+# each case edits a valid (algebra.json, set.json) pair for hypcheck
+MALFORMED = {
+    "p_not_prime": lambda alg, sset: ({**alg, "field": {"p": 4, "k": 1}}, sset),
+    "p_string": lambda alg, sset: ({**alg, "field": {"p": "five", "k": 1}}, sset),
+    "no_field": lambda alg, sset: ({k: v for k, v in alg.items() if k != "field"}, sset),
+    "arrow_2_list": lambda alg, sset: ({**alg, "arrows": [a[:2] for a in alg["arrows"]]},
+                                       sset),
+    "set_of_ints": lambda alg, sset: (alg, [1, 2]),
+    "dims_list": lambda alg, sset: (alg, [{"schema": "module.v1", "dims": [1, 1]}]),
+    "entry_6": lambda alg, sset: (alg, _with_entry(sset, 6)),
+    "entry_70000": lambda alg, sset: (alg, _with_entry(sset, 70000)),
+    "entry_negative": lambda alg, sset: (alg, _with_entry(sset, -1)),
+    "entry_past_int64": lambda alg, sset: (alg, _with_entry(sset, 2 ** 70)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_3(capsys, tmp_path, case):
+    alg = json.loads((DATA / "lambda4.json").read_text(encoding="utf-8"))
+    sset = [io.dump_module(fixtures.load("lambda4").projective(0))]
+    alg, sset = MALFORMED[case](alg, sset)
+    argv = ["hypcheck", write(tmp_path / "alg.json", alg), write(tmp_path / "set.json", sset)]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_inconclusive_search_exits_2(capsys, monkeypatch):
+    def inconclusive(args):
+        raise DecompositionInconclusive("no splitting endomorphism within budget")
+
+    monkeypatch.setattr(cli, "cmd_validate", inconclusive)
+    assert main(["validate", str(DATA / "lambda4.json")]) == 2

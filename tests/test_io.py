@@ -72,6 +72,22 @@ def test_complex_load_checks_differential(lam):
         io.load_complex(d, lam)
 
 
+def test_entries_outside_the_field_rejected(lam):
+    # lambda4 is over GF(5); loaders check entries before any table lookup
+    mod = io.dump_module(lam.projective(0))
+    mod["arrows"][next(iter(mod["arrows"]))][0][0] = -1
+    cpx = io.dump_complex(two_term(lam))
+    cpx["diffs"][0]["blocks"][1][0][0] = 70000
+    constant = io.dump_graded(lam.gr_oracle())
+    constant["table"][0][3] = 5
+    index = io.dump_graded(lam.gr_oracle())
+    index["table"][0][0] = -1
+    for load in (lambda: io.load_module(mod, lam), lambda: io.load_complex(cpx, lam),
+                 lambda: io.load_graded(constant), lambda: io.load_graded(index)):
+        with pytest.raises(PresentationError, match="out of"):
+            load()
+
+
 def test_filtration_round_trip(lam):
     # semisimple input: over this algebra anything bigger has projective summands
     sset = fixtures.simples(lam)
