@@ -105,9 +105,17 @@ class Algebra:
         self._build_basis()
         self._build_mult()
         self._certify_admissible()
-        self._hom_cache: dict = {}
-        self._proj_cache: dict[int, _mod.Module] = {}
-        self._inj_cache: dict[int, _mod.Module] = {}
+        self._memo: dict = {}
+
+    def cached(self, key, build):
+        """The value stored under key, computed by build() on first use.
+
+        An algebra is immutable once built, so anything derived from it (and
+        from content-keyed modules over it) is kept for its lifetime here."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     # -- presentation parsing ------------------------------------------------
 
@@ -375,9 +383,9 @@ class Algebra:
 
     def projective(self, v: int) -> "_mod.Module":
         """The indecomposable projective A e_v as a representation."""
-        if v in self._proj_cache:
-            return self._proj_cache[v]
-        f = self.field
+        return self.cached(("projective", v), lambda: self._build_projective(v))
+
+    def _build_projective(self, v: int) -> "_mod.Module":
         comps = [self.projective_basis_words(v, w) for w in range(self.nvertices)]
         pos = {b: j for w in range(self.nvertices) for j, b in enumerate(comps[w])}
         dims = [len(c) for c in comps]
@@ -391,15 +399,13 @@ class Algebra:
                 for nw, c in nf.items():
                     m[pos[self.word_index[nw]], j] = c
             mats.append(m)
-        p = _mod.Module(self, dims, mats, name=f"P({self.vertices[v]})", check=False)
-        self._proj_cache[v] = p
-        return p
+        return _mod.Module(self, dims, mats, name=f"P({self.vertices[v]})", check=False)
 
     def injective(self, v: int) -> "_mod.Module":
         """The indecomposable injective D(e_v A) as a representation."""
-        if v in self._inj_cache:
-            return self._inj_cache[v]
-        f = self.field
+        return self.cached(("injective", v), lambda: self._build_injective(v))
+
+    def _build_injective(self, v: int) -> "_mod.Module":
         comps = [self.injective_basis_words(v, w) for w in range(self.nvertices)]
         pos = {b: j for w in range(self.nvertices) for j, b in enumerate(comps[w])}
         dims = [len(c) for c in comps]
@@ -413,9 +419,7 @@ class Algebra:
                 for nw, c in nf.items():
                     m[r, pos[self.word_index[nw]]] = c
             mats.append(m)
-        im = _mod.Module(self, dims, mats, name=f"I({self.vertices[v]})", check=False)
-        self._inj_cache[v] = im
-        return im
+        return _mod.Module(self, dims, mats, name=f"I({self.vertices[v]})", check=False)
 
     def right_mult(self, i: int) -> "_mod.ModuleMap":
         """Right multiplication by basis element i, P_{tgt(i)} -> P_{src(i)}."""
@@ -441,6 +445,9 @@ class Algebra:
     # -- structure tests -------------------------------------------------------
 
     def self_injectivity(self) -> SelfInjectivity:
+        return self.cached("self_injectivity", self._build_self_injectivity)
+
+    def _build_self_injectivity(self) -> SelfInjectivity:
         socdims = []
         perm = []
         for v in range(self.nvertices):
@@ -461,9 +468,6 @@ class Algebra:
                 f"socle vertex assignment {tuple(perm)} is not a permutation",
                 tuple(socdims))
         return SelfInjectivity(True, tuple(perm), "", tuple(socdims))
-
-    def is_self_injective(self) -> bool:
-        return self.self_injectivity().ok
 
     def symmetry(self) -> SymmetryReport:
         """Search for a symmetrizing form lambda with lambda(ab) = lambda(ba)
@@ -587,6 +591,3 @@ class Algebra:
         if sol is None:
             raise PresentationError("product escaped its radical layer")
         return sol[: layer.shape[0]]
-
-    def mul_basis(self, i: int, j: int) -> np.ndarray:
-        return self.mult[i, j]

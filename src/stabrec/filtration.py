@@ -453,11 +453,7 @@ def is_filtrable(m: Module, sset, seed: int = 0,
     bounded exhaustive search over top quotients.  A None returned after a
     search that hit no cap is a certified negative; otherwise Undecided.
     """
-    alg = m.algebra
-    caches = getattr(alg, "_filt_cache", None)
-    if caches is None:
-        caches = alg._filt_cache = {}
-    cache = caches.setdefault(_sset_sig(sset), {})
+    cache = m.algebra.cached(("filtrable", _sset_sig(sset)), dict)
     budget = _Budget(search_cap)
     filt = _filtrable(m, sset, seed, budget, cache)
     if filt is None and budget.hit:
@@ -655,11 +651,11 @@ def _solve_in_span(prods, target_flat, fld):
     return fld.solve(mat, target_flat)
 
 
-def _align(f: ModuleMap, fp: ModuleMap, compose_side: str, seed: int) -> ModuleMap:
-    """Shared worker: sigma in Aut(M), stably the identity, with
-    f . sigma = fp (side='pre', M = src) or sigma . f = fp (side='post',
-    M = tgt)."""
-    m = f.src if compose_side == "pre" else f.tgt
+def align_surjections(f: ModuleMap, fp: ModuleMap, seed: int = 0) -> ModuleMap:
+    """sigma in Aut(M) with fp = f . sigma, sigma stably the identity."""
+    if not (f.is_surjective_map() and fp.is_surjective_map()):
+        raise PresentationError("align_surjections needs surjective inputs")
+    m = f.src
     fld = m.algebra.field
     sh = stable_hom(f.src, f.tgt)
     if np.any(sh.coords(f.sub(fp))):
@@ -669,10 +665,7 @@ def _align(f: ModuleMap, fp: ModuleMap, compose_side: str, seed: int) -> ModuleM
         if np.any(f.sub(fp).flat()):
             raise PresentationError("no projective endomorphisms to adjust by")
         return ModuleMap.identity(m)
-    if compose_side == "pre":
-        prods = [f.compose(p) for p in pend]
-    else:
-        prods = [p.compose(f) for p in pend]
+    prods = [f.compose(p) for p in pend]
     c = _solve_in_span(prods, fp.sub(f).flat(), fld)
     if c is None:
         raise PresentationError("stable equality failed to lift")
@@ -688,24 +681,9 @@ def _align(f: ModuleMap, fp: ModuleMap, compose_side: str, seed: int) -> ModuleM
             raise PresentationError("no automorphism aligns the maps")
         raise Inconclusive("automorphism search not exhaustive")
     sigma = base if not dirs else base.add(combine(dirs, coeffs))
-    got = f.compose(sigma) if compose_side == "pre" else sigma.compose(f)
-    if np.any(got.sub(fp).flat()):
+    if np.any(f.compose(sigma).sub(fp).flat()):
         raise PresentationError("alignment verification failed")
     return sigma
-
-
-def align_surjections(f: ModuleMap, fp: ModuleMap, seed: int = 0) -> ModuleMap:
-    """sigma in Aut(M) with fp = f . sigma, sigma stably the identity."""
-    if not (f.is_surjective_map() and fp.is_surjective_map()):
-        raise PresentationError("align_surjections needs surjective inputs")
-    return _align(f, fp, "pre", seed)
-
-
-def align_injections(f: ModuleMap, fp: ModuleMap, seed: int = 0) -> ModuleMap:
-    """sigma in Aut(M) with fp = sigma . f, sigma stably the identity."""
-    if not (f.is_injective_map() and fp.is_injective_map()):
-        raise PresentationError("align_injections needs injective inputs")
-    return _align(f, fp, "post", seed)
 
 
 def _extend_projective_map(incl: ModuleMap, p: ModuleMap,

@@ -97,12 +97,12 @@ class Field:
             shifted = (shifted + prev[-1] * np.asarray(top)) % p
             red[m] = shifted
 
-        prod = np.zeros((q, q, k), dtype=np.int64)
+        # coefficients of t^0 .. t^(2k-2) in the unreduced product, folded
+        # by red and reduced mod p once (below (2k-1) k p^3, exact in int64)
+        conv = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
         for i in range(k):
-            for j in range(k):
-                coef = digits[:, None, i] * digits[None, :, j] % p
-                prod = (prod + coef[:, :, None] * red[i + j][None, None, :]) % p
-        self._mul_t = (prod @ powers).astype(np.int16)
+            conv[:, :, i: i + k] += digits[:, None, i, None] * digits[None, :, :]
+        self._mul_t = (((conv @ red) % p) @ powers).astype(np.int16)
 
         # invertibility of every nonzero element certifies irreducibility
         self._inv_t = np.zeros(q, dtype=np.int16)
@@ -136,17 +136,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return int(self._inv_t[a])
-
-    def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        r, b = 1, int(a)
-        while n:
-            if n & 1:
-                r = int(self.mul(r, b))
-            b = int(self.mul(b, b))
-            n >>= 1
-        return r
 
     def elements(self) -> range:
         return range(self.q)

@@ -49,6 +49,16 @@ def _in_range(values, bound: int, what: str) -> np.ndarray:
     return a
 
 
+def _matrix(values, shape: tuple[int, int], bound: int, what: str) -> np.ndarray:
+    """A JSON matrix (a list of rows) of exactly the given shape, entries
+    checked by _in_range.  A matrix with no entries may also be written []."""
+    a = _in_range(values, bound, f"{what} entries")
+    if a.shape != shape and not (a.shape == (0,) and 0 in shape):
+        raise PresentationError(
+            f"{what} must be a {shape[0]} x {shape[1]} matrix, got shape {a.shape}")
+    return a.reshape(shape)
+
+
 # -- algebra.v1 --------------------------------------------------------------
 
 
@@ -90,14 +100,18 @@ def load_module(src, algebra: Algebra) -> Module:
     if data.get("algebra") not in (None, algebra.name):
         raise PresentationError(
             f"module is over algebra {data.get('algebra')!r}, not {algebra.name!r}")
-    dims = [int(data["dims"].get(v, 0)) for v in algebra.vertices]
-    mats = []
-    arrs = data.get("arrows", {})
-    for name, s, t in algebra.arrows:
-        if name in arrs:
-            mats.append(np.array(arrs[name], dtype=np.int64).reshape(dims[t], dims[s]))
-        else:
-            mats.append(np.zeros((dims[t], dims[s]), dtype=np.int16))
+    given_dims, arrs = data["dims"], data.get("arrows", {})
+    for what, names, known in (("vertex", given_dims, algebra.vindex),
+                               ("arrow", arrs, algebra.aindex)):
+        unknown = [x for x in names if x not in known]
+        if unknown:
+            raise PresentationError(
+                f"unknown {what} {unknown[0]!r} for algebra {algebra.name!r}")
+    dims = [int(given_dims.get(v, 0)) for v in algebra.vertices]
+    q = algebra.field.q
+    mats = [_matrix(arrs[name], (dims[t], dims[s]), q, f"arrow {name!r}") if name in arrs
+            else np.zeros((dims[t], dims[s]), dtype=np.int16)
+            for name, s, t in algebra.arrows]
     return Module(algebra, dims, mats, name=data.get("name", "M"))
 
 
@@ -159,10 +173,12 @@ def _dump_blocks(fmap: ModuleMap) -> list:
 
 
 def _load_map(src_mod: Module, tgt_mod: Module, blocks) -> ModuleMap:
-    out = []
-    for v in range(len(src_mod.dims)):
-        b = _in_range(blocks[v], src_mod.algebra.field.q, "map entries")
-        out.append(b.reshape(tgt_mod.dims[v], src_mod.dims[v]))
+    nv = len(src_mod.dims)
+    if len(blocks) != nv:
+        raise PresentationError(f"a map needs {nv} vertex blocks, got {len(blocks)}")
+    q = src_mod.algebra.field.q
+    out = [_matrix(blocks[v], (tgt_mod.dims[v], src_mod.dims[v]), q, f"map block {v}")
+           for v in range(nv)]
     return ModuleMap(src_mod, tgt_mod, out, check=True)
 
 

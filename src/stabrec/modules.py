@@ -80,11 +80,6 @@ class Module:
             m = A.field.matmul(self.mats[a], m)
         return m
 
-    def global_vec(self, v: int, local: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=np.int16)
-        out[self.offsets[v]: self.offsets[v + 1]] = local
-        return out
-
     def is_zero(self) -> bool:
         return self.dim == 0
 
@@ -166,16 +161,6 @@ class ModuleMap:
         f = self.src.algebra.field
         return self.src.dims == self.tgt.dims and all(
             f.is_invertible(b) if b.size else True for b in self.blocks)
-
-    def inverse(self) -> "ModuleMap":
-        f = self.src.algebra.field
-        inv = []
-        for b in self.blocks:
-            bi = f.matinv(b)
-            if bi is None:
-                raise PresentationError("map is not invertible")
-            inv.append(bi)
-        return ModuleMap(self.tgt, self.src, inv)
 
     def rank(self) -> int:
         f = self.src.algebra.field
@@ -273,17 +258,16 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
     a: u -> v.  The result is the reduced-echelon basis of the solution
     space in flat coordinates, so it is deterministic.
     """
-    cache = m.algebra._hom_cache
-    ck = (m.key, n.key)
-    hit = cache.get(ck)
-    if hit is not None:
-        return [flat_to_map(m, n, vec) for vec in hit]
+    flats = m.algebra.cached(("hom", m.key, n.key), lambda: _hom_flats(m, n))
+    return [flat_to_map(m, n, vec) for vec in flats]
+
+
+def _hom_flats(m: Module, n: Module) -> list[np.ndarray]:
     f = m.algebra.field
     nv = len(m.dims)
     sizes = [n.dims[v] * m.dims[v] for v in range(nv)]
     total = sum(sizes)
     if total == 0:
-        cache[ck] = []
         return []
     starts = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     rows = []
@@ -300,9 +284,7 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
         block[:, starts[v]: starts[v + 1]] = f.sub_mat(block[:, starts[v]: starts[v + 1]], rhs)
         rows.append(block)
     system = np.concatenate(rows, axis=0) if rows else np.zeros((0, total), dtype=np.int16)
-    basis = f.kernel(system)
-    cache[ck] = [basis[i].copy() for i in range(basis.shape[0])]
-    return [flat_to_map(m, n, basis[i]) for i in range(basis.shape[0])]
+    return list(f.kernel(system))
 
 
 def end_space(m: Module) -> list[ModuleMap]:
@@ -440,7 +422,9 @@ def quotient(m: Module, rows: np.ndarray, name: str = "quot") -> tuple[Module, M
         np.zeros((0, m.dim), dtype=np.int16)
     spaces = _per_vertex_rows(m, closed) if closed.size else \
         [np.zeros((0, m.dims[v]), dtype=np.int16) for v in range(len(m.dims))]
-    projs, dims = [], []
+    # quotient actions go through an explicit section: free coordinates
+    # embedded with pivot coordinates zero
+    projs, sections, dims = [], [], []
     for v in range(len(m.dims)):
         r, piv = f.rref(spaces[v])
         r = r[: len(piv)]
@@ -450,17 +434,10 @@ def quotient(m: Module, rows: np.ndarray, name: str = "quot") -> tuple[Module, M
             sel[i, p] = 1
         reducer = f.sub_mat(np.eye(m.dims[v], dtype=np.int16), f.matmul(r.T, sel))
         projs.append(reducer[free, :] if free else np.zeros((0, m.dims[v]), dtype=np.int16))
+        sec = np.zeros((m.dims[v], len(free)), dtype=np.int16)
+        sec[free, range(len(free))] = 1
+        sections.append(sec)
         dims.append(len(free))
-    # quotient actions through an explicit section (free coordinates
-    # embedded with pivot coordinates zero)
-    sections = []
-    for v in range(len(m.dims)):
-        r, piv = f.rref(spaces[v])
-        free = [c for c in range(m.dims[v]) if c not in piv]
-        s = np.zeros((m.dims[v], dims[v]), dtype=np.int16)
-        for i, c in enumerate(free):
-            s[c, i] = 1
-        sections.append(s)
     mats = []
     for a, (_, u, v) in enumerate(m.algebra.arrows):
         mats.append(f.matmul(projs[v], f.matmul(m.mats[a], sections[u])))

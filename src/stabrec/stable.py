@@ -98,14 +98,11 @@ class StableHom:
 
 def stable_hom(m: Module, n: Module) -> StableHom:
     _gate(m.algebra)
-    alg = m.algebra
-    cache = getattr(alg, "_stab_cache", None)
-    if cache is None:
-        cache = alg._stab_cache = {}
-    key = (m.key, n.key)
-    if key in cache:
-        return cache[key]
-    fld = alg.field
+    return m.algebra.cached(("stable_hom", m.key, n.key), lambda: _stable_hom(m, n))
+
+
+def _stable_hom(m: Module, n: Module) -> StableHom:
+    fld = m.algebra.field
     hom = hom_space(m, n)
     proj = projective_maps(m, n)
     reps: list[ModuleMap] = []
@@ -119,9 +116,7 @@ def stable_hom(m: Module, n: Module) -> StableHom:
             if trial.shape[0] > rank:
                 reps.append(h)
                 cur, rank = trial, trial.shape[0]
-    sh = StableHom(m, n, hom, proj, reps)
-    cache[key] = sh
-    return sh
+    return StableHom(m, n, hom, proj, reps)
 
 
 def stable_core(m: Module, seed: int = 0):
@@ -174,9 +169,6 @@ def syzygy(m: Module, d: int = 1, seed: int = 0) -> Module:
 
 def _regular_module(alg):
     """The left regular module with its right-action bookkeeping."""
-    cached = getattr(alg, "_regular", None)
-    if cached is not None:
-        return cached
     projs = [alg.projective(v) for v in range(alg.nvertices)]
     total, injs, projections = direct_sum(projs, name="A")
     right = {}
@@ -186,8 +178,7 @@ def _regular_module(alg):
         rm = alg.right_mult(alg.word_index[(a,)])
         # x . a is zero off the P_{tgt a} component and lands in P_{src a}
         right[("a", a)] = injs[u].compose(rm).compose(projections[w])
-    alg._regular = (total, right)
-    return alg._regular
+    return total, right
 
 
 def nakayama_module(m: Module) -> Module:
@@ -199,7 +190,7 @@ def nakayama_module(m: Module) -> Module:
     _gate(m.algebra)
     alg = m.algebra
     fld = alg.field
-    regular, right = _regular_module(alg)
+    regular, right = alg.cached("regular", lambda: _regular_module(alg))
     homs = hom_space(m, regular)
     h = len(homs)
     if h == 0:

@@ -219,6 +219,12 @@ MALFORMED = {
     "entry_70000": lambda alg, sset: (alg, _with_entry(sset, 70000)),
     "entry_negative": lambda alg, sset: (alg, _with_entry(sset, -1)),
     "entry_past_int64": lambda alg, sset: (alg, _with_entry(sset, 2 ** 70)),
+    "unknown_arrow": lambda alg, sset: (alg, [{**sset[0], "arrows": {"a": [[1]]}}]),
+    "unknown_vertex": lambda alg, sset: (alg, [{"schema": "module.v1",
+                                                "dims": {"u": 2, "w": 1}}]),
+    "transposed_matrix": lambda alg, sset: (alg, [{"schema": "module.v1",
+                                                   "dims": {"u": 2, "v": 1},
+                                                   "arrows": {"alpha": [[1], [0]]}}]),
 }
 
 

@@ -80,6 +80,8 @@ def test_gf4_arithmetic_table():
     assert int(F4.add(2, 3)) == 1
     assert F4.inv(2) == 3
     assert int(F4.add(1, 1)) == 0
+    # GF(256), t^8 = 1 + t^2 + t^3 + t^4: t * t^7 exercises the top reduction row
+    assert int(Field(2, 8).mul(2, 128)) == 29
 
 
 def test_gf9_arithmetic():

@@ -70,6 +70,11 @@ def test_complex_load_checks_differential(lam):
     d["diffs"][0]["blocks"][1][0][0] ^= 1
     with pytest.raises(PresentationError):
         io.load_complex(d, lam)
+    # a 1 x 1 block written as a flat list is not a matrix
+    flat = io.dump_complex(iu)
+    flat["diffs"][0]["blocks"][0] = [1]
+    with pytest.raises(PresentationError, match="shape"):
+        io.load_complex(flat, lam)
 
 
 def test_entries_outside_the_field_rejected(lam):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from stabrec import fixtures
+from stabrec import fixtures, io
 from stabrec.errors import NotSelfInjective
+from stabrec.filtration import is_filtrable
 from stabrec.modules import (
     ModuleMap,
     direct_sum,
@@ -50,6 +53,17 @@ def test_gate_refuses_non_self_injective():
     s = a2.simple(0)
     with pytest.raises(NotSelfInjective):
         stable_hom(s, s)
+
+
+def test_derived_data_is_memoised_inside_the_algebra():
+    alg = io.load_algebra(json.loads(fixtures.fixture_text("lambda4")))
+    attrs = set(vars(alg))
+    sset = fixtures.simples(alg)
+    stable_hom(sset[0], sset[1])
+    nakayama_module(sset[0])
+    is_filtrable(alg.projective(0), sset)
+    assert set(vars(alg)) == attrs
+    assert alg.self_injectivity() is alg.self_injectivity()
 
 
 def test_projective_maps_lambda4(lam):
