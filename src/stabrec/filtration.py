@@ -24,6 +24,7 @@ from .modules import (
     Module,
     ModuleMap,
     combine,
+    combinations,
     decompose,
     direct_sum,
     extend_along_injection,
@@ -346,12 +347,11 @@ def _surjections_onto(m: Module, x: Module, budget: _Budget):
     if q ** len(homs) > budget.maps:
         budget.hit = True
         return
-    for coeffs in itertools.product(range(q), repeat=len(homs)):
-        if not any(coeffs):
-            continue
+    rows = itertools.product(range(q), repeat=len(homs))
+    next(rows)  # the zero map
+    for f in combinations(homs, rows):
         if not budget.spend():
             return
-        f = combine(homs, coeffs)
         if f.is_surjective_map():
             yield f
 

@@ -9,6 +9,13 @@ product is a single integer product over GF(p): the left factor is written
 out in base-p digits and each entry of the right factor becomes the k x k
 GF(p)-matrix of multiplication by that entry.
 
+Row reduction has two paths with the same result (the RREF is unique and
+both use the same pivot rule).  Matrices of at most SMALL_RREF_ENTRIES
+entries, which are nearly all the calls the searches make, are reduced on
+Python lists with list copies of the tables, free of numpy's per-call
+overhead; larger ones are reduced with one vectorised row operation per
+pivot.
+
 All matrix routines are exact and deterministic.  Matrices are numpy arrays
 of dtype int16 (int64 internally where products can overflow).
 """
@@ -43,6 +50,13 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
                  127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
                  191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251)
+
+
+# rref runs on Python lists up to this many entries and vectorised above it.
+# The list path costs per row touched, the vectorised one per pivot: square
+# matrices cross over near 18 x 18, and on the matrices the searches and
+# resolutions actually reduce, 256 was the cheapest cutoff tried.
+SMALL_RREF_ENTRIES = 256
 
 
 class FieldError(ValueError):
@@ -116,6 +130,12 @@ class Field:
         self._digits = digits
         self._powers = powers
         self._blowup = digits[self._mul_t[powers]]
+
+        # for the small-shape rref: the tables as nested Python lists
+        self._mul_l = self._mul_t.tolist()
+        self._add_l = self._add_t.tolist()
+        self._neg_l = self._neg_t.tolist()
+        self._inv_l = self._inv_t.tolist()
 
     # -- scalar / elementwise arithmetic -----------------------------------
 
@@ -202,6 +222,44 @@ class Field:
         m = np.array(a, dtype=np.int16)
         if m.ndim != 2:
             raise FieldError("rref expects a matrix")
+        if m.size <= SMALL_RREF_ENTRIES:
+            return self._rref_small(m)
+        return self._rref_vectorised(m)
+
+    def _rref_small(self, m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Gauss-Jordan on Python lists with the list copies of the tables;
+        same pivot rule as the vectorised path, so the same (unique) RREF."""
+        nrows, ncols = m.shape
+        rows = m.tolist()
+        mul, add, neg, inv = self._mul_l, self._add_l, self._neg_l, self._inv_l
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            if r == nrows:
+                break
+            i = r
+            while i < nrows and not rows[i][c]:
+                i += 1
+            if i == nrows:
+                continue
+            row = rows[i]
+            rows[i] = rows[r]
+            if row[c] != 1:
+                scale = mul[inv[row[c]]]
+                row = [scale[x] for x in row]
+            rows[r] = row
+            for j in range(nrows):
+                f = rows[j][c]
+                if f and j != r:
+                    minus = mul[neg[f]]
+                    rows[j] = [add[y][minus[x]] for x, y in zip(row, rows[j])]
+            pivots.append(c)
+            r += 1
+        return np.array(rows, dtype=np.int16).reshape(nrows, ncols), tuple(pivots)
+
+    def _rref_vectorised(self, m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Gauss-Jordan with one numpy row operation per pivot; m is
+        overwritten."""
         nrows, ncols = m.shape
         pivots = []
         r = 0

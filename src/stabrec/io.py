@@ -59,6 +59,14 @@ def _matrix(values, shape: tuple[int, int], bound: int, what: str) -> np.ndarray
     return a.reshape(shape)
 
 
+def _dim(value, vertex: str) -> int:
+    """A vertex dimension: a JSON integer >= 0 (no float, no bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise PresentationError(
+            f"dimension at vertex {vertex!r} must be an integer >= 0, got {value!r}")
+    return value
+
+
 # -- algebra.v1 --------------------------------------------------------------
 
 
@@ -107,7 +115,7 @@ def load_module(src, algebra: Algebra) -> Module:
         if unknown:
             raise PresentationError(
                 f"unknown {what} {unknown[0]!r} for algebra {algebra.name!r}")
-    dims = [int(given_dims.get(v, 0)) for v in algebra.vertices]
+    dims = [_dim(given_dims.get(v, 0), v) for v in algebra.vertices]
     q = algebra.field.q
     mats = [_matrix(arrs[name], (dims[t], dims[s]), q, f"arrow {name!r}") if name in arrs
             else np.zeros((dims[t], dims[s]), dtype=np.int16)
@@ -229,8 +237,8 @@ def load_filtration(src, algebra: Algebra) -> Filtration:
     module = load_module(data["module"], algebra)
     sset = [load_module(s, algebra) for s in data["members"]]
     q = algebra.field.q
-    chain = [_in_range(level, q, "chain entries").reshape(-1, module.dim).astype(np.int16)
-             for level in data["chain"]]
+    chain = [_matrix(level, (len(level), module.dim), q, f"chain level {i}").astype(np.int16)
+             for i, level in enumerate(data["chain"])]
     return Filtration(module, sset, chain)
 
 

@@ -13,10 +13,18 @@ Inconclusive instead of returning a guess.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
+
 import numpy as np
 
 from stabrec.errors import DecompositionInconclusive, PresentationError
 from stabrec.gf import coset_rank_maximize
+
+
+# rows of coefficients per field product in combinations(); bounds the
+# candidate maps held at once during exhaustive searches
+COMBINE_CHUNK = 256
 
 
 class Module:
@@ -200,13 +208,24 @@ def factor_through_injection(mono: ModuleMap, f: ModuleMap) -> ModuleMap:
 
 def combine(maps: list[ModuleMap], coeffs) -> ModuleMap:
     """Linear combination of parallel maps."""
+    return next(combinations(maps, [coeffs]))
+
+
+def combinations(maps: list[ModuleMap], coeff_rows) -> Iterator[ModuleMap]:
+    """combine(maps, row) for each coefficient row, in the order given.
+
+    The maps' flat vectors are stacked once, and each chunk of up to
+    COMBINE_CHUNK rows costs one field product; rows are read from
+    coeff_rows only a chunk at a time, so it may be a lazy iterator."""
     if not maps:
         raise PresentationError("cannot combine an empty list of maps")
-    out = maps[0].scale(int(coeffs[0]))
-    for h, c in zip(maps[1:], coeffs[1:]):
-        if c:
-            out = out.add(h.scale(int(c)))
-    return out
+    src, tgt = maps[0].src, maps[0].tgt
+    fld = src.algebra.field
+    stacked = np.stack([h.flat() for h in maps])
+    rows = iter(coeff_rows)
+    while chunk := list(itertools.islice(rows, COMBINE_CHUNK)):
+        for vec in fld.matmul(np.array(chunk, dtype=np.int16), stacked):
+            yield flat_to_map(src, tgt, vec)
 
 
 def lift_through_surjection(epi: ModuleMap, f: ModuleMap) -> ModuleMap:
@@ -861,35 +880,20 @@ def _split_once(m: Module, budget: int, seed: int):
             return "split", out
     if fld.q ** d <= 1 << 16:
         # exhaust the whole endomorphism algebra; if nothing splits, every
-        # endomorphism is nilpotent or invertible, so End is local
-        coeffs = [0] * d
-        while True:
-            i = 0
-            while i < d and coeffs[i] == fld.q - 1:
-                coeffs[i] = 0
-                i += 1
-            if i == d:
-                break
-            coeffs[i] += 1
-            e = ends[0].scale(coeffs[0])
-            for j in range(1, d):
-                if coeffs[j]:
-                    e = e.add(ends[j].scale(coeffs[j]))
-            out = _fitting_split(m, e)
-            if out is not None:
-                return "split", out
-        return "indec", True
-    rng = np.random.default_rng(seed)
-    for _ in range(budget):
-        cs = rng.integers(0, fld.q, size=d)
-        e = ends[0].scale(int(cs[0]))
-        for j in range(1, d):
-            if cs[j]:
-                e = e.add(ends[j].scale(int(cs[j])))
+        # endomorphism is nilpotent or invertible, so End is local.  The
+        # order is an odometer with the first coefficient turning fastest.
+        rows = (t[::-1] for t in itertools.product(range(fld.q), repeat=d))
+        next(rows)  # the zero endomorphism
+        certified = True
+    else:
+        rng = np.random.default_rng(seed)
+        rows = (rng.integers(0, fld.q, size=d) for _ in range(budget))
+        certified = False
+    for e in combinations(ends, rows):
         out = _fitting_split(m, e)
         if out is not None:
             return "split", out
-    return "indec", False
+    return "indec", certified
 
 
 def decompose(m: Module, *, seed: int = 0, budget: int = 512) -> list[Summand]:
@@ -959,11 +963,7 @@ def module_isomorphic(m: Module, n: Module, *, seed: int = 0) -> ModuleMap | Non
     mat, coeffs, rank, exhaustive = coset_rank_maximize(fld, base, dirs,
                                                         target_rank=m.dim, seed=seed)
     if rank == m.dim:
-        out = homs[0].scale(coeffs[0])
-        for j in range(1, len(homs)):
-            if coeffs[j]:
-                out = out.add(homs[j].scale(coeffs[j]))
-        return out
+        return combine(homs, coeffs)
     if exhaustive:
         return None
     raise DecompositionInconclusive(

@@ -225,6 +225,8 @@ MALFORMED = {
     "transposed_matrix": lambda alg, sset: (alg, [{"schema": "module.v1",
                                                    "dims": {"u": 2, "v": 1},
                                                    "arrows": {"alpha": [[1], [0]]}}]),
+    "fractional_dims": lambda alg, sset: (alg, [{"schema": "module.v1",
+                                                 "dims": {"u": 1.7, "v": True}}]),
 }
 
 

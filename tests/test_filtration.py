@@ -9,6 +9,8 @@ algebra the simples form a stable simple set with Omega swapping them.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from stabrec import fixtures
 from stabrec.errors import NotFiltrable, PresentationError
 from stabrec.filtration import (
     Filtration,
+    _Budget,
+    _surjections_onto,
     adjust_to_surjection,
     align_filtrations,
     align_surjections,
@@ -35,6 +39,7 @@ from stabrec.filtration import (
     verify_s_radical,
 )
 from stabrec.modules import (
+    combinations,
     direct_sum,
     ext1,
     hom_space,
@@ -254,6 +259,66 @@ def test_enumerate_radical_filtrations_projective(lam):
     filts = exhaustive_radical_filtrations(lam.projective(0), [su, sv])
     assert len(filts) == 1
     assert filts[0].mult_sequence() == ((1, 0), (0, 1))
+
+
+def scale_add(maps, coeffs):
+    out = maps[0].scale(int(coeffs[0]))
+    for h, c in zip(maps[1:], coeffs[1:]):
+        out = out.add(h.scale(int(c)))
+    return out
+
+
+def reference_surjections(m, x, budget):
+    """_surjections_onto with one scale/add fold per candidate map."""
+    homs = hom_space(m, x)
+    q = m.algebra.field.q
+    if q ** len(homs) > budget.maps:
+        budget.hit = True
+        return
+    for coeffs in itertools.product(range(q), repeat=len(homs)):
+        if not any(coeffs):
+            continue
+        if not budget.spend():
+            return
+        f = scale_add(homs, coeffs)
+        if f.is_surjective_map():
+            yield f
+
+
+def test_batched_surjections_keep_order_and_budget(n3):
+    j1, j2, j3 = (jordan(n3, i) for i in (1, 2, 3))
+    # Hom dims 2 (24 candidate maps) and 4 (624, more than one chunk)
+    for m, x in ((j3, j2), (direct_sum([j2, j1])[0], direct_sum([j1, j1])[0])):
+        assert len(hom_space(m, x)) >= 2
+        got, want = _Budget(1000), _Budget(1000)
+        assert ([f.flat().tolist() for f in _surjections_onto(m, x, got)]
+                == [f.flat().tolist() for f in reference_surjections(m, x, want)])
+        assert (got.maps, got.hit) == (want.maps, want.hit)
+        # a consumer that stops at the first yield
+        got, want = _Budget(1000), _Budget(1000)
+        next(_surjections_onto(m, x, got))
+        next(reference_surjections(m, x, want))
+        assert got.maps == want.maps
+        # a consumer that spends budget between yields, as nested searches do
+        got, want = _Budget(700), _Budget(700)
+        seen = []
+        for b, gen in ((got, _surjections_onto), (want, reference_surjections)):
+            seen.append([f.flat().tolist() for f in gen(m, x, b) if b.spend(40)])
+        assert seen[0] == seen[1]
+        assert (got.maps, got.hit) == (want.maps, want.hit)
+
+
+def test_combinations_match_scale_add():
+    rng = np.random.default_rng(3)
+    ka4 = fixtures.load("ka4")
+    n3 = fixtures.load("n3")
+    j2, j3 = jordan(n3, 2), jordan(n3, 3)
+    for m, x in ((ka4.projective(0), ka4.projective(0)), (j3, direct_sum([j2, j3])[0])):
+        homs = hom_space(m, x)
+        assert len(homs) >= 2
+        rows = rng.integers(0, m.algebra.field.q, size=(600, len(homs)))
+        got = [f.flat().tolist() for f in combinations(homs, iter(rows))]
+        assert got == [scale_add(homs, row).flat().tolist() for row in rows]
 
 
 # -- alignment --------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from stabrec.gf import (
     DEFAULT_MODULI,
+    SMALL_RREF_ENTRIES,
     Field,
     FieldError,
     coset_rank_maximize,
@@ -215,6 +216,63 @@ def test_matmul_against_naive(fm):
                     s = int(f.add(s, f.mul(int(a[i, t]), int(b[t, j]))))
             expect[i, j] = s
     assert np.array_equal(f.matmul(a, b), expect.astype(np.int16))
+
+
+def reference_rref(f, a):
+    """Gauss-Jordan with scalar field operations; same pivot rule as rref."""
+    nrows, ncols = a.shape
+    rows = [[int(x) for x in row] for row in a]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        below = [i for i in range(r, nrows) if rows[i][c]]
+        if not below:
+            continue
+        rows[r], rows[below[0]] = rows[below[0]], rows[r]
+        s = f.inv(rows[r][c])
+        rows[r] = [int(f.mul(s, x)) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                g = int(f.neg(rows[i][c]))
+                rows[i] = [int(f.add(y, f.mul(g, x))) for x, y in zip(rows[r], rows[i])]
+        pivots.append(c)
+    return np.array(rows, dtype=np.int16).reshape(nrows, ncols), tuple(pivots)
+
+
+# sides up to twice the square root of the cutoff: about 40% of the shapes
+# drawn are past it, so rref takes both its list and its vectorised path
+RREF_SIDE = 2 * int(SMALL_RREF_ENTRIES ** 0.5)
+
+
+@st.composite
+def rref_input(draw):
+    f = draw(fields)
+    m = draw(st.integers(0, RREF_SIDE))
+    n = draw(st.integers(0, RREF_SIDE))
+    rank = draw(st.integers(0, RREF_SIDE))
+    zeros = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if rank < min(m, n):
+        a = f.matmul(rng.integers(0, f.q, size=(m, rank)).astype(np.int16),
+                     rng.integers(0, f.q, size=(rank, n)).astype(np.int16))
+    else:
+        a = rng.integers(0, f.q, size=(m, n)).astype(np.int16)
+    a[rng.random((m, n)) < zeros] = 0
+    return f, a
+
+
+@given(rref_input())
+@example((F5, np.zeros((0, 0), dtype=np.int16)))
+@example((F4, np.zeros((0, RREF_SIDE), dtype=np.int16)))
+@example((F9, np.zeros((RREF_SIDE, 0), dtype=np.int16)))
+@settings(max_examples=200, deadline=None)
+def test_rref_against_scalar_reference(fm):
+    f, a = fm
+    got, piv = f.rref(a)
+    want, want_piv = reference_rref(f, a)
+    assert got.dtype == np.int16 and got.shape == a.shape
+    assert piv == want_piv
+    assert np.array_equal(got, want)
 
 
 def test_matinv_round_trip():

@@ -104,6 +104,10 @@ def test_filtration_round_trip(lam):
     assert verify_s_radical(back).ok
     assert io.canon_dumps(io.dump_filtration(back, flags={"ok": True})) == io.canon_dumps(d)
     assert d["chain_dims"] == [2, 0]
+    # a level written as one flat list is not a matrix
+    d["chain"][0] = [1, 0, 0, 1]
+    with pytest.raises(PresentationError, match="shape"):
+        io.load_filtration(d, lam)
 
 
 def test_tower_round_trip(lam):
