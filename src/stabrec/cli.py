@@ -185,7 +185,7 @@ def cmd_reconstruct(args):
     if args.oracle:
         oracle = _load(args.oracle, "oracle", io.load_graded, alg.field)
     gen = generator_build(alg, sset, seed=args.seed, padding_cap=args.padding_cap)
-    g = end_g(gen, seed=args.seed, name=f"EndG({alg.name})")
+    g = end_g(gen, name=f"EndG({alg.name})")
     art = io.canon_dumps(io.dump_graded(g))
     result = {"dims_by_degree": {str(d): int(n)
                                  for d, n in sorted(g.dims_by_degree().items())},
@@ -209,7 +209,7 @@ def cmd_derived(args):
     cands = _load(args.candidates, "candidates", _complexes, alg)
     rep = verify_family_pattern(members, cands, "I")
     endo = endo_dg_cohomology(cands, window=args.window)
-    nu = nu_family_check(cands, seed=args.seed)
+    nu = nu_family_check(cands)
     result = {
         "pattern_ok": rep.ok,
         "failures": [list(f) for f in rep.failures],

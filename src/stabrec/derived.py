@@ -51,7 +51,7 @@ class Complex:
     support, so consumers can index freely.
     """
 
-    __slots__ = ("algebra", "terms", "diffs", "name", "_zero", "_tp", "_ti")
+    __slots__ = ("algebra", "terms", "diffs", "name", "_zero")
 
     def __init__(self, algebra, terms, diffs, name="C", check=True):
         self.algebra = algebra
@@ -59,8 +59,6 @@ class Complex:
         self.terms = {int(n): m for n, m in terms.items() if m.dim > 0}
         self.diffs = {}
         self._zero = zero_module(algebra)
-        self._tp = None
-        self._ti = None
         for n, d in diffs.items():
             n = int(n)
             if d.is_zero():
@@ -141,14 +139,10 @@ class Complex:
                      for v in range(nv))
 
     def is_termwise_projective(self) -> bool:
-        if self._tp is None:
-            self._tp = all(is_projective(m) for m in self.terms.values())
-        return self._tp
+        return all(is_projective(m) for m in self.terms.values())
 
     def is_termwise_injective(self) -> bool:
-        if self._ti is None:
-            self._ti = all(is_injective_module(m) for m in self.terms.values())
-        return self._ti
+        return all(is_injective_module(m) for m in self.terms.values())
 
 
 def as_complex(obj, degree: int = 0) -> Complex:
@@ -593,7 +587,7 @@ class NuFamilyResult:
         return f"NuFamilyResult({self.status})"
 
 
-def nu_family_check(candidates, seed: int = 0) -> NuFamilyResult:
+def nu_family_check(candidates) -> NuFamilyResult:
     """Is the family closed under the Nakayama functor, up to isomorphism?
 
     One-term complexes are handled completely: nu of the term must be
@@ -617,7 +611,7 @@ def nu_family_check(candidates, seed: int = 0) -> NuFamilyResult:
         found = None
         for j, other in enumerate(cands):
             if len(other.terms) == 1 and other.min_degree() == deg:
-                if module_isomorphic(nu, other.term(deg), seed=seed) is not None:
+                if module_isomorphic(nu, other.term(deg)) is not None:
                     found = j
                     break
         if found is not None:
@@ -687,7 +681,7 @@ class Tower:
     def layer_multiset(self) -> tuple:
         return tuple(sorted((s.member, s.d) for s in self.steps))
 
-    def verify(self, seed: int = 0) -> list[str]:
+    def verify(self) -> list[str]:
         """Certify the tower; returns a list of problems, empty when valid."""
         _gate(self.algebra)
         problems = []
@@ -698,18 +692,18 @@ class Tower:
                 continue
             key = (st.member, st.d)
             if key not in cache:
-                cache[key] = syzygy(self.members[st.member], st.d, seed=seed)
-            if stably_isomorphic(st.quot.tgt, cache[key], seed=seed) is None:
+                cache[key] = syzygy(self.members[st.member], st.d)
+            if stably_isomorphic(st.quot.tgt, cache[key]) is None:
                 problems.append(
                     f"step {j} layer is not stably Omega^{st.d} of member {st.member}")
         for j in range(len(self.steps) - 1):
             up, low = self.steps[j], self.steps[j + 1]
             if low.sub.tgt.key == up.sub.src.key:
                 continue
-            if stably_isomorphic(low.sub.tgt, up.sub.src, seed=seed) is None:
+            if stably_isomorphic(low.sub.tgt, up.sub.src) is None:
                 problems.append(f"seam {j} is broken")
         bottom = self.steps[-1].sub.src if self.steps else self.top
-        core, _, _ = stable_core(bottom, seed=seed)
+        core, _, _ = stable_core(bottom)
         if core.dim:
             problems.append("bottom of the tower is not stably zero")
         return problems
@@ -733,7 +727,7 @@ def random_tower(algebra, members, length: int, seed: int = 0,
     for _ in range(length):
         m_idx = rng.randrange(len(members))
         d = rng.randint(*d_range)
-        layer = syzygy(members[m_idx], d, seed=seed)
+        layer = syzygy(members[m_idx], d)
         if layer.dim == 0:
             continue
         ext = ext1(layer, cur)
@@ -761,9 +755,9 @@ def _preimage_rows(fmap: ModuleMap, w_rows: np.ndarray) -> np.ndarray:
     return fld.kernel(fld.matmul(ann, qmat))
 
 
-def _assembled_core(mod: Module, seed: int):
+def _assembled_core(mod: Module):
     """(core, to_core, from_core) with both maps stable inverses."""
-    core, kept, _ = stable_core(mod, seed=seed)
+    core, kept, _ = stable_core(mod)
     if core.dim == 0:
         return core, ModuleMap.zero(mod, core), ModuleMap.zero(core, mod)
     total, injs, projs = direct_sum([p.module for p in kept],
@@ -776,19 +770,17 @@ def _assembled_core(mod: Module, seed: int):
     return total, to_core, from_core
 
 
-def _stable_transfer(src: Module, tgt: Module, seed: int) -> ModuleMap:
+def _stable_transfer(src: Module, tgt: Module) -> ModuleMap:
     """A module map src -> tgt that is an isomorphism in the stable category."""
-    core_s, to_core, _ = _assembled_core(src, seed)
-    core_t, _, from_core = _assembled_core(tgt, seed)
-    if core_s.dim == 0 and core_t.dim == 0:
-        return ModuleMap.zero(src, tgt)
-    psi = module_isomorphic(core_s, core_t, seed=seed)
+    core_s, to_core, _ = _assembled_core(src)
+    core_t, _, from_core = _assembled_core(tgt)
+    psi = module_isomorphic(core_s, core_t)
     if psi is None:
         raise PresentationError("seam modules are not stably isomorphic")
     return from_core.compose(psi).compose(to_core)
 
 
-def _relink_pair(upper: TowerStep, lower: TowerStep, seed: int):
+def _relink_pair(upper: TowerStep, lower: TowerStep):
     """Restore a literal seam between two steps, padding with an injective.
 
     The lower ambient E is stably isomorphic to the upper submodule A; the
@@ -799,7 +791,7 @@ def _relink_pair(upper: TowerStep, lower: TowerStep, seed: int):
     """
     e_low = lower.sub.tgt
     a_up = upper.sub.src
-    psi = _stable_transfer(e_low, a_up, seed)
+    psi = _stable_transfer(e_low, a_up)
     hull, iota = injective_hull(e_low)
     padded, (i_a, i_h), (p_a, p_h) = _sum2(a_up, hull)
     phi = i_a.compose(psi).add(i_h.compose(iota))
@@ -813,7 +805,7 @@ def _relink_pair(upper: TowerStep, lower: TowerStep, seed: int):
     return new_upper, new_lower
 
 
-def _pair_analysis(upper: TowerStep, lower: TowerStep, seed: int):
+def _pair_analysis(upper: TowerStep, lower: TowerStep):
     """Resolve one ordering violation (upper.d < lower.d) between steps.
 
     The middle layer T = E_up / A_low is an extension of the upper cone by
@@ -870,7 +862,7 @@ class ReorderResult:
         self.swaps = swaps
 
 
-def tower_reorder(tower: Tower, seed: int = 0, verify: bool = True) -> ReorderResult:
+def tower_reorder(tower: Tower, verify: bool = True) -> ReorderResult:
     """Sort the layer shifts non-increasingly from the top.
 
     Adjacent violations are repaired by the split-swap or the iso-cancel
@@ -890,8 +882,8 @@ def tower_reorder(tower: Tower, seed: int = 0, verify: bool = True) -> ReorderRe
             i += 1
             continue
         if steps[i + 1].sub.tgt.key != steps[i].sub.src.key:
-            steps[i], steps[i + 1] = _relink_pair(steps[i], steps[i + 1], seed)
-        verdict, payload = _pair_analysis(steps[i], steps[i + 1], seed)
+            steps[i], steps[i + 1] = _relink_pair(steps[i], steps[i + 1])
+        verdict, payload = _pair_analysis(steps[i], steps[i + 1])
         if verdict == "cancel":
             cancelled.append(((steps[i].member, steps[i].d),
                               (steps[i + 1].member, steps[i + 1].d)))
@@ -903,7 +895,7 @@ def tower_reorder(tower: Tower, seed: int = 0, verify: bool = True) -> ReorderRe
     top = steps[0].sub.tgt if steps else floor
     out = Tower(tower.algebra, tower.members, steps, top)
     if verify:
-        problems = out.verify(seed=seed)
+        problems = out.verify()
         if problems:
             raise PresentationError("reordered tower failed certification: "
                                     + "; ".join(problems))
@@ -931,7 +923,7 @@ class Truncation:
         self.split = split
 
 
-def tower_truncate(tower: Tower, seed: int = 0) -> Truncation:
+def tower_truncate(tower: Tower) -> Truncation:
     """Split a tower at the sign change of d into a triangle M -> N -> L.
 
     The tower is reordered first when needed.  With s the number of layers
@@ -943,11 +935,11 @@ def tower_truncate(tower: Tower, seed: int = 0) -> Truncation:
     """
     if any(tower.steps[j].d < tower.steps[j + 1].d
            for j in range(len(tower.steps) - 1)):
-        tower = tower_reorder(tower, seed=seed).tower
+        tower = tower_reorder(tower).tower
     steps = list(tower.steps)
     for j in range(len(steps) - 2, -1, -1):
         if steps[j + 1].sub.tgt.key != steps[j].sub.src.key:
-            steps[j], steps[j + 1] = _relink_pair(steps[j], steps[j + 1], seed)
+            steps[j], steps[j + 1] = _relink_pair(steps[j], steps[j + 1])
     top = steps[0].sub.tgt if steps else tower.top
     algebra = tower.algebra
     split = sum(1 for st in steps if st.d > 0)
@@ -998,7 +990,7 @@ class SideReport:
         return f"SideReport({self.side}: {'Pass' if self.ok else self.problems})"
 
 
-def tower_side_check(tower: Tower, side: str, seed: int = 0) -> SideReport:
+def tower_side_check(tower: Tower, side: str) -> SideReport:
     """Aisle membership of a tower's top read off its layer shifts.
 
     A layer stably Omega^d S sits in T^{<=0} when d <= 0 and in T^{>0}
@@ -1008,7 +1000,7 @@ def tower_side_check(tower: Tower, side: str, seed: int = 0) -> SideReport:
     """
     if side not in ("le", "gt"):
         raise PresentationError("side must be 'le' or 'gt'")
-    problems = tower.verify(seed=seed)
+    problems = tower.verify()
     for j, st in enumerate(tower.steps):
         if side == "le" and st.d > 0:
             problems.append(f"layer {j} has d = {st.d} > 0")

@@ -24,11 +24,6 @@ class Inconclusive(StabrecError):
     Raising this (rather than guessing) keeps every returned answer exact."""
 
 
-class DecompositionInconclusive(Inconclusive):
-    """No splitting endomorphism was found within budget and the module
-    could not be certified indecomposable."""
-
-
 class Undecided(Inconclusive):
     """A capped enumeration (padding or filtration search) hit its cap."""
 

@@ -185,10 +185,6 @@ def _layer_witness(layer: Module, sset):
                     mults[si] += 1
                     break
         else:
-            if not p.certified:
-                raise Inconclusive(
-                    "layer summand matched no member of S but its "
-                    "indecomposability was not certified")
             raise NotFiltrable(
                 f"layer summand of dim {p.module.dim} is not in add(S)")
     x, injs, _, layout = _sum_with_mults(sset, mults)
@@ -375,7 +371,7 @@ def _filtrable(m: Module, sset, seed, budget, cache) -> Filtration | None:
     except NotFiltrable:
         pass
 
-    pieces = decompose(m, seed=seed)
+    pieces = decompose(m)
     proj_idx = [i for i, p in enumerate(pieces) if is_projective(p.module)]
     if len(pieces) > 1 and proj_idx:
         for size in range(1, len(proj_idx) + 1):
@@ -464,7 +460,7 @@ def is_filtrable(m: Module, sset, seed: int = 0,
 def has_projective_remainder(m: Module, sset, seed: int = 0) -> bool:
     """Whether m = N + P with P a nonzero projective summand group and N
     filtrable."""
-    pieces = decompose(m, seed=seed)
+    pieces = decompose(m)
     proj_idx = [i for i, p in enumerate(pieces) if is_projective(p.module)]
     for size in range(1, len(proj_idx) + 1):
         for subset in itertools.combinations(proj_idx, size):
@@ -477,7 +473,7 @@ def has_projective_remainder(m: Module, sset, seed: int = 0) -> bool:
 
 def strip_remainder(m: Module, sset, seed: int = 0):
     """(N, P) with m = N + P, P projective maximal with N still filtrable."""
-    pieces = decompose(m, seed=seed)
+    pieces = decompose(m)
     proj_idx = [i for i, p in enumerate(pieces) if is_projective(p.module)]
     for size in range(len(proj_idx), 0, -1):
         for subset in itertools.combinations(proj_idx, size):
@@ -790,9 +786,9 @@ def stable_iso_lifts(m1: Module, m2: Module, sset, seed: int = 0) -> ModuleMap:
             raise NotFiltrable(f"{m.name} is not filtrable")
         if has_projective_remainder(m, sset, seed=seed):
             raise PresentationError(f"{m.name} has a projective remainder")
-    if stably_isomorphic(m1, m2, seed=seed) is None:
+    if stably_isomorphic(m1, m2) is None:
         raise PresentationError("modules are not stably isomorphic")
-    iso = module_isomorphic(m1, m2, seed=seed)
+    iso = module_isomorphic(m1, m2)
     if iso is None:
         raise PresentationError(
             "uniqueness violated: stably isomorphic no-remainder filtrable "
@@ -1042,9 +1038,9 @@ def hyp_check(algebra, sset, extra=(), cap: int | None = None,
     """
     from .stable import check_simple_set, syzygy
 
-    srep = check_simple_set(algebra, sset, seed=seed)
+    srep = check_simple_set(algebra, sset)
     mods = [algebra.simple(v) for v in range(algebra.nvertices)]
-    mods += [syzygy(s, 1, seed=seed) for s in sset]
+    mods += [syzygy(s, 1) for s in sset]
     mods += list(extra)
     entries = []
     ok = srep.ok

@@ -39,10 +39,12 @@ def _expect_schema(data: dict, schema: str) -> None:
 
 
 def _in_range(values, bound: int, what: str) -> np.ndarray:
-    """JSON integers as an int64 array, each required to lie in 0..bound-1.
-
-    Field elements and indices from a file must be checked before they
-    reach the field's lookup tables or an array index."""
+    """JSON integers (no float, bool or string) as an int64 array, each in
+    0..bound-1.  Field elements and indices from a file must be checked
+    before they reach the field's lookup tables or an array index."""
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+               for x in np.array(values, dtype=object).reshape(-1)):
+        raise PresentationError(f"{what} must be integers")
     a = np.array(values, dtype=np.int64)
     if a.size and (a.min() < 0 or a.max() >= bound):
         raise PresentationError(f"{what} out of range")
@@ -166,7 +168,8 @@ def load_graded(src, field: Field | None = None) -> GradedAlgebra:
     f = field if field is not None else Field(int(fld["p"]), int(fld.get("k", 1)))
     degrees = data["degrees"]
     n = len(degrees)
-    entries = np.array(data["table"], dtype=np.int64).reshape(len(data["table"]), 4)
+    entries = _in_range(data["table"], max(n, f.q), "structure constant table")
+    entries = entries.reshape(len(data["table"]), 4)
     i, j, l = _in_range(entries[:, :3], n, "structure constant index").T
     table = np.zeros((n, n, n), dtype=np.int16)
     table[i, j, l] = _in_range(entries[:, 3], f.q, "structure constant")

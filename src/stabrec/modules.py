@@ -7,19 +7,19 @@ first, acts by the composite A_{a_l} ... A_{a_1}.
 
 Submodules and subspaces are passed around as row matrices in the global
 coordinates of the ambient module (vertex components concatenated in vertex
-order).  All computations are exact; bounded searches that fail raise
-Inconclusive instead of returning a guess.
+order).  All computations are exact: `decompose` certifies each summand by a
+local-ring test and `module_isomorphic` matches summands by Krull-Schmidt.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
-from stabrec.errors import DecompositionInconclusive, PresentationError
-from stabrec.gf import coset_rank_maximize
+from stabrec.errors import PresentationError
 
 
 # rows of coefficients per field product in combinations(); bounds the
@@ -663,13 +663,13 @@ def hull_cokernel(m: Module):
 
 
 def is_projective(m: Module) -> bool:
-    k, _, _, _ = cover_kernel(m)
-    return k.dim == 0
+    """Whether dim m equals that of its projective cover, the sum of P(v) over top m."""
+    return m.dim == sum(t * m.algebra.projective(v).dim for v, t in enumerate(top_dims(m)))
 
 
 def is_injective_module(m: Module) -> bool:
-    c, _, _, _ = hull_cokernel(m)
-    return c.dim == 0
+    """Whether dim m equals that of its injective hull, the sum of I(v) over soc m."""
+    return m.dim == sum(s * m.algebra.injective(v).dim for v, s in enumerate(socle_dims(m)))
 
 
 # -- pullback / pushout / extensions ---------------------------------------
@@ -832,97 +832,116 @@ def is_exact_pair(mono: ModuleMap, epi: ModuleMap) -> bool:
 # -- decomposition ----------------------------------------------------------
 
 
-class Summand:
-    __slots__ = ("module", "incl", "proj", "certified")
-
-    def __init__(self, module, incl, proj, certified):
-        self.module = module
-        self.incl = incl
-        self.proj = proj
-        self.certified = certified
+class Summand(NamedTuple):
+    module: Module
+    incl: ModuleMap
+    proj: ModuleMap
 
 
 def _fitting_split(m: Module, f_end: ModuleMap):
     """If f_end gives a nontrivial Fitting decomposition, return the pair of
-    (rows_kernel, rows_image) per-vertex spaces, else None."""
+    (rows_kernel, rows_image) per-vertex spaces, else None.  Any power
+    f^n with n >= dim m has the stable kernel and image (Fitting's lemma)."""
     fld = m.algebra.field
-    cur = f_end
-    prev_rank = cur.rank()
-    for _ in range(m.dim + 1):
-        nxt = cur.compose(cur)
-        r = nxt.rank()
-        if r == prev_rank:
-            cur = nxt
-            break
-        prev_rank = r
-        cur = nxt
-    r = cur.rank()
+    for _ in range(m.dim.bit_length()):
+        f_end = f_end.compose(f_end)
+    r = f_end.rank()
     if r == 0 or r == m.dim:
         return None
-    ker_spaces = [fld.kernel(b) for b in cur.blocks]
-    im_spaces = [fld.row_space(b.T) for b in cur.blocks]
-    return ker_spaces, im_spaces
+    return [fld.kernel(b) for b in f_end.blocks], [fld.row_space(b.T) for b in f_end.blocks]
 
 
-def _split_once(m: Module, budget: int, seed: int):
-    """Find one nontrivial direct-sum splitting, or certify indecomposable.
+def _structure_constants(m: Module, ends: list[ModuleMap], pivots) -> np.ndarray:
+    """T[i, j] = coordinates (entries at the basis pivots) of ends[i] after ends[j]."""
+    fld, d = m.algebra.field, len(ends)
+    prods = []
+    for v, n in enumerate(m.dims):
+        if n:
+            b = np.stack([e.blocks[v] for e in ends])
+            p = fld.matmul(b.reshape(d * n, n), b.transpose(1, 0, 2).reshape(n, d * n))
+            prods.append(p.reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(d, d, n * n))
+    return np.concatenate(prods, axis=2)[:, :, pivots]
 
-    Returns ('split', (ker_spaces, im_spaces)), ('indec', True) when
-    certified, or ('indec', False) when the budget ran out."""
+
+def _products(fld, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coordinate rows of every product x_a y_b, given structure constants t."""
+    d = t.shape[0]
+    xt = fld.matmul(x, t.reshape(d, d * d)).reshape(-1, d, d)
+    return fld.matmul(y, xt.transpose(1, 0, 2).reshape(d, -1)).reshape(-1, d)
+
+
+def _power(e: ModuleMap, n: int) -> ModuleMap:
+    """e composed with itself n >= 1 times."""
+    if n == 1:
+        return e
+    half = _power(e.compose(e), n // 2)
+    return half.compose(e) if n % 2 else half
+
+
+def _split_once(m: Module):
+    """A nontrivial Fitting splitting (ker_spaces, im_spaces) of m, or None
+    when End m is local, i.e. m is indecomposable.
+
+    Let B = End m and C the two-sided ideal generated by its commutators.
+    B/C is commutative, so x -> x^q is linear modulo C, and F = {x : x^q - x
+    in C} has dimension dim C + t, t the number of local factors of B/C
+    (Berlekamp).  If t > 1, a basis element x of F outside C + k*1 has
+    distinct scalars in two factors of B/J(B); x - lam*1 with lam one of
+    them is neither nilpotent nor invertible.  If t = 1 and C is nilpotent,
+    C lies in J(B) and B is local.  Otherwise B is not local (a finite
+    division ring is a field), and a walk over B meets a splitting
+    endomorphism."""
     ends = end_space(m)
-    d = len(ends)
-    if d == 1:
-        return "indec", True  # End = k is local
-    fld = m.algebra.field
+    if len(ends) == 1:
+        return None  # End = k is local
     for e in ends:
         out = _fitting_split(m, e)
         if out is not None:
-            return "split", out
-    if fld.q ** d <= 1 << 16:
-        # exhaust the whole endomorphism algebra; if nothing splits, every
-        # endomorphism is nilpotent or invertible, so End is local.  The
-        # order is an odometer with the first coefficient turning fastest.
-        rows = (t[::-1] for t in itertools.product(range(fld.q), repeat=d))
-        next(rows)  # the zero endomorphism
-        certified = True
-    else:
-        rng = np.random.default_rng(seed)
-        rows = (rng.integers(0, fld.q, size=d) for _ in range(budget))
-        certified = False
+            return out
+    fld, d = m.algebra.field, len(ends)
+    pivots = (np.stack([e.flat() for e in ends]) != 0).argmax(axis=1)
+    t = _structure_constants(m, ends, pivots)
+    eye = fld.eye(d)
+    comm = fld.row_space(fld.sub_mat(t, t.transpose(1, 0, 2)).reshape(d * d, d))
+    # B comm is a left ideal, so (B comm) B is the two-sided ideal C
+    ideal = fld.row_space(_products(fld, t, fld.row_space(_products(fld, t, eye, comm)), eye))
+    power = ideal  # C^(dim C + 1) = 0 iff C is nilpotent
+    for _ in range(ideal.shape[0]):
+        power = fld.row_space(_products(fld, t, power, ideal))
+    one = ModuleMap.identity(m).flat()[pivots]
+    frob = np.stack([_power(e, fld.q).flat()[pivots] for e in ends])
+    # x (frob - 1) lies in C iff it is orthogonal to the kernel of C
+    fixed = fld.kernel(fld.matmul(fld.kernel(ideal), fld.sub_mat(frob, eye).T))
+    if fixed.shape[0] > ideal.shape[0] + 1:
+        rows = (fld.sub_mat(x, fld.scale(lam, one)) for x in fixed for lam in fld.elements())
+    elif not power.shape[0]:
+        return None
+    else:  # walk B, first coefficient turning fastest
+        rows = (c[::-1] for c in itertools.product(range(fld.q), repeat=d))
     for e in combinations(ends, rows):
         out = _fitting_split(m, e)
         if out is not None:
-            return "split", out
-    return "indec", certified
+            return out
+    raise PresentationError("End is not local but no endomorphism splits")
 
 
-def decompose(m: Module, *, seed: int = 0, budget: int = 512) -> list[Summand]:
+def decompose(m: Module) -> list[Summand]:
     """Decompose into indecomposable summands with splitting witnesses.
 
     Returns a list of Summand(module, incl, proj) with sum(incl_i proj_i)
-    equal to the identity.  Raises DecompositionInconclusive when a piece
-    can neither be split nor certified indecomposable within budget.
+    equal to the identity; every summand has a local endomorphism ring.
     """
     if m.dim == 0:
         return []
-    fld = m.algebra.field
-    status, data = _split_once(m, budget, seed)
-    if status == "indec":
-        if not data:
-            raise DecompositionInconclusive(
-                f"no splitting endomorphism of {m.name} found within budget "
-                f"and End is too large to exhaust")
-        return [Summand(m, ModuleMap.identity(m), ModuleMap.identity(m), True)]
-    ker_spaces, im_spaces = data
-    k_mod, k_incl = _sub_from_spaces(m, ker_spaces, f"{m.name}.a")
-    i_mod, i_incl = _sub_from_spaces(m, im_spaces, f"{m.name}.b")
+    split = _split_once(m)
+    if split is None:
+        return [Summand(m, ModuleMap.identity(m), ModuleMap.identity(m))]
+    k_mod, k_incl = _sub_from_spaces(m, split[0], f"{m.name}.a")
+    i_mod, i_incl = _sub_from_spaces(m, split[1], f"{m.name}.b")
     projs = _complementary_projections(m, k_incl, i_incl)
-    out = []
-    for piece, incl, proj in ((k_mod, k_incl, projs[0]), (i_mod, i_incl, projs[1])):
-        for s in decompose(piece, seed=seed, budget=budget):
-            out.append(Summand(s.module, incl.compose(s.incl), s.proj.compose(proj),
-                               s.certified))
-    return out
+    return [Summand(s.module, incl.compose(s.incl), s.proj.compose(proj))
+            for piece, incl, proj in ((k_mod, k_incl, projs[0]), (i_mod, i_incl, projs[1]))
+            for s in decompose(piece)]
 
 
 def _complementary_projections(m: Module, incl_a: ModuleMap, incl_b: ModuleMap):
@@ -943,28 +962,27 @@ def _complementary_projections(m: Module, incl_a: ModuleMap, incl_b: ModuleMap):
     return (ModuleMap(m, incl_a.src, pa), ModuleMap(m, incl_b.src, pb))
 
 
-def module_isomorphic(m: Module, n: Module, *, seed: int = 0) -> ModuleMap | None:
-    """An isomorphism m -> n, or None if provably not isomorphic.
+def module_isomorphic(m: Module, n: Module) -> ModuleMap | None:
+    """An isomorphism m -> n, or None if m and n are not isomorphic.
 
-    Searches the finite Hom space for an invertible element with the coset
-    rank maximizer.  When the search is not exhaustive and fails, raises
-    DecompositionInconclusive rather than answering.
+    The summands of both are matched by Krull-Schmidt: an indecomposable
+    M_i is isomorphic to N_j iff some element of the Hom(M_i, N_j) basis is
+    invertible, since for an isomorphism g the maps g^-1 f over that basis
+    span the local ring End M_i and so are not all non-units.
     """
     if m.dims != n.dims:
         return None
-    if m.dim == 0:
-        return ModuleMap(m, n, [np.zeros((0, 0), dtype=np.int16) for _ in m.dims])
-    homs = hom_space(m, n)
-    if not homs:
-        return None
-    fld = m.algebra.field
-    base = np.zeros((m.dim, m.dim), dtype=np.int16)
-    dirs = [h.global_matrix() for h in homs]
-    mat, coeffs, rank, exhaustive = coset_rank_maximize(fld, base, dirs,
-                                                        target_rank=m.dim, seed=seed)
-    if rank == m.dim:
-        return combine(homs, coeffs)
-    if exhaustive:
-        return None
-    raise DecompositionInconclusive(
-        f"isomorphism search {m.name} vs {n.name} inconclusive (non-exhaustive)")
+    iso = ModuleMap.zero(m, n)
+    unmatched = decompose(n)
+    for a in decompose(m):
+        for j, b in enumerate(unmatched):
+            if a.module.dims != b.module.dims:
+                continue
+            h = next((h for h in hom_space(a.module, b.module) if h.is_iso()), None)
+            if h is not None:
+                iso = iso.add(b.incl.compose(h).compose(a.proj))
+                del unmatched[j]
+                break
+        else:
+            return None
+    return iso

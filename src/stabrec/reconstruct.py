@@ -279,7 +279,7 @@ def generator_build(algebra, sset, *, seed: int = 0,
     term of each block is checked to be isomorphic to S itself.
     """
     sset = list(sset)
-    srep = check_simple_set(algebra, sset, seed=seed)
+    srep = check_simple_set(algebra, sset)
     if not srep.ok:
         raise PresentationError(
             "member set fails the stable-Hom conditions: "
@@ -307,7 +307,7 @@ def generator_build(algebra, sset, *, seed: int = 0,
         block = FilteredModule(Filtration(total, sset, chain), seed=seed)
         if symmetric:
             bottom, _ = submodule(total, block.filt.chain[-2], name="bottom")
-            if module_isomorphic(bottom, s, seed=seed) is None:
+            if module_isomorphic(bottom, s) is None:
                 raise PresentationError(
                     "bottom term of a block is not the member itself "
                     "on a symmetric algebra")
@@ -349,8 +349,7 @@ def filtered_direct_sum(fms: list[FilteredModule], *,
     return FilteredModule(Filtration(total, fms[0].sset, chain), seed=seed)
 
 
-def end_g(mf: FilteredModule, *, seed: int = 0,
-          name: str | None = None) -> GradedAlgebra:
+def end_g(mf: FilteredModule, *, name: str | None = None) -> GradedAlgebra:
     """The graded endomorphism algebra of a filtered module.
 
     Basis: per degree, the canonical basis of the graded Hom image; the

@@ -14,7 +14,7 @@ import stabrec
 from stabrec import cli, fixtures, io
 from stabrec.cli import main
 from stabrec.derived import Complex
-from stabrec.errors import DecompositionInconclusive
+from stabrec.errors import Undecided
 from stabrec.modules import direct_sum, hom_space, quotient, radical_series
 
 DATA = Path(stabrec.__file__).parent / "data"
@@ -227,6 +227,9 @@ MALFORMED = {
                                                    "arrows": {"alpha": [[1], [0]]}}]),
     "fractional_dims": lambda alg, sset: (alg, [{"schema": "module.v1",
                                                  "dims": {"u": 1.7, "v": True}}]),
+    "float_entry": lambda alg, sset: (alg, _with_entry(sset, 1.7)),
+    "bool_entry": lambda alg, sset: (alg, _with_entry(sset, True)),
+    "string_entry": lambda alg, sset: (alg, _with_entry(sset, "1")),
 }
 
 
@@ -242,7 +245,7 @@ def test_malformed_input_exits_3(capsys, tmp_path, case):
 
 def test_inconclusive_search_exits_2(capsys, monkeypatch):
     def inconclusive(args):
-        raise DecompositionInconclusive("no splitting endomorphism within budget")
+        raise Undecided("filtration search hit its cap")
 
     monkeypatch.setattr(cli, "cmd_validate", inconclusive)
     assert main(["validate", str(DATA / "lambda4.json")]) == 2

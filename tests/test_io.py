@@ -93,6 +93,23 @@ def test_entries_outside_the_field_rejected(lam):
             load()
 
 
+def test_non_integer_entries_rejected(lam):
+    # a float, bool or string entry is rejected, not truncated or parsed
+    for bad in (1.7, 1.0, True, "1"):
+        mod = {"schema": "module.v1", "dims": {"u": 1, "v": 1},
+               "arrows": {"alpha": [[bad]], "beta": [[0]]}}
+        cpx = io.dump_complex(two_term(lam))
+        cpx["diffs"][0]["blocks"][1][0][0] = bad
+        graded = io.dump_graded(lam.gr_oracle())
+        graded["table"][0][3] = bad
+        for load in (lambda: io.load_module(mod, lam), lambda: io.load_complex(cpx, lam),
+                     lambda: io.load_graded(graded)):
+            with pytest.raises(PresentationError, match="must be integers"):
+                load()
+    good = {"schema": "module.v1", "dims": {"u": 1, "v": 1}, "arrows": {"alpha": [[1]]}}
+    assert io.load_module(good, lam).mats[0].tolist() == [[1]]
+
+
 def test_filtration_round_trip(lam):
     # semisimple input: over this algebra anything bigger has projective summands
     sset = fixtures.simples(lam)
