@@ -32,9 +32,9 @@ from .modules import (Module, ModuleMap, zero_module, hom_space, direct_sum,
                       kernel, quotient, submodule, cokernel, pullback,
                       projective_cover, injective_hull, ext1, ses_class,
                       is_exact_pair, is_projective, is_injective_module,
-                      module_isomorphic, factor_through_surjection,
-                      factor_through_injection, combine, _map_image_rows,
-                      _sum2)
+                      match_summands, module_isomorphic,
+                      factor_through_surjection, factor_through_injection,
+                      combine, _map_image_rows, _sum2)
 from .stable import _gate, stable_core, stably_isomorphic, syzygy, \
     nakayama_module
 
@@ -703,8 +703,7 @@ class Tower:
             if stably_isomorphic(low.sub.tgt, up.sub.src) is None:
                 problems.append(f"seam {j} is broken")
         bottom = self.steps[-1].sub.src if self.steps else self.top
-        core, _, _ = stable_core(bottom)
-        if core.dim:
+        if stable_core(bottom)[0].dim:
             problems.append("bottom of the tower is not stably zero")
         return problems
 
@@ -755,29 +754,13 @@ def _preimage_rows(fmap: ModuleMap, w_rows: np.ndarray) -> np.ndarray:
     return fld.kernel(fld.matmul(ann, qmat))
 
 
-def _assembled_core(mod: Module):
-    """(core, to_core, from_core) with both maps stable inverses."""
-    core, kept, _ = stable_core(mod)
-    if core.dim == 0:
-        return core, ModuleMap.zero(mod, core), ModuleMap.zero(core, mod)
-    total, injs, projs = direct_sum([p.module for p in kept],
-                                    name=f"core({mod.name})")
-    to_core = ModuleMap.zero(mod, total)
-    from_core = ModuleMap.zero(total, mod)
-    for i, piece in enumerate(kept):
-        to_core = to_core.add(injs[i].compose(piece.proj))
-        from_core = from_core.add(piece.incl.compose(projs[i]))
-    return total, to_core, from_core
-
-
 def _stable_transfer(src: Module, tgt: Module) -> ModuleMap:
-    """A module map src -> tgt that is an isomorphism in the stable category."""
-    core_s, to_core, _ = _assembled_core(src)
-    core_t, _, from_core = _assembled_core(tgt)
-    psi = module_isomorphic(core_s, core_t)
+    """A module map src -> tgt that is an isomorphism in the stable category:
+    the kept summands of both stable cores matched, zero on projective ones."""
+    psi = match_summands(src, tgt, stable_core(src)[1], stable_core(tgt)[1])
     if psi is None:
         raise PresentationError("seam modules are not stably isomorphic")
-    return from_core.compose(psi).compose(to_core)
+    return psi
 
 
 def _relink_pair(upper: TowerStep, lower: TowerStep):

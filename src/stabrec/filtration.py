@@ -23,6 +23,7 @@ from .gf import coset_rank_maximize
 from .modules import (
     Module,
     ModuleMap,
+    Summand,
     combine,
     combinations,
     decompose,
@@ -33,6 +34,7 @@ from .modules import (
     is_exact_pair,
     is_projective,
     kernel,
+    match_summands,
     module_isomorphic,
     quotient,
     submodule,
@@ -175,27 +177,16 @@ def _layer_witness(layer: Module, sset):
         raise PresentationError("zero layer in a filtration")
     pieces = decompose(layer)
     mults = [0] * len(sset)
-    tagged = []
     for p in pieces:
-        for si, s in enumerate(sset):
-            if p.module.dim == s.dim:
-                w = module_isomorphic(p.module, s)
-                if w is not None:
-                    tagged.append((si, p, w))
-                    mults[si] += 1
-                    break
-        else:
-            raise NotFiltrable(
-                f"layer summand of dim {p.module.dim} is not in add(S)")
-    x, injs, _, layout = _sum_with_mults(sset, mults)
-    slot = {pair: c for c, pair in enumerate(layout)}
-    used = [0] * len(sset)
-    witness = ModuleMap.zero(layer, x)
-    for si, p, w in tagged:
-        c = slot[(si, used[si])]
-        used[si] += 1
-        witness = witness.add(injs[c].compose(w).compose(p.proj))
-    if not witness.is_iso():
+        si = next((si for si, s in enumerate(sset) if p.module.dim == s.dim
+                   and module_isomorphic(p.module, s) is not None), None)
+        if si is None:
+            raise NotFiltrable(f"layer summand of dim {p.module.dim} is not in add(S)")
+        mults[si] += 1
+    x, injs, projs, layout = _sum_with_mults(sset, mults)
+    copies = [Summand(sset[si], i, q) for (si, _), i, q in zip(layout, injs, projs)]
+    witness = match_summands(layer, x, pieces, copies)
+    if witness is None or not witness.is_iso():
         raise PresentationError("layer witness failed to assemble")
     return tuple(mults), witness
 
@@ -287,7 +278,7 @@ class _Budget:
 def _dims_feasible(dims, sset) -> bool:
     """Necessary condition for filtrability: the vertex dimension vector
     must be a nonnegative integer combination of the member vectors."""
-    svecs = [s.dims for s in sset]
+    svecs = [s.dims for s in sset if s.dim]  # a zero member adds nothing
     memo: dict = {}
 
     def rec(t, i):
@@ -317,7 +308,7 @@ def _mult_candidates(m: Module, sset):
     dimensions, ordered by total dimension then lexicographically."""
     bounds = []
     for s in sset:
-        b = m.dim // s.dim
+        b = m.dim // s.dim if s.dim else 0  # a zero member is in no layer
         for v in range(len(m.dims)):
             if s.dims[v]:
                 b = min(b, m.dims[v] // s.dims[v])

@@ -73,7 +73,7 @@ class Field:
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         if p not in _SMALL_PRIMES:
             raise FieldError(f"p = {p} is not a prime <= 251")
-        if k < 1 or p ** k > 256:
+        if not 1 <= k <= 8 or p ** k > 256:  # k first: a huge p**k never ends
             raise FieldError(f"q = {p}**{k} out of supported range (q <= 256)")
         self.p = p
         self.k = k

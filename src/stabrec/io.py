@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -28,9 +27,10 @@ def canon_dumps(obj) -> str:
 
 
 def _as_dict(src) -> dict:
-    if isinstance(src, dict):
-        return src
-    return json.loads(Path(src).read_text(encoding="utf-8"))
+    """A parsed JSON object; anything else in its place is malformed input."""
+    if not isinstance(src, dict):
+        raise PresentationError(f"expected a JSON object, got {type(src).__name__}")
+    return src
 
 
 def _expect_schema(data: dict, schema: str) -> None:

@@ -55,7 +55,7 @@ class Module:
             fixed.append(np.asarray(m, dtype=np.int16))
         self.mats = tuple(fixed)
         self.name = name
-        self.offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(self.dims)]))
+        self.offsets = (0, *itertools.accumulate(self.dims))
         self.dim = self.offsets[-1]
         self._key = None
         if check:
@@ -324,7 +324,6 @@ def direct_sum(mods: list[Module], name: str | None = None):
     mats = []
     for a in range(len(A.arrows)):
         _, src, tgt = A.arrows[a]
-        blocks = [m.mats[a] for m in mods]
         big = np.zeros((dims[tgt], dims[src]), dtype=np.int16)
         r = c = 0
         for m in mods:
@@ -407,7 +406,6 @@ def _per_vertex_rows(m: Module, global_rows: np.ndarray) -> list[np.ndarray]:
 
 def submodule(m: Module, rows: np.ndarray, name: str = "sub") -> tuple[Module, ModuleMap]:
     """The submodule generated by global row vectors, with its inclusion."""
-    f = m.algebra.field
     closed = submodule_closure(m, np.atleast_2d(rows)) if np.atleast_2d(rows).size else \
         np.zeros((0, m.dim), dtype=np.int16)
     spaces = _per_vertex_rows(m, closed) if closed.size else \
@@ -483,7 +481,6 @@ def cokernel(fmap: ModuleMap, name: str = "coker") -> tuple[Module, ModuleMap]:
     """Cokernel with projection from the target."""
     m = fmap.tgt
     rows = []
-    f = m.algebra.field
     for v in range(len(m.dims)):
         block = np.zeros((fmap.blocks[v].shape[1], m.dim), dtype=np.int16)
         block[:, m.offsets[v]: m.offsets[v + 1]] = fmap.blocks[v].T
@@ -683,7 +680,6 @@ def pushout(f: ModuleMap, g: ModuleMap):
     """
     if f.src.key != g.src.key:
         raise PresentationError("pushout legs must share their source")
-    fld = f.src.algebra.field
     yz, (iy, iz), _ = _sum2(f.tgt, g.tgt)
     diff = iy.compose(f).sub(iz.compose(g))
     im_rows = _map_image_rows(diff)
@@ -746,7 +742,6 @@ class Ext1:
             self._img = np.zeros((0, 0), dtype=np.int16)
             self._basis_flat = np.zeros((0, 0), dtype=np.int16)
             self._free = []
-            self._piv = ()
             return
         flat = np.stack([h.flat() for h in hom_kn])
         img_vecs = [g.compose(incl).flat() for g in hom_pn]
@@ -765,7 +760,6 @@ class Ext1:
         self.dim = len(free)
         self.reps = [hom_kn[c] for c in free]
         self._free = free
-        self._piv = piv
 
     def class_coords(self, g: ModuleMap) -> np.ndarray:
         """Coordinates of the class of g: K -> N in the chosen basis."""
@@ -930,18 +924,42 @@ def decompose(m: Module) -> list[Summand]:
 
     Returns a list of Summand(module, incl, proj) with sum(incl_i proj_i)
     equal to the identity; every summand has a local endomorphism ring.
+    Memoised on m.key; each call binds fresh summands, named after m, to m.
     """
     if m.dim == 0:
         return []
+    packed = m.algebra.cached(("decompose", m.key), lambda: _packed_summands(m))
+    if packed is None:
+        return [Summand(m, ModuleMap.identity(m), ModuleMap.identity(m))]
+    arrows, nv, out = m.algebra.arrows, len(m.dims), []
+    for suffix, dims, entries in packed:
+        shapes = ([(dims[v], dims[u]) for _, u, v in arrows]
+                  + list(zip(m.dims, dims)) + list(zip(dims, m.dims)))
+        ends = itertools.accumulate(r * c for r, c in shapes)
+        blocks = [entries[e - r * c: e].reshape(r, c) for e, (r, c) in zip(ends, shapes)]
+        s = Module(m.algebra, dims, blocks[:-2 * nv], name=m.name + suffix, check=False)
+        out.append(Summand(s, ModuleMap(s, m, blocks[-2 * nv: -nv]), ModuleMap(m, s, blocks[-nv:])))
+    return out
+
+
+def _packed_summands(m: Module):
+    """(name suffix, dims, entries) per summand of m, None if m is indecomposable;
+    entries, one read-only vector shared by later calls, holds the arrow matrices,
+    inclusion and projection blocks in turn.  The Fitting pieces go through the memo."""
     split = _split_once(m)
     if split is None:
-        return [Summand(m, ModuleMap.identity(m), ModuleMap.identity(m))]
-    k_mod, k_incl = _sub_from_spaces(m, split[0], f"{m.name}.a")
-    i_mod, i_incl = _sub_from_spaces(m, split[1], f"{m.name}.b")
+        return None
+    k_mod, k_incl = _sub_from_spaces(m, split[0], ".a")
+    i_mod, i_incl = _sub_from_spaces(m, split[1], ".b")
     projs = _complementary_projections(m, k_incl, i_incl)
-    return [Summand(s.module, incl.compose(s.incl), s.proj.compose(proj))
-            for piece, incl, proj in ((k_mod, k_incl, projs[0]), (i_mod, i_incl, projs[1]))
-            for s in decompose(piece)]
+    out = []
+    for piece, incl, proj in ((k_mod, k_incl, projs[0]), (i_mod, i_incl, projs[1])):
+        for s in decompose(piece):
+            arrays = s.module.mats + incl.compose(s.incl).blocks + s.proj.compose(proj).blocks
+            entries = np.concatenate([a.reshape(-1) for a in arrays])
+            entries.flags.writeable = False
+            out.append((s.module.name, s.module.dims, entries))
+    return out
 
 
 def _complementary_projections(m: Module, incl_a: ModuleMap, incl_b: ModuleMap):
@@ -963,18 +981,25 @@ def _complementary_projections(m: Module, incl_a: ModuleMap, incl_b: ModuleMap):
 
 
 def module_isomorphic(m: Module, n: Module) -> ModuleMap | None:
-    """An isomorphism m -> n, or None if m and n are not isomorphic.
-
-    The summands of both are matched by Krull-Schmidt: an indecomposable
-    M_i is isomorphic to N_j iff some element of the Hom(M_i, N_j) basis is
-    invertible, since for an isomorphism g the maps g^-1 f over that basis
-    span the local ring End M_i and so are not all non-units.
-    """
+    """An isomorphism m -> n, or None if m and n are not isomorphic."""
     if m.dims != n.dims:
         return None
+    return match_summands(m, n, decompose(m), decompose(n))
+
+
+def match_summands(m: Module, n: Module, xs: list[Summand],
+                   ys: list[Summand]) -> ModuleMap | None:
+    """sum b.incl h a.proj: m -> n over a Krull-Schmidt matching of the
+    indecomposable summands xs of m with ys of n, or None if there is none.
+
+    X is isomorphic to Y iff some element of the Hom(X, Y) basis is
+    invertible: for an isomorphism g, the g^-1 f span the local ring End X.
+    """
+    if len(xs) != len(ys):
+        return None
     iso = ModuleMap.zero(m, n)
-    unmatched = decompose(n)
-    for a in decompose(m):
+    unmatched = list(ys)
+    for a in xs:
         for j, b in enumerate(unmatched):
             if a.module.dims != b.module.dims:
                 continue

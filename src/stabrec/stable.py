@@ -13,6 +13,7 @@ from . import modules as _mod
 from .modules import (
     Module,
     ModuleMap,
+    Summand,
     cover_kernel,
     decompose,
     direct_sum,
@@ -21,7 +22,7 @@ from .modules import (
     hull_cokernel,
     injective_hull,
     is_projective,
-    module_isomorphic,
+    match_summands,
     zero_module,
 )
 
@@ -122,42 +123,42 @@ def _stable_hom(m: Module, n: Module) -> StableHom:
 def stable_core(m: Module):
     """Largest direct summand of m without projective indecomposables.
 
-    Returns (core, kept, dropped) where kept/dropped are the Summand records
-    of the decomposition, dropped being the projective ones.
+    Returns (core, kept, dropped, on_core) where kept/dropped are the
+    Summand records of the decomposition, dropped being the projective
+    ones, and on_core[i] is kept[i].module as a summand of core.
     """
     _gate(m.algebra)
     kept, dropped = [], []
     for p in decompose(m):
         (dropped if is_projective(p.module) else kept).append(p)
     if not kept:
-        return zero_module(m.algebra), kept, dropped
-    core, _, _ = direct_sum([p.module for p in kept], name=f"core({m.name})")
-    return core, kept, dropped
+        return zero_module(m.algebra), kept, dropped, []
+    core, injs, projs = direct_sum([p.module for p in kept], name=f"core({m.name})")
+    return core, kept, dropped, [Summand(p.module, i, q) for p, i, q in zip(kept, injs, projs)]
 
 
 def stably_isomorphic(m: Module, n: Module, seed: int = 0) -> ModuleMap | None:
-    """Iso witness between the projective-free cores, or None (certified).
+    """Iso core(m) -> core(n) matching their kept summands, or None (certified).
 
     `seed` is ignored; it is kept because the benchmark workloads pass it.
     """
-    _gate(m.algebra)
-    core_m, _, _ = stable_core(m)
-    core_n, _, _ = stable_core(n)
-    return module_isomorphic(core_m, core_n)
+    core_m, _, _, on_m = stable_core(m)
+    core_n, _, _, on_n = stable_core(n)
+    return match_summands(core_m, core_n, on_m, on_n)
 
 
 def syzygy(m: Module, d: int = 1) -> Module:
     """Omega^d m for d >= 0, cosyzygy for d < 0, projective summands
     stripped at each step."""
     _gate(m.algebra)
-    cur, _, _ = stable_core(m)
+    cur = stable_core(m)[0]
     while d > 0:
         k, _, _, _ = cover_kernel(cur)
-        cur, _, _ = stable_core(k)
+        cur = stable_core(k)[0]
         d -= 1
     while d < 0:
         c, _, _, _ = hull_cokernel(cur)
-        cur, _, _ = stable_core(c)
+        cur = stable_core(c)[0]
         d += 1
     return cur
 

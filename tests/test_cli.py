@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -230,6 +232,8 @@ MALFORMED = {
     "float_entry": lambda alg, sset: (alg, _with_entry(sset, 1.7)),
     "bool_entry": lambda alg, sset: (alg, _with_entry(sset, True)),
     "string_entry": lambda alg, sset: (alg, _with_entry(sset, "1")),
+    "path_entry": lambda alg, sset: (alg, [sset[0], "nowhere.json"]),
+    "k_past_int64": lambda alg, sset: ({**alg, "field": {"p": 5, "k": 2 ** 70}}, sset),
 }
 
 
@@ -249,3 +253,80 @@ def test_inconclusive_search_exits_2(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_validate", inconclusive)
     assert main(["validate", str(DATA / "lambda4.json")]) == 2
+
+
+def test_zero_member_is_a_violation_not_a_crash(capsys, tmp_path):
+    # S(w) given as the zero module: it adds to no layer of any filtration
+    ka4 = fixtures.load("ka4")
+    simples = fixtures.simples(ka4)
+    sset = [io.dump_module(s) for s in simples]
+    sset[ka4.vindex["w"]]["dims"] = {"k": 0, "w": 0, "wb": 0}
+    alg, sset = str(DATA / "ka4.json"), write(tmp_path / "set.json", sset)
+    code, rep = run(capsys, "hypcheck", alg, sset)
+    assert code == 1
+    assert "S(w) is zero" in rep["result"]["violations"]
+    sw = write(tmp_path / "sw.json", io.dump_module(simples[ka4.vindex["w"]]))
+    code, rep = run(capsys, "filtrate", alg, sset, sw)
+    assert code == 1 and rep["outcome"] == "not filtrable"
+
+
+# what a mutation may put in place of a JSON value: wrong types, edge
+# integers, and a string naming no file
+FUZZ_VALUES = (0, 1, 2, -1, 2 ** 70, 1.5, True, None, "x", "nowhere.json", [], {})
+
+
+def _mutate(doc, rng: random.Random):
+    """doc after one or two random edits: a value replaced, a key or item
+    deleted, or a list item duplicated."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 2)):
+        slots = []
+        stack = [doc]
+        while stack:
+            node = stack.pop()
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            for k in keys:
+                slots.append((node, k))
+                if isinstance(node[k], (dict, list)):
+                    stack.append(node[k])
+        if not slots:
+            break
+        node, k = rng.choice(slots)
+        edits = ["replace", "delete"] + (["duplicate"] if isinstance(node, list) else [])
+        edit = rng.choice(edits)
+        if edit == "replace":
+            node[k] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+        elif edit == "delete":
+            del node[k]
+        else:
+            node.insert(k, copy.deepcopy(node[k]))
+    return doc
+
+
+def test_fuzzed_inputs_keep_the_exit_code_contract(capsys, tmp_path):
+    # every bundled algebra with its simples, one input mutated per case;
+    # each run must end in 0/1/2/3, never an exception
+    rng = random.Random(3)
+    inputs = {"validate": ["algebra"], "hypcheck": ["algebra", "set"],
+              "filtrate": ["algebra", "set", "module"]}
+    broken = []
+    for case in range(100):
+        name = rng.choice(fixtures.CORPUS + fixtures.EXTRAS)
+        alg = fixtures.load(name)
+        simples = fixtures.simples(alg)
+        docs = {"algebra": json.loads((DATA / f"{name}.json").read_text(encoding="utf-8")),
+                "set": [io.dump_module(s) for s in simples],
+                "module": io.dump_module(rng.choice(simples))}
+        cmd = rng.choice(sorted(inputs))
+        target = rng.choice(inputs[cmd])
+        docs[target] = _mutate(docs[target], rng)
+        paths = [write(tmp_path / f"{key}.json", docs[key]) for key in inputs[cmd]]
+        argv = [cmd, *paths] + (["--search-cap", "2000"] if cmd == "filtrate" else [])
+        try:
+            code = main(argv)
+        except Exception as e:  # noqa: BLE001 - any escape breaks the contract
+            code = repr(e)
+        capsys.readouterr()
+        if code not in (0, 1, 2, 3):
+            broken.append((case, name, cmd, target, code))
+    assert broken == []

@@ -465,7 +465,7 @@ def test_truncate_one_sided_towers(lam):
     high = random_tower(lam, members, 4, seed=3, d_range=(1, 4), split_only=True)
     tr = tower_truncate(high)
     assert tr.split == 4
-    core, _, _ = stable_core(tr.sub_tower.top)
+    core = stable_core(tr.sub_tower.top)[0]
     assert core.is_zero()
 
 

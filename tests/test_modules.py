@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabrec import fixtures
+from stabrec import modules
 from stabrec.errors import PresentationError
 from stabrec.modules import (
     Module,
@@ -362,6 +363,41 @@ def test_decompose_scrambled_sums(name, data):
             rows = itertools.product(range(fld.q), repeat=len(ends))
             assert all(nilpotent_or_invertible(fld, e.global_matrix())
                        for e in combinations(ends, rows))
+
+
+def test_decompose_binds_shared_summands_to_each_caller(lam):
+    # two objects with one content key share one memo entry, yet each gets
+    # summands mapping into and out of itself, named after itself
+    first = scrambled(direct_sum([lam.simple(0), lam.simple(1), lam.projective(0)])[0], 3)
+    second = Module(lam, first.dims, first.mats, name="copy")
+    assert first.key == second.key
+    for m in (first, second):
+        pieces = decompose(m)
+        assert len(pieces) == 3
+        assert all(p.incl.tgt is m and p.proj.src is m for p in pieces)
+        assert all(p.incl.src is p.module and p.proj.tgt is p.module for p in pieces)
+        assert all(p.module.name.startswith(m.name + ".") for p in pieces)
+        assert resolves_identity(m, pieces)
+    with pytest.raises(ValueError):  # shared arrays are read-only
+        decompose(second)[0].incl.blocks[0][...] = 0
+    s = lam.simple(0)
+    [only] = decompose(Module(lam, s.dims, s.mats, name="S"))
+    assert only.module.name == "S" and only.incl.tgt is only.module
+
+
+def test_repeated_decompose_does_not_split_again(lam, monkeypatch):
+    m = scrambled(direct_sum([lam.simple(1), lam.projective(1), lam.simple(1)])[0], 11)
+    before = decompose(m)
+    calls = []
+    split_once = modules._split_once
+    monkeypatch.setattr(modules, "_split_once", lambda x: calls.append(x) or split_once(x))
+    after = decompose(Module(lam, m.dims, m.mats, name=m.name))
+    assert calls == []
+    assert [p.module.name for p in after] == [p.module.name for p in before]
+    for p, q in zip(before, after):
+        assert p.module.key == q.module.key
+        assert np.array_equal(p.incl.global_matrix(), q.incl.global_matrix())
+        assert np.array_equal(p.proj.global_matrix(), q.proj.global_matrix())
 
 
 def exhaustively_isomorphic(m: Module, n: Module) -> bool:

@@ -6,6 +6,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_modules import known_indecomposables, scrambled
 
 from stabrec import fixtures, io
 from stabrec.errors import NotSelfInjective
@@ -117,8 +120,9 @@ def test_stable_coords_reduction(n3):
 def test_stable_core_and_iso(n3, lam):
     j1, j2, j3 = (jordan(n3, i) for i in (1, 2, 3))
     m, _, _ = direct_sum([j2, j3])
-    core, kept, dropped = stable_core(m)
+    core, kept, dropped, on_core = stable_core(m)
     assert core.dim == 2 and len(kept) == 1 and len(dropped) == 1
+    assert on_core[0].module is kept[0].module and on_core[0].incl.tgt is core
     w = stably_isomorphic(m, j2)
     assert w is not None and w.is_iso()
     assert stably_isomorphic(j1, j2) is None
@@ -129,6 +133,28 @@ def test_stable_core_and_iso(n3, lam):
     # projective modules are stably zero
     z = stably_isomorphic(pu, direct_sum([pu, pu])[0])
     assert z is not None and z.src.dim == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["n3", "ka4", "lambda4"]), st.data())
+def test_stably_isomorphic_agrees_with_assembled_cores(name, data):
+    # stably_isomorphic matches the kept summands of stable_core directly;
+    # decomposing the assembled cores again must give the same answer
+    alg = fixtures.load(name)
+    pool = known_indecomposables(alg)
+    parts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    if data.draw(st.booleans()):  # a stably isomorphic partner
+        others = data.draw(st.permutations(parts)) + [alg.projective(0)]
+    else:
+        others = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    m = scrambled(direct_sum(parts)[0], data.draw(st.integers(0, 2 ** 16)))
+    n = scrambled(direct_sum(others)[0], data.draw(st.integers(0, 2 ** 16)))
+    core_m, core_n = stable_core(m)[0], stable_core(n)[0]
+    w = stably_isomorphic(m, n)
+    assert (w is None) == (module_isomorphic(core_m, core_n) is None)
+    if w is not None:
+        assert w.src.key == core_m.key and w.tgt.key == core_n.key
+        assert w.is_map() and w.is_iso()
 
 
 def test_syzygy_lambda4(lam):
