@@ -16,17 +16,22 @@ finite-dimensional algebra with nilpotent radical are rejected.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 import numpy as np
 
-from stabrec.errors import PresentationError
-from stabrec.gf import Field, coset_rank_maximize
+from stabrec.errors import Inconclusive, PresentationError
+from stabrec.gf import Field
 from stabrec.graded import GradedAlgebra
 from stabrec import modules as _mod
 
 MAX_PATH_LEN = 32
+# _build_mult allocates an n x n x n int16 table, 2 n^3 bytes for n basis
+# elements: 64 MiB at this cap (the bundled fixtures have n <= 12)
+MAX_BASIS_DIM = 320
 _AGENDA_CAP = 20000
+UNIT_POINT_LIMIT = 1 << 16
 
 
 def _degkey(word: tuple[int, ...]) -> tuple:
@@ -57,23 +62,49 @@ class SelfInjectivity:
 
 
 class SymmetryReport:
-    """Result of the symmetric-algebra test.
-
-    functional is a vector of values on the path basis when a symmetrizing
-    form (lambda(ab) = lambda(ba), nondegenerate) exists.  When symmetric is
-    False, max_rank is the best Gram rank over the whole space of symmetric
-    functionals, and exhaustive records whether that space was enumerated
-    completely."""
+    """Result of the symmetric-algebra test.  socle_values: a basis (rows)
+    of the vectors (lambda(s_v))_v over symmetric lambda (see
+    Algebra.symmetry), None if not self-injective.  functional: the first
+    such lambda with no zero value, in odometer order over the basis of
+    symmetric functionals."""
 
     def __init__(self, symmetric: bool, functional: np.ndarray | None,
-                 max_rank: int, exhaustive: bool):
+                 socle_values: np.ndarray | None):
         self.symmetric = symmetric
         self.functional = functional
-        self.max_rank = max_rank
-        self.exhaustive = exhaustive
+        self.socle_values = socle_values
 
-    def __bool__(self):
-        return self.symmetric
+
+def _has_unit_point(f: Field, a: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether a + span(rows) has a point with no zero entry.
+
+    Blocks of linked rows of the reduced basis are decided apart; one with
+    fewer than q columns always has such a point (an affine space over GF(q)
+    is no union of fewer than q hyperplanes).  Else the walk tries only the
+    q - 1 coefficients of each row that keep its pivot entry nonzero (one
+    point over GF(2)), at most UNIT_POINT_LIMIT points, or Inconclusive."""
+    basis = f.row_space(rows)
+    if np.any(a[~np.any(basis, axis=0)] == 0):
+        return False
+    blocks = []
+    for i, row in enumerate(basis):
+        hit = [k for k, b in enumerate(blocks) if np.any(b[1] & (row != 0))]
+        blocks = [b for k, b in enumerate(blocks) if k not in hit] + [(
+            [i] + [r for k in hit for r in blocks[k][0]],
+            np.any([row != 0] + [blocks[k][1] for k in hit], axis=0))]
+    for idx, cols in blocks:
+        sub, at = basis[idx][:, cols], a[cols]
+        if sub.shape[1] < f.q:
+            continue
+        if (f.q - 1) ** len(idx) > UNIT_POINT_LIMIT:
+            raise Inconclusive(f"more than {UNIT_POINT_LIMIT} socle points to try")
+        walk = itertools.product(*[[c for c in f.elements() if f.add(at[np.flatnonzero(r)[0]], c)]
+                                   for r in sub])
+        chunks = (list(itertools.islice(walk, 4096)) for _ in itertools.count())
+        if not any(np.all(f.add_mat(at[None], f.matmul(np.array(c, dtype=np.int16), sub)),
+                          axis=1).any() for c in itertools.takewhile(len, chunks)):
+            return False
+    return True
 
 
 class Algebra:
@@ -272,6 +303,10 @@ class Algebra:
                     if not bad:
                         nxt.append(nw)
             normal.extend(nxt)
+            if len(normal) + self.nvertices > MAX_BASIS_DIM:
+                raise PresentationError(
+                    f"more than {MAX_BASIS_DIM} normal paths; the presentation "
+                    "is not admissible or too large")
             frontier = nxt
         normal.sort(key=_degkey)
         self.basis_words: list[tuple[int, ...]] = [() for _ in self.vertices] + normal
@@ -470,35 +505,38 @@ class Algebra:
         return SelfInjectivity(True, tuple(perm), "", tuple(socdims))
 
     def symmetry(self) -> SymmetryReport:
-        """Search for a symmetrizing form lambda with lambda(ab) = lambda(ba)
-        and nondegenerate Gram matrix lambda(b_i b_j)."""
-        f = self.field
-        n = self.dim
-        rows = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff = f.sub_mat(self.mult[i, j][None, :], self.mult[j, i][None, :])[0]
-                if np.any(diff):
-                    rows.append(diff)
-        sym_space = f.kernel(np.stack(rows)) if rows else f.eye(n)
-        if sym_space.shape[0] == 0:
-            return SymmetryReport(False, None, 0, True)
-        grams = []
-        for r in range(sym_space.shape[0]):
-            lam = sym_space[r]
-            g = np.zeros((n, n), dtype=np.int16)
-            for l in np.nonzero(lam)[0]:
-                g = f.add_mat(g, f.scale(int(lam[l]), self.mult[:, :, l]))
-            grams.append(g)
-        base = np.zeros((n, n), dtype=np.int16)
-        m, coeffs, rank, exhaustive = coset_rank_maximize(f, base, grams, target_rank=n)
-        if rank == n:
-            lam = np.zeros(n, dtype=np.int16)
-            for c, r in zip(coeffs, range(sym_space.shape[0])):
-                if c:
-                    lam = f.add_mat(lam[None, :], f.scale(c, sym_space[r][None, :]))[0]
-            return SymmetryReport(True, lam, rank, exhaustive)
-        return SymmetryReport(False, None, rank, exhaustive)
+        """Decide whether a symmetrizing form exists: lambda(ab) = lambda(ba)
+        with nondegenerate Gram matrix lambda(b_i b_j).
+
+        On a basic self-injective algebra every nonzero right ideal holds the
+        socle element s_v of some e_v A, so lambda is nondegenerate iff
+        lambda(s_v) != 0 for all v."""
+        f, n = self.field, self.dim
+        if not self.self_injectivity().ok:
+            return SymmetryReport(False, None, None)
+        sym = f.kernel(f.sub_mat(self.mult, self.mult.transpose(1, 0, 2)).reshape(n * n, n))
+        # columns s_v: the elements of e_v A (paths ending at v) killed by
+        # every arrow on the right
+        arrows = [self.word_index[(a,)] for a in range(len(self.arrows))]
+        socle = np.zeros((n, self.nvertices), dtype=np.int16)
+        for v in range(self.nvertices):
+            idx = [i for i in range(n) if self.basis_tgt[i] == v]
+            soc = f.kernel(self.mult[idx][:, arrows].reshape(len(idx), -1).T)
+            if soc.shape[0] != 1:
+                raise PresentationError(f"soc(e_{self.vertices[v]} A) is not simple")
+            socle[idx, v] = soc[0]
+        values = f.matmul(sym, socle)
+        # least coefficients in odometer order (the first fastest): fix the last
+        # first, each to the smallest value that leaves a point with no zero entry
+        coeffs = np.zeros(sym.shape[0], dtype=np.int16)
+        point = np.zeros(self.nvertices, dtype=np.int16)
+        symmetric = _has_unit_point(f, point, values)
+        for i in reversed(range(sym.shape[0]) if symmetric else ()):
+            coeffs[i] = next(c for c in f.elements() if _has_unit_point(
+                f, f.add_mat(point, f.scale(c, values[i])), values[:i]))
+            point = f.add_mat(point, f.scale(int(coeffs[i]), values[i]))
+        lam = f.matmul(coeffs[None], sym)[0] if symmetric else None
+        return SymmetryReport(symmetric, lam, f.row_space(values))
 
     # -- associated graded algebra ----------------------------------------------
 

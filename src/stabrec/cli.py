@@ -4,7 +4,7 @@ Every command prints a runreport.v1 document on stdout.  Exit codes: 0 for a
 mathematical pass, 1 for a mathematical failure, 2 when a search cap left the
 question undecided, 3 for unreadable or malformed input.  With --emit DIR the
 artifacts (certificates, graded algebras) are written out; rerunning with the
-same inputs and seed reproduces them byte for byte.
+same inputs reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -131,16 +131,15 @@ def cmd_validate(args):
     }
     if not si.ok:
         return EXIT_FAIL, "not self-injective", result, []
-    sym = alg.symmetry()
     result["nakayama_permutation"] = [alg.vertices[w] for w in si.perm]
-    result["symmetric"] = bool(sym)
+    result["symmetric"] = alg.symmetry().symmetric
     return EXIT_PASS, "self-injective", result, []
 
 
 def cmd_hypcheck(args):
     alg = _load(args.algebra, "algebra", io.load_algebra)
     sset = _load(args.set, "set", _modules, alg)
-    rep = hyp_check(alg, sset, cap=args.padding_cap, seed=args.seed)
+    rep = hyp_check(alg, sset, cap=args.padding_cap)
     result = {
         "simple_set_ok": rep.simple_report.ok,
         "violations": list(rep.simple_report.violations),
@@ -158,15 +157,14 @@ def cmd_filtrate(args):
     alg = _load(args.algebra, "algebra", io.load_algebra)
     sset = _load(args.set, "set", _modules, alg)
     mod = _load(args.module, "module", io.load_module, alg)
-    filt = is_filtrable(mod, sset, seed=args.seed, search_cap=args.search_cap)
+    filt = is_filtrable(mod, sset, search_cap=args.search_cap)
     if filt is None:
         result = {
             "filtrable": False,
-            "projective_remainder": has_projective_remainder(mod, sset,
-                                                             seed=args.seed),
+            "projective_remainder": has_projective_remainder(mod, sset),
         }
         return EXIT_FAIL, "not filtrable", result, []
-    cert = verify_s_radical(filt, seed=args.seed)
+    cert = verify_s_radical(filt)
     flags = {"s_radical": cert.ok, "level0_bijective": cert.level0_bijective}
     art = io.canon_dumps(io.dump_filtration(filt, flags=flags))
     result = {
@@ -184,7 +182,7 @@ def cmd_reconstruct(args):
     oracle = None
     if args.oracle:
         oracle = _load(args.oracle, "oracle", io.load_graded, alg.field)
-    gen = generator_build(alg, sset, seed=args.seed, padding_cap=args.padding_cap)
+    gen = generator_build(alg, sset, padding_cap=args.padding_cap)
     g = end_g(gen, name=f"EndG({alg.name})")
     art = io.canon_dumps(io.dump_graded(g))
     result = {"dims_by_degree": {str(d): int(n)
@@ -227,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--emit", metavar="DIR", default=None)
 
     p = sub.add_parser("validate", help="admissibility and self-injectivity")
@@ -301,8 +298,7 @@ def main(argv=None) -> int:
     seconds = time.perf_counter() - started
     listed = [{"name": name, "schema": schema, "sha256": io.sha256_text(text)}
               for name, schema, text in artifacts]
-    report = io.dump_report(args.command, inputs, args.seed, outcome,
-                            listed, seconds)
+    report = io.dump_report(args.command, inputs, outcome, listed, seconds)
     report["result"] = _clean(result)
     text = io.canon_dumps(report)
     if args.emit:

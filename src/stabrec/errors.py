@@ -33,11 +33,7 @@ class NotFiltrable(StabrecError):
 
 
 class NoSurjectionInCoset(StabrecError):
-    """No surjective representative exists in a stable class.
+    """No surjective representative exists in a stable class (or, more
+    generally, in a coset of maps).
 
-    When `exhaustive` is set the negative is certified; otherwise the
-    bounded search simply failed."""
-
-    def __init__(self, msg, exhaustive=True):
-        self.exhaustive = exhaustive
-        super().__init__(msg)
+    Always a certified negative: it is raised only after an exact decision."""

@@ -22,6 +22,8 @@ of dtype int16 (int64 internally where products can overflow).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 # Default moduli for extension fields, as tuples of coefficients of the
@@ -350,89 +352,31 @@ class Field:
 
 
 def coset_rank_maximize(field: Field, base: np.ndarray, directions: list[np.ndarray],
-                        *, target_rank: int | None = None, seed: int = 0,
-                        tries: int = 64, exhaustive_limit: int = 1 << 16):
+                        *, exhaustive_limit: int = 1 << 16):
     """Maximize rank over the affine coset {base + sum c_i directions[i]}.
 
-    Exhaustive when q**len(directions) <= exhaustive_limit, otherwise greedy
-    coordinate ascent from the base point plus seeded randomized restarts.
-    Returns (matrix, coeffs, rank, exhaustive_flag).  Deterministic for a
-    fixed seed.  When exhaustive_flag is True the returned rank is the true
-    maximum over the coset.
+    Walks the coefficient vectors in odometer order (the first coefficient
+    fastest) up to the first that reaches full rank, min(base.shape).
+    Returns (matrix, coeffs, rank, exhaustive).  A coset of more than
+    exhaustive_limit points is not walked: the base point comes back with
+    exhaustive False, and the caller must treat the answer as undecided.
+    With exhaustive True the rank is the maximum over the coset.
     """
     base = np.asarray(base, dtype=np.int16)
-    dirs = [np.asarray(d, dtype=np.int16) for d in directions]
-    n = len(dirs)
-    full = min(base.shape) if base.size else 0
-    if target_rank is None:
-        target_rank = full
-
-    def at(coeffs):
+    n = len(directions)
+    best = (base, (0,) * n, field.rank(base))
+    if best[2] >= min(base.shape) or n == 0:
+        return (*best, True)
+    if field.q ** n > exhaustive_limit:
+        return (*best, False)
+    for rev in itertools.islice(itertools.product(range(field.q), repeat=n), 1, None):
         m = base
-        for c, d in zip(coeffs, dirs):
+        for c, d in zip(rev[::-1], directions):
             if c:
                 m = field.add_mat(m, field.scale(c, d))
-        return m
-
-    best_c = tuple([0] * n)
-    best_m = base.copy()
-    best_r = field.rank(base)
-    if n == 0 or best_r >= target_rank:
-        return best_m, best_c, best_r, True
-
-    if field.q ** n <= exhaustive_limit:
-        coeffs = [0] * n
-        while True:
-            i = 0
-            while i < n and coeffs[i] == field.q - 1:
-                coeffs[i] = 0
-                i += 1
-            if i == n:
+        r = field.rank(m)
+        if r > best[2]:
+            best = (m, rev[::-1], r)
+            if r >= min(base.shape):
                 break
-            coeffs[i] += 1
-            m = at(coeffs)
-            r = field.rank(m)
-            if r > best_r:
-                best_r, best_m, best_c = r, m, tuple(coeffs)
-                if best_r >= target_rank:
-                    return best_m, best_c, best_r, True
-        return best_m, best_c, best_r, True
-
-    rng = np.random.default_rng(seed)
-
-    def ascend(start):
-        cur = list(start)
-        cur_m = at(cur)
-        cur_r = field.rank(cur_m)
-        improved = True
-        while improved and cur_r < target_rank:
-            improved = False
-            for i in range(n):
-                orig = cur[i]
-                for c in field.elements():
-                    if c == orig:
-                        continue
-                    cur[i] = c
-                    m = at(cur)
-                    r = field.rank(m)
-                    if r > cur_r:
-                        cur_r, cur_m = r, m
-                        improved = True
-                        break
-                else:
-                    cur[i] = orig
-                    continue
-                break
-        return cur_m, tuple(cur), cur_r
-
-    m, c, r = ascend([0] * n)
-    if r > best_r:
-        best_m, best_c, best_r = m, c, r
-    t = 0
-    while best_r < target_rank and t < tries:
-        start = [int(x) for x in rng.integers(0, field.q, size=n)]
-        m, c, r = ascend(start)
-        if r > best_r:
-            best_m, best_c, best_r = m, c, r
-        t += 1
-    return best_m, best_c, best_r, False
+    return (*best, True)

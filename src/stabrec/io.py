@@ -293,7 +293,7 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def dump_report(command: str, inputs: dict, seed: int, outcome: str,
+def dump_report(command: str, inputs: dict, outcome: str,
                 artifacts: list, seconds: float) -> dict:
     """Run summary; `inputs` maps labels to raw file text, hashed here.
 
@@ -303,7 +303,6 @@ def dump_report(command: str, inputs: dict, seed: int, outcome: str,
         "schema": "runreport.v1",
         "command": command,
         "inputs": {k: sha256_text(v) for k, v in sorted(inputs.items())},
-        "seed": int(seed),
         "outcome": outcome,
         "artifacts": artifacts,
         "timing": {"seconds": round(float(seconds), 6)},

@@ -40,8 +40,8 @@ class FilteredModule:
 
     __slots__ = ("filt", "module", "certificate", "report")
 
-    def __init__(self, filt: Filtration, *, seed: int = 0):
-        cert = verify_s_radical(filt, seed=seed)
+    def __init__(self, filt: Filtration):
+        cert = verify_s_radical(filt)
         if not cert.ok:
             raise PresentationError(
                 "chain is not radical: " + "; ".join(cert.reasons))
@@ -245,7 +245,7 @@ def graded_compose(f: GradedElement, g: GradedElement,
 
 # -- generator ---------------------------------------------------------------------
 
-def _same_dim_alternatives(core: Module, sset, mv, seed: int):
+def _same_dim_alternatives(core: Module, sset, mv):
     """Other padding multiplicity vectors of the same total dimension."""
     alg = core.algebra
     pdims = [alg.projective(v).dim for v in range(alg.nvertices)]
@@ -260,15 +260,14 @@ def _same_dim_alternatives(core: Module, sset, mv, seed: int):
                           for _ in range(cand[v])]
         padded = direct_sum(parts)[0] if len(parts) > 1 else core
         try:
-            if is_filtrable(padded, sset, seed=seed) is not None:
+            if is_filtrable(padded, sset) is not None:
                 out.append(cand)
         except Undecided:
             pass
     return out
 
 
-def generator_build(algebra, sset, *, seed: int = 0,
-                    padding_cap: int | None = None) -> FilteredModule:
+def generator_build(algebra, sset, *, padding_cap: int | None = None) -> FilteredModule:
     """The filtered generator: the sum over members S of P(S) + Q(S).
 
     Q(S) is a smallest projective padding making the cover kernel of S
@@ -284,19 +283,19 @@ def generator_build(algebra, sset, *, seed: int = 0,
         raise PresentationError(
             "member set fails the stable-Hom conditions: "
             + "; ".join(srep.violations))
-    symmetric = bool(algebra.symmetry())
+    symmetric = algebra.symmetry().symmetric
     blocks = []
     infos = []
     for s in sset:
         core, incl, cover, _ = cover_kernel(s)
         if core.dim == 0:
             raise PresentationError(f"{s.name} is projective")
-        _, mv, _ = padding_search(core, sset, padding_cap, seed)
+        _, mv, _ = padding_search(core, sset, padding_cap)
         parts = [core] + [algebra.projective(v)
                           for v in range(algebra.nvertices)
                           for _ in range(mv[v])]
         inner_total, _, dprojs = direct_sum(parts, name=f"om({s.name})+Q")
-        inner = s_radical_filtration(inner_total, sset, seed=seed)
+        inner = s_radical_filtration(inner_total, sset)
         top_parts = [cover] + parts[1:]
         total, einjs, _ = direct_sum(top_parts, name=f"P({s.name})+Q")
         inc = einjs[0].compose(incl).compose(dprojs[0])
@@ -304,7 +303,7 @@ def generator_build(algebra, sset, *, seed: int = 0,
             inc = inc.add(einjs[t].compose(dprojs[t]))
         chain = [_full_rows(total)]
         chain += [_transport_rows(inc, c) for c in inner.chain]
-        block = FilteredModule(Filtration(total, sset, chain), seed=seed)
+        block = FilteredModule(Filtration(total, sset, chain))
         if symmetric:
             bottom, _ = submodule(total, block.filt.chain[-2], name="bottom")
             if module_isomorphic(bottom, s) is None:
@@ -316,17 +315,15 @@ def generator_build(algebra, sset, *, seed: int = 0,
             "member": s.name,
             "cover_dim": cover.dim,
             "padding": tuple(mv),
-            "padding_alternatives": _same_dim_alternatives(core, sset, mv,
-                                                           seed),
+            "padding_alternatives": _same_dim_alternatives(core, sset, mv),
             "levels": len(block),
         })
-    out = filtered_direct_sum(blocks, seed=seed) if len(blocks) > 1 else blocks[0]
+    out = filtered_direct_sum(blocks) if len(blocks) > 1 else blocks[0]
     out.report = {"blocks": infos, "symmetric": symmetric}
     return out
 
 
-def filtered_direct_sum(fms: list[FilteredModule], *,
-                        seed: int = 0) -> FilteredModule:
+def filtered_direct_sum(fms: list[FilteredModule]) -> FilteredModule:
     """Direct sum of filtered modules, levelwise; short chains end at zero."""
     if not fms:
         raise PresentationError("empty sum of filtered modules")
@@ -346,7 +343,7 @@ def filtered_direct_sum(fms: list[FilteredModule], *,
                 parts.append(_transport_rows(inj, rows))
         chain.append(fld.row_space(np.concatenate(parts)) if parts
                      else _empty_rows(total))
-    return FilteredModule(Filtration(total, fms[0].sset, chain), seed=seed)
+    return FilteredModule(Filtration(total, fms[0].sset, chain))
 
 
 def end_g(mf: FilteredModule, *, name: str | None = None) -> GradedAlgebra:

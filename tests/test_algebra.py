@@ -6,12 +6,14 @@ by hand from the presentations before running the code.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from stabrec import fixtures
-from stabrec.algebra import Algebra
-from stabrec.errors import PresentationError
+from stabrec.algebra import Algebra, _has_unit_point
+from stabrec.errors import Inconclusive, PresentationError
 from stabrec.gf import Field
 from stabrec.modules import socle
 
@@ -53,8 +55,8 @@ def test_lambda4_self_injective_with_swap(lam):
 def test_lambda4_not_symmetric(lam):
     rep = lam.symmetry()
     assert not rep.symmetric
-    assert rep.exhaustive
-    assert rep.max_rank == 2
+    # every symmetric functional kills both socle elements alpha and beta
+    assert rep.socle_values.shape == (0, 2)
 
 
 def test_n3_structure():
@@ -87,7 +89,8 @@ def test_nak3_structure():
     assert si.perm == (2, 0, 1)
     rep = a.symmetry()
     assert not rep.symmetric
-    assert rep.exhaustive
+    # not weakly symmetric: no symmetric functional sees any socle element
+    assert rep.socle_values.shape == (0, 3)
 
 
 def test_a2_not_self_injective():
@@ -117,6 +120,9 @@ def test_ka4_projectives_and_self_injectivity(ka4):
 def test_ka4_symmetric(ka4):
     rep = ka4.symmetry()
     assert rep.symmetric
+    # first in odometer order: the dual of the three socle cycles
+    assert rep.functional.tolist() == [0] * 9 + [1, 1, 1]
+    assert rep.socle_values.tolist() == [[1, 1, 1]]
     f = ka4.field
     lam = rep.functional
     # nondegeneracy of the Gram matrix
@@ -131,6 +137,85 @@ def test_ka4_symmetric(ka4):
             ij = int(f.matmul(lam[None, :], ka4.mult[i, j][:, None])[0, 0])
             ji = int(f.matmul(lam[None, :], ka4.mult[j, i][:, None])[0, 0])
             assert ij == ji
+
+
+def first_gram_functional(a: Algebra):
+    """The first symmetric functional, in odometer order over a basis of
+    Sym = {lam : lam(b_i b_j) = lam(b_j b_i)}, whose Gram matrix
+    lam(b_i b_j) has full rank; None when there is none."""
+    f, n = a.field, a.dim
+    rows = [f.sub_mat(a.mult[i, j][None], a.mult[j, i][None])[0]
+            for i in range(n) for j in range(n)]
+    sym = f.kernel(np.stack(rows))
+    assert f.q ** sym.shape[0] <= 4096
+    for rev in itertools.product(range(f.q), repeat=sym.shape[0]):
+        lam = f.matmul(np.array([rev[::-1]], dtype=np.int16), sym)[0]
+        gram = f.matmul(a.mult.reshape(n * n, n), lam[:, None]).reshape(n, n)
+        if f.rank(gram) == n:
+            return lam
+    return None
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_unit_point_against_brute_force(q):
+    # the fixtures' socle images never reach the enumeration branch (fewer
+    # than q coordinates vary there), so small fields and wide vectors here
+    f = Field(2, 2) if q == 4 else Field(q)
+    rng = np.random.default_rng(q)
+    assert not _has_unit_point(Field(2), np.zeros(3, dtype=np.int16),
+                               np.array([[1, 1, 0], [0, 1, 1]], dtype=np.int16))
+    seen = set()
+    for _ in range(60):
+        n, d = int(rng.integers(1, 6)), int(rng.integers(0, 3))
+        a = rng.integers(0, q, size=n).astype(np.int16)
+        rows = rng.integers(0, q, size=(d, n)).astype(np.int16)
+        points = [f.add_mat(a[None], f.matmul(np.array([c], dtype=np.int16), rows))[0]
+                  for c in itertools.product(range(q), repeat=d)] if d else [a]
+        want = any(np.all(x) for x in points)
+        assert _has_unit_point(f, a, rows.reshape(d, n)) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_unit_point_bounded():
+    # one block of 17 rows sharing a column: 2^17 candidate points over GF(3)
+    f = Field(3)
+    rows = np.concatenate([np.eye(17, dtype=np.int16), np.ones((17, 1), dtype=np.int16)], axis=1)
+    with pytest.raises(Inconclusive):
+        _has_unit_point(f, np.zeros(18, dtype=np.int16), rows)
+    # over GF(2) the only candidate takes all 17 rows once, which puts
+    # a[17] + 1 in the last entry: decided without a walk
+    assert _has_unit_point(Field(2), np.zeros(18, dtype=np.int16), rows)
+    assert not _has_unit_point(Field(2), np.eye(18, dtype=np.int16)[17], rows)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_symmetry_of_many_blocks(p):
+    # 40 copies of k[x]/(x^2): every symmetric functional is nondegenerate
+    # iff it is nonzero on each x_i; the socle image is all of F^40
+    vs = [f"v{i}" for i in range(40)]
+    a = Algebra(Field(p), vs, [(f"x{i}", v, v) for i, v in enumerate(vs)],
+                [[(1, [f"x{i}", f"x{i}"])] for i in range(40)], name="kx2^40")
+    rep = a.symmetry()
+    assert rep.symmetric and rep.socle_values.shape == (40, 40)
+    socle = [a.word_index[(i,)] for i in range(40)]
+    assert np.all(rep.functional[socle])
+
+
+def test_symmetry_without_arrows():
+    # a semisimple algebra: e_v spans its own socle
+    rep = Algebra(Field(2), ["pt"], [], [], name="k").symmetry()
+    assert rep.symmetric and rep.functional.tolist() == [1]
+
+
+@pytest.mark.parametrize("name", fixtures.CORPUS + fixtures.EXTRAS)
+def test_symmetry_against_gram_rank_enumeration(name):
+    a = fixtures.load(name)
+    rep = a.symmetry()
+    want = first_gram_functional(a)
+    assert rep.symmetric == (want is not None)
+    if want is not None:
+        assert rep.functional.tolist() == want.tolist()
 
 
 def test_mult_associative_on_fixtures():

@@ -62,6 +62,15 @@ def test_validate_symmetric(capsys):
     assert rep["result"]["symmetric"] is True
 
 
+def test_validate_semisimple(capsys, tmp_path):
+    k = write(tmp_path / "k.json", {"schema": "algebra.v1", "name": "k",
+                                    "field": {"p": 2, "k": 1}, "vertices": ["pt"],
+                                    "arrows": []})
+    code, rep = run(capsys, "validate", k)
+    assert code == 0
+    assert rep["result"]["symmetric"] is True
+
+
 def test_validate_rejects_hereditary(capsys):
     code, _ = run(capsys, "validate", str(DATA / "a2.json"))
     assert code == 1
@@ -234,6 +243,10 @@ MALFORMED = {
     "string_entry": lambda alg, sset: (alg, _with_entry(sset, "1")),
     "path_entry": lambda alg, sset: (alg, [sset[0], "nowhere.json"]),
     "k_past_int64": lambda alg, sset: ({**alg, "field": {"p": 5, "k": 2 ** 70}}, sset),
+    # ka4's quiver without relations: 2^L normal paths of length L
+    "no_relations": lambda alg, sset: (
+        {k: v for k, v in json.loads((DATA / "ka4.json").read_text(encoding="utf-8")).items()
+         if k != "relations"}, sset),
 }
 
 
@@ -244,6 +257,12 @@ def test_malformed_input_exits_3(capsys, tmp_path, case):
     alg, sset = MALFORMED[case](alg, sset)
     argv = ["hypcheck", write(tmp_path / "alg.json", alg), write(tmp_path / "set.json", sset)]
     assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_seed_flag_is_gone(capsys):
+    # every answer is decided exactly, so there is nothing left to seed
+    assert main(["validate", str(DATA / "lambda4.json"), "--seed", "1"]) == 3
     assert capsys.readouterr().out == ""
 
 

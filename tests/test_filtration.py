@@ -9,13 +9,22 @@ algebra the simples form a stable simple set with Omega swapping them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_modules import known_indecomposables, scrambled
 
-from stabrec import fixtures
-from stabrec.errors import NotFiltrable, PresentationError
+from stabrec import filtration, fixtures
+from stabrec.errors import (
+    Inconclusive,
+    NoSurjectionInCoset,
+    NotFiltrable,
+    PresentationError,
+)
 from stabrec.filtration import (
     Filtration,
     _Budget,
@@ -29,6 +38,7 @@ from stabrec.filtration import (
     has_projective_remainder,
     hyp_check,
     is_filtrable,
+    lift_to_surjection,
     padding_search,
     s_radical_filtration,
     stable_iso_lifts,
@@ -38,16 +48,19 @@ from stabrec.filtration import (
     top_layer,
     verify_s_radical,
 )
+from stabrec.gf import coset_rank_maximize
 from stabrec.modules import (
     combinations,
     direct_sum,
     ext1,
+    ModuleMap,
     hom_space,
     module_isomorphic,
     quotient,
     radical_series,
+    submodule_closure,
 )
-from stabrec.stable import stable_hom
+from stabrec.stable import projective_maps, stable_hom
 
 
 @pytest.fixture(scope="module")
@@ -440,6 +453,131 @@ def test_swap_needs_symmetric_algebra(lam):
     total, mono, epi = e.realize(e.reps[0])
     with pytest.raises(PresentationError):
         symmetric_two_step_swap((mono, epi), (mono, epi), [su, sv])
+
+
+def test_swap_past_the_odometer_limit_is_inconclusive(n3, monkeypatch):
+    j2 = jordan(n3, 2)
+    e = ext1(j2, j2)
+    total, mono, epi = e.realize(e.reps[0])
+    unit = next(h for h in hom_space(j2, j2) if h.is_iso())
+    twisted = mono.compose(unit.add(unit))
+    monkeypatch.setattr(filtration, "coset_rank_maximize",
+                        functools.partial(coset_rank_maximize, exhaustive_limit=1))
+    with pytest.raises(Inconclusive):
+        symmetric_two_step_swap((mono, epi), (twisted, epi), [j2])
+
+
+# -- exact top-layer lifts against the whole coset -------------------------------------
+
+
+def coset_has_surjection(g, dirs) -> bool:
+    if g.is_surjective_map():
+        return True
+    rows = itertools.product(range(g.src.algebra.field.q), repeat=len(dirs))
+    return bool(dirs) and any(g.add(d).is_surjective_map()
+                              for d in combinations(dirs, rows))
+
+
+def check_lift(g, dirs, in_span) -> bool:
+    """lift_to_surjection(g, dirs) against the whole coset g + span(dirs),
+    which must have at most 4096 points; whether a surjection exists."""
+    exists = coset_has_surjection(g, dirs)
+    try:
+        f = lift_to_surjection(g, dirs)
+    except NoSurjectionInCoset:
+        assert not exists
+        return False
+    assert exists and f.is_map() and f.is_surjective_map()
+    assert in_span(f.sub(g))
+    if g.is_surjective_map():
+        assert f is g
+    return True
+
+
+def test_lift_every_map_onto_j2(n3):
+    # with the projective J3 every class lifts; without it only the maps
+    # already onto do, since projective maps J1 + J2 -> J2 are radical
+    j1, j2, j3 = (jordan(n3, i) for i in (1, 2, 3))
+    for parts, want in (([j1, j3], {True}), ([j1, j2], {True, False})):
+        m = direct_sum(parts)[0]
+        sh = stable_hom(m, j2)
+        rows = itertools.product(range(5), repeat=len(sh.hom))
+        found = {check_lift(g, sh.proj, sh.is_projective_map)
+                 for g in combinations(sh.hom, rows)}
+        assert found == want
+
+
+def test_lift_with_unmet_premise_is_undecided(n3):
+    # one direction J3 + J3 -> J1 + J1, the top projection on both summands:
+    # its span is not all maps of the tops, so nothing may be concluded
+    j1, j3 = jordan(n3, 1), n3.projective(0)
+    m, _, projs = direct_sum([j3, j3])
+    x, injs, _ = direct_sum([j1, j1])
+    top = hom_space(j3, j1)[0]
+    d = injs[0].compose(top).compose(projs[0]).add(injs[1].compose(top).compose(projs[1]))
+    with pytest.raises(Inconclusive):
+        lift_to_surjection(ModuleMap.zero(m, x), [d])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["n3", "ka4", "lambda4"]), st.data())
+def test_surjective_representative_against_the_whole_coset(name, data):
+    # M a scrambled sum with a projective summand P(v), X a sum of one or
+    # two known indecomposables, g a random map: the exact lift decides
+    # the same as brute force, stays in the stable class of g, and returns
+    # g itself when g is onto
+    alg = fixtures.load(name)
+    pool = known_indecomposables(alg)
+    parts = data.draw(st.lists(st.sampled_from(pool), min_size=0, max_size=2))
+    parts.append(alg.projective(data.draw(st.integers(0, alg.nvertices - 1))))
+    m = scrambled(direct_sum(parts)[0], data.draw(st.integers(0, 2 ** 16)))
+    x = direct_sum(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)))[0]
+    sh = stable_hom(m, x)
+    q = alg.field.q
+    if not sh.hom or q ** len(sh.proj) > 4096:
+        return
+    coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=len(sh.hom),
+                                max_size=len(sh.hom)))
+    g = next(combinations(sh.hom, [coeffs]))
+    exists = check_lift(g, sh.proj, sh.is_projective_map)
+    try:
+        assert surjective_representative(g).is_surjective_map() and exists
+    except NoSurjectionInCoset:
+        assert not exists
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["n3", "ka4", "lambda4"]), st.data())
+def test_lift_with_directions_in_a_kernel(name, data):
+    # the align_surjections coset: endomorphisms of M plus the projective
+    # ones killed by a quotient map f: M -> X, whose tops land in ker(top f)
+    alg = fixtures.load(name)
+    pool = known_indecomposables(alg)
+    parts = data.draw(st.lists(st.sampled_from(pool), min_size=0, max_size=2))
+    parts.append(alg.projective(data.draw(st.integers(0, alg.nvertices - 1))))
+    m = scrambled(direct_sum(parts)[0], data.draw(st.integers(0, 2 ** 16)))
+    fld = alg.field
+    w = data.draw(st.lists(st.integers(0, fld.q - 1), min_size=m.dim, max_size=m.dim))
+    _, f = quotient(m, submodule_closure(m, np.array([w], dtype=np.int16)))
+    pend = projective_maps(m, m)
+    if not pend:
+        return
+    ker = fld.kernel(np.stack([f.compose(p).flat() for p in pend]).T)
+    dirs = [next(combinations(pend, [row])) for row in ker]
+    if fld.q ** len(dirs) > 4096:
+        return
+    ends = hom_space(m, m)
+    coeffs = data.draw(st.lists(st.integers(0, fld.q - 1), min_size=len(ends),
+                                max_size=len(ends)))
+    g = next(combinations(ends, [coeffs]))
+    span = fld.row_space(np.stack([d.flat() for d in dirs])) if dirs else None
+
+    def in_span(h):
+        if span is None:
+            return not np.any(h.flat())
+        return fld.rank(np.concatenate([span, h.flat()[None, :]])) == span.shape[0]
+
+    check_lift(g, dirs, in_span)
 
 
 # -- padding and hypothesis report ----------------------------------------------------

@@ -284,17 +284,17 @@ def test_matinv_round_trip():
     assert F4.matinv(singular) is None
 
 
-def test_coset_rank_maximize_greedy_path():
-    # 17 directions over GF(5) exceeds the exhaustive budget; greedy must
-    # still reach full rank on this easy instance
-    n = 17
-    base = F5.zeros(n, n)
+def test_coset_rank_maximize_refuses_past_its_limit():
+    # 3 directions over GF(5) are 125 points, past a limit of 100: the base
+    # comes back unwalked, flagged as not exhaustive
+    base = F5.zeros(3, 3)
     dirs = []
-    for i in range(n):
-        d = F5.zeros(n, n)
+    for i in range(3):
+        d = F5.zeros(3, 3)
         d[i, i] = 1
         dirs.append(d)
-    m, coeffs, rank, exhaustive = coset_rank_maximize(F5, base, dirs, seed=0)
-    assert rank == n
+    m, coeffs, rank, exhaustive = coset_rank_maximize(F5, base, dirs, exhaustive_limit=100)
     assert not exhaustive
-    assert F5.is_invertible(m)
+    assert rank == 0 and coeffs == (0, 0, 0) and not m.any()
+    m, coeffs, rank, exhaustive = coset_rank_maximize(F5, base, dirs, exhaustive_limit=125)
+    assert exhaustive and rank == 3 and coeffs == (1, 1, 1)

@@ -137,8 +137,8 @@ def test_tower_round_trip(lam):
 
 
 def test_report_hashes_inputs():
-    r1 = io.dump_report("validate", {"algebra": "xyz"}, 0, "pass", [], 1.23)
-    r2 = io.dump_report("validate", {"algebra": "xyz"}, 0, "pass", [], 9.99)
+    r1 = io.dump_report("validate", {"algebra": "xyz"}, "pass", [], 1.23)
+    r2 = io.dump_report("validate", {"algebra": "xyz"}, "pass", [], 9.99)
     assert r1["inputs"] == r2["inputs"]
     assert r1["inputs"]["algebra"] == io.sha256_text("xyz")
     strip = lambda r: {k: v for k, v in r.items() if k != "timing"}
