@@ -542,45 +542,31 @@ class Algebra:
 
     def gr_oracle(self) -> GradedAlgebra:
         """The graded algebra of the radical filtration, computed directly
-        from radical powers of the regular representation."""
-        f = self.field
-        layers: list[np.ndarray] = []
-        degrees: list[int] = []
-        labels: list[str] = []
-        adapted = self._radical_adapted()
-        for j in range(self.loewy_length):
-            upper = self.radical_powers[j]
-            lower = self.radical_powers[j + 1] if j + 1 < len(self.radical_powers) \
-                else np.zeros((0, self.dim), dtype=np.int16)
-            if adapted:
-                reps = []
-                for i in range(self.dim):
-                    if len(self.basis_words[i]) == j:
-                        reps.append(self._unit_vec(i))
-                        labels.append(self._label(i))
-                layer = np.stack(reps) if reps else np.zeros((0, self.dim), dtype=np.int16)
-            else:
-                layer = self._layer_complement(upper, lower)
-                for r in range(layer.shape[0]):
-                    labels.append(f"deg{j}.{r}")
-            layers.append(layer)
-            degrees.extend([j] * layer.shape[0])
-        stack = np.concatenate([l for l in layers if l.shape[0]], axis=0)
-        offsets = np.concatenate([[0], np.cumsum([l.shape[0] for l in layers])]).astype(int)
-        nb = stack.shape[0]
-        table = np.zeros((nb, nb, nb), dtype=np.int16)
-        for i in range(nb):
-            di = degrees[i]
-            for j in range(nb):
-                dj = degrees[j]
-                d = di + dj
-                if d >= self.loewy_length or layers[d].shape[0] == 0:
-                    continue
-                prod = self._mul_vectors(stack[i], stack[j])
-                coords = self._coords_in_layer(prod, d, layers)
-                table[i, j, offsets[d]: offsets[d + 1]] = coords
-        g = GradedAlgebra(f, degrees, labels, table, name=f"gr({self.name})")
-        return g
+        from radical powers of the regular representation: the structure
+        constants of A in a basis adapted to the filtration (layer by layer,
+        each layer a complement of the next radical power), each product
+        cut down to its component in the degree it is expected in."""
+        f, n = self.field, self.dim
+        if self._radical_adapted():
+            # the basis words, in degree order, are such a basis
+            degrees = [len(w) for w in self.basis_words]
+            labels = [self._label(i) for i in range(n)]
+            coords = self.mult
+        else:
+            layers = [self._layer_complement(self.radical_powers[j], self.radical_powers[j + 1])
+                      for j in range(self.loewy_length)]
+            degrees = [j for j, layer in enumerate(layers) for _ in layer]
+            labels = [f"deg{j}.{r}" for j, layer in enumerate(layers) for r in range(len(layer))]
+            basis = np.concatenate(layers, axis=0)
+            # row j * n + i: b_i b_j, then in coordinates of the basis
+            prods = f.matmul(f.products(self.mult, basis, basis), f.matinv(basis))
+            coords = prods.reshape(n, n, n).transpose(1, 0, 2)
+        deg = np.array(degrees)
+        expected = (deg[:, None] + deg[None, :])[:, :, None]
+        if np.any(coords[deg < expected]):
+            raise PresentationError("product escaped its radical layer")
+        table = np.where(deg == expected, coords, 0)
+        return GradedAlgebra(f, degrees, labels, table, name=f"gr({self.name})")
 
     def _label(self, i: int) -> str:
         w = self.basis_words[i]
@@ -609,23 +595,3 @@ class Algebra:
                 reps.append(row)
                 cur = test
         return np.stack(reps) if reps else np.zeros((0, self.dim), dtype=np.int16)
-
-    def _mul_vectors(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        f = self.field
-        out = np.zeros(self.dim, dtype=np.int16)
-        for i in np.nonzero(x)[0]:
-            for j in np.nonzero(y)[0]:
-                c = f.mul(int(x[i]), int(y[j]))
-                out = f.add_mat(out[None, :], f.scale(int(c), self.mult[i, j][None, :]))[0]
-        return out
-
-    def _coords_in_layer(self, vec: np.ndarray, d: int, layers: list[np.ndarray]) -> np.ndarray:
-        f = self.field
-        layer = layers[d]
-        lower = self.radical_powers[d + 1] if d + 1 < len(self.radical_powers) \
-            else np.zeros((0, self.dim), dtype=np.int16)
-        basis = np.concatenate([layer, lower], axis=0)
-        sol = f.solve(basis.T, vec)
-        if sol is None:
-            raise PresentationError("product escaped its radical layer")
-        return sol[: layer.shape[0]]

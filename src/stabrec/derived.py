@@ -157,20 +157,18 @@ def complex_sum(parts: list[Complex], name: str | None = None) -> Complex:
         raise PresentationError("complex_sum of an empty list")
     algebra = parts[0].algebra
     degs = sorted({n for c in parts for n in c.terms})
-    totals, injs = {}, {}
+    totals, injs, projs = {}, {}, {}
     for n in degs:
-        total, ii, _ = direct_sum([c.term(n) for c in parts])
-        totals[n], injs[n] = total, ii
+        totals[n], injs[n], projs[n] = direct_sum([c.term(n) for c in parts])
     diffs = {}
     for n in degs:
         if n + 1 not in totals:
             continue
         d = ModuleMap.zero(totals[n], totals[n + 1])
-        _, _, projs = direct_sum([c.term(n) for c in parts])
         for i, c in enumerate(parts):
             piece = c.diffs.get(n)
             if piece is not None:
-                d = d.add(injs[n + 1][i].compose(piece).compose(projs[i]))
+                d = d.add(injs[n + 1][i].compose(piece).compose(projs[n][i]))
         if not d.is_zero():
             diffs[n] = d
     return Complex(algebra, totals, diffs,

@@ -200,6 +200,15 @@ class Field:
         out %= self.p
         return (out.reshape(m, r, k) @ self._powers).astype(np.int16)
 
+    def products(self, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Coordinate rows of every product x_a y_b of an algebra with
+        structure constants t, t[i, j] the coordinates of b_i b_j: row
+        b * len(x) + a holds x_a y_b.  Two matrix products: x_a b_j for all
+        a, j, then contracted with y."""
+        d, nx, ny = t.shape[0], len(x), len(y)
+        xt = self.matmul(x, t.reshape(d, d * d)).reshape(nx, d, d)
+        return self.matmul(y, xt.transpose(1, 0, 2).reshape(d, nx * d)).reshape(ny * nx, d)
+
     def scale(self, c: int, a: np.ndarray) -> np.ndarray:
         return np.asarray(self.mul(int(c), np.asarray(a)), dtype=np.int16)
 

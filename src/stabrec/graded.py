@@ -51,74 +51,40 @@ class GradedAlgebra:
 
     def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Product of two coefficient vectors."""
-        f = self.field
-        out = np.zeros(self.dim, dtype=np.int16)
-        xi = np.nonzero(x)[0]
-        for i in xi:
-            yi = np.nonzero(y)[0]
-            for j in yi:
-                c = f.mul(int(x[i]), int(y[j]))
-                out = f.add_mat(out[None, :], f.scale(int(c), self.table[i, j][None, :]))[0]
-        return out
+        return self.field.products(self.table, [x], [y])[0]
 
     def unit(self) -> np.ndarray | None:
         """Coefficient vector of the multiplicative identity, or None."""
-        f = self.field
-        n = self.dim
-        # solve u with u * b_j = b_j for all j (and b_j * u = b_j)
-        rows = []
-        rhs = []
-        for j in range(n):
-            # sum_i u_i table[i, j] = e_j
-            rows.append(self.table[:, j, :].T)  # (n out-coords, n unknowns)
-            e = np.zeros(n, dtype=np.int16)
-            e[j] = 1
-            rhs.append(e)
-        big = np.concatenate(rows, axis=0)
-        vec = np.concatenate(rhs)
-        u = f.solve(big, vec)
-        if u is None:
+        f, n = self.field, self.dim
+        # the left unit: sum_i u_i table[i, j] = b_j for every j
+        u = f.solve(self.table.transpose(1, 2, 0).reshape(n * n, n), f.eye(n).reshape(-1))
+        if u is None or not np.array_equal(f.products(self.table, f.eye(n), [u]), f.eye(n)):
             return None
-        # check right-unit too
-        for j in range(n):
-            e = np.zeros(n, dtype=np.int16)
-            e[j] = 1
-            if not np.array_equal(self.mul_vec(e, u), e):
-                return None
         return u
 
     def verify(self) -> None:
         """Check grading, associativity and existence of a degree-0 unit."""
-        f = self.field
-        n = self.dim
+        f, n, t = self.field, self.dim, self.table
+        deg = np.array(self.degrees, dtype=np.int64)
+        expected = deg[:, None] + deg[None, :]
+        bad = np.argwhere((t != 0) & (deg != expected[:, :, None]))
+        if len(bad):
+            i, j, l = bad[0]
+            raise PresentationError(
+                f"product b_{i} b_{j} has a component in degree {deg[l]}, "
+                f"expected {expected[i, j]}")
+        # (b_i b_j) b_l against b_i (b_j b_l), one i at a time: O(n^3) memory
+        eye = f.eye(n)
         for i in range(n):
-            for j in range(n):
-                v = self.table[i, j]
-                d = self.degrees[i] + self.degrees[j]
-                for l in np.nonzero(v)[0]:
-                    if self.degrees[int(l)] != d:
-                        raise PresentationError(
-                            f"product b_{i} b_{j} has a component in degree "
-                            f"{self.degrees[int(l)]}, expected {d}")
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    ei = np.zeros(n, dtype=np.int16)
-                    ei[i] = 1
-                    ej = np.zeros(n, dtype=np.int16)
-                    ej[j] = 1
-                    el = np.zeros(n, dtype=np.int16)
-                    el[l] = 1
-                    left = self.mul_vec(self.mul_vec(ei, ej), el)
-                    right = self.mul_vec(ei, self.mul_vec(ej, el))
-                    if not np.array_equal(left, right):
-                        raise PresentationError(f"not associative at ({i},{j},{l})")
-        u = self.unit()
-        if u is None:
+            left = f.products(t, t[i], eye).reshape(n, n, n).transpose(1, 0, 2)
+            right = f.products(t, eye[i:i + 1], t.reshape(n * n, n)).reshape(n, n, n)
+            bad = np.argwhere(np.any(left != right, axis=2))
+            if len(bad):
+                raise PresentationError(f"not associative at ({i},{bad[0][0]},{bad[0][1]})")
+        # the unit equations split by degree with their right side in degree
+        # 0, so on a graded table unit() finds its solution in degree 0
+        if self.unit() is None:
             raise PresentationError("no two-sided unit")
-        for l in np.nonzero(u)[0]:
-            if self.degrees[int(l)] != 0:
-                raise PresentationError("unit is not concentrated in degree 0")
 
     # -- canonical primitive idempotents of the degree-0 part ---------------
 
@@ -135,104 +101,59 @@ class GradedAlgebra:
         if m == 0:
             raise PresentationError("no degree-0 part")
         # structure constants of the degree-0 subalgebra
-        sub = np.zeros((m, m, m), dtype=np.int16)
-        for a, i in enumerate(idx):
-            for b, j in enumerate(idx):
-                v = self.table[i, j]
-                for c, l in enumerate(idx):
-                    sub[a, b, c] = v[l]
-                if np.count_nonzero(v) != np.count_nonzero(sub[a, b]):
-                    raise PresentationError("degree-0 part is not closed")
-        for a in range(m):
-            for b in range(m):
-                if not np.array_equal(sub[a, b], sub[b, a]):
-                    raise PresentationError("degree-0 part is not commutative")
-
-        def mul0(x, y):
-            out = np.zeros(m, dtype=np.int16)
-            for i in np.nonzero(x)[0]:
-                for j in np.nonzero(y)[0]:
-                    c = f.mul(int(x[i]), int(y[j]))
-                    out = f.add_mat(out[None, :], f.scale(int(c), sub[i, j][None, :]))[0]
-            return out
-
-        idems: list[np.ndarray] = []
-        if f.q ** m <= 1 << 16:
-            for coeffs in itertools.product(range(f.q), repeat=m):
-                x = np.array(coeffs, dtype=np.int16)
-                if not np.any(x):
-                    continue
-                if np.array_equal(mul0(x, x), x):
-                    idems.append(x)
-        else:
+        sub = self.table[np.ix_(idx, idx, idx)]
+        if np.count_nonzero(self.table[np.ix_(idx, idx)]) != np.count_nonzero(sub):
+            raise PresentationError("degree-0 part is not closed")
+        if not np.array_equal(sub, sub.transpose(1, 0, 2)):
+            raise PresentationError("degree-0 part is not commutative")
+        if f.q ** m > 1 << 16:
             raise Inconclusive("degree-0 part too large to enumerate idempotents")
-        # primitive = not a sum of two orthogonal nonzero idempotents;
-        # in a split commutative semisimple algebra these are the atoms
-        prims = []
-        for e in idems:
-            smaller = [g for g in idems if not np.array_equal(g, e)
-                       and np.array_equal(mul0(e, g), g)]
-            if not any(np.any(g) for g in smaller):
-                prims.append(e)
+        points = np.array(list(itertools.product(range(f.q), repeat=m)), dtype=np.int16)[1:]
+        idems = np.array([x for x in points if np.array_equal(f.products(sub, [x], [x])[0], x)],
+                         dtype=np.int16).reshape(-1, m)
+        # primitive = no other nonzero idempotent g with e g = g; in a split
+        # commutative semisimple algebra these are the atoms
+        prims = [e for e in idems
+                 if np.all(f.products(sub, [e], idems) == idems, axis=1).sum() == 1]
         if len(prims) == 0:
             raise PresentationError("degree-0 part has no primitive idempotents")
         total = prims[0]
         for e in prims[1:]:
-            total = f.add_mat(total[None, :], e[None, :])[0]
+            total = f.add_mat(total, e)
         u = self.unit()
-        u0 = np.array([u[i] for i in self.degree_indices(0)], dtype=np.int16)
-        if not np.array_equal(total, u0):
+        if u is None or not np.array_equal(total, u[idx]):
             raise PresentationError("primitive idempotents do not sum to the unit; "
                                     "degree-0 part is not split semisimple")
         prims.sort(key=lambda e: tuple(int(c) for c in e))
         out = []
         for e in prims:
             full = np.zeros(self.dim, dtype=np.int16)
-            for a, i in enumerate(idx):
-                full[i] = e[a]
+            full[idx] = e
             out.append(full)
         return out
 
 
 class GradedIso:
-    """A degree-preserving algebra isomorphism, stored as one block matrix
-    per degree (columns: source basis of that degree, rows: target basis)."""
+    """A degree-preserving algebra isomorphism, given by one block per degree
+    (columns: source basis of that degree, rows: target basis) and stored as
+    the one matrix that has them as its blocks."""
 
     def __init__(self, src: GradedAlgebra, tgt: GradedAlgebra, blocks: dict[int, np.ndarray]):
         self.src = src
         self.tgt = tgt
-        self.blocks = blocks
+        self.matrix = np.zeros((tgt.dim, src.dim), dtype=np.int16)
+        for d, block in blocks.items():
+            self.matrix[np.ix_(tgt.degree_indices(d), src.degree_indices(d))] = block
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        f = self.src.field
-        out = np.zeros(self.tgt.dim, dtype=np.int16)
-        for d, block in self.blocks.items():
-            si = self.src.degree_indices(d)
-            ti = self.tgt.degree_indices(d)
-            comp = f.matmul(block, np.asarray([x[i] for i in si], dtype=np.int16)[:, None]).reshape(-1)
-            for a, i in enumerate(ti):
-                out[i] = f.add(out[i], comp[a])
-        return out
+        return self.src.field.matmul(self.matrix, np.reshape(x, (-1, 1))).reshape(-1)
 
     def verify(self) -> bool:
-        g, h = self.src, self.tgt
-        n = g.dim
-        for i in range(n):
-            for j in range(n):
-                ei = np.zeros(n, dtype=np.int16)
-                ei[i] = 1
-                ej = np.zeros(n, dtype=np.int16)
-                ej[j] = 1
-                lhs = self.apply(g.mul_vec(ei, ej))
-                rhs = h.mul_vec(self.apply(ei), self.apply(ej))
-                if not np.array_equal(lhs, rhs):
-                    return False
-        f = g.field
-        for d in set(g.degrees):
-            b = self.blocks[d]
-            if not f.is_invertible(b):
-                return False
-        return True
+        g, h, f = self.src, self.tgt, self.src.field
+        img = self.matrix.T  # row i: the image of b_i
+        # row j * n + i: the image of b_i b_j, and the product of the images
+        lhs = f.matmul(g.table.transpose(1, 0, 2).reshape(g.dim * g.dim, g.dim), img)
+        return np.array_equal(lhs, f.products(h.table, img, img)) and f.is_invertible(img)
 
 
 class GradedIsoResult:
@@ -259,16 +180,8 @@ def _is_degree_one_generated(g: GradedAlgebra) -> bool:
         idx = g.degree_indices(d)
         if not idx:
             continue
-        ones = g.degree_indices(1)
-        lower = g.degree_indices(d - 1)
-        prods = []
-        for i in ones:
-            for j in lower:
-                prods.append(g.table[i, j])
-        if not prods:
-            return False
-        mat = np.stack(prods)[:, idx]
-        if f.rank(mat) != len(idx):
+        prods = g.table[np.ix_(g.degree_indices(1), g.degree_indices(d - 1), idx)]
+        if f.rank(prods.reshape(-1, len(idx))) != len(idx):
             return False
     return True
 
@@ -303,21 +216,17 @@ def graded_iso_check(g1: GradedAlgebra, g2: GradedAlgebra, *,
     ones1 = g1.degree_indices(1)
     ones2 = g2.degree_indices(1)
 
-    def one_block(g, idems, a, b, ones):
-        """Row basis (in coefficient space of degree 1) of e_a G_1 e_b."""
-        vecs = []
-        for i in ones:
-            x = np.zeros(g.dim, dtype=np.int16)
-            x[i] = 1
-            y = g.mul_vec(idems[a], g.mul_vec(x, idems[b]))
-            vecs.append(y[ones])
-        m = np.stack(vecs) if vecs else np.zeros((0, len(ones)), dtype=np.int16)
-        return g.field.row_space(m)
+    def peirce_blocks(g, idems, ones):
+        """Row bases (in coefficient space of degree 1) of e_a G_1 e_b,
+        keyed (a, b)."""
+        m = len(idems)
+        right = g.field.products(g.table, g.field.eye(g.dim)[ones], idems)  # b_i e_b
+        both = g.field.products(g.table, idems, right).reshape(m, len(ones), m, g.dim)
+        return {(a, b): g.field.row_space(both[b, :, a][:, ones])
+                for a in range(m) for b in range(m)}
 
-    blocks1 = {(a, b): one_block(g1, e1, a, b, ones1)
-               for a in range(n_blocks) for b in range(n_blocks)}
-    blocks2 = {(a, b): one_block(g2, e2, a, b, ones2)
-               for a in range(n_blocks) for b in range(n_blocks)}
+    blocks1 = peirce_blocks(g1, e1, ones1)
+    blocks2 = peirce_blocks(g2, e2, ones2)
 
     perms = itertools.permutations(range(n_blocks))
     tried = 0
@@ -359,7 +268,6 @@ def _extend_and_verify(g1, g2, e1, e2, perm, slots, combo, blocks1, blocks2,
     # degree 0: e_a -> e_{perm(a)}
     idx0_1 = g1.degree_indices(0)
     idx0_2 = g2.degree_indices(0)
-    t0 = np.zeros((len(idx0_2), len(idx0_1)), dtype=np.int16)
     basis0 = np.stack([e[idx0_1] for e in e1])  # rows: idempotents in deg-0 coords
     inv0 = f.matinv(basis0.T)
     if inv0 is None:
@@ -387,35 +295,19 @@ def _extend_and_verify(g1, g2, e1, e2, perm, slots, combo, blocks1, blocks2,
     else:
         t1 = np.zeros((0, 0), dtype=np.int16)
         blocks = {0: t0}
+    x = np.zeros((len(ones1), g2.dim), dtype=np.int16)  # images of the b_i of degree 1
+    x[:, ones2] = t1.T
     for d in range(2, maxdeg + 1):
         idx_d1 = g1.degree_indices(d)
-        idx_d2 = g2.degree_indices(d)
         if not idx_d1:
             continue
-        ones = g1.degree_indices(1)
         lower1 = g1.degree_indices(d - 1)
-        lower2 = g2.degree_indices(d - 1)
-        prod_src = []
-        prod_img = []
-        tl = blocks[d - 1]
-        for ii, i in enumerate(ones):
-            for jj, j in enumerate(lower1):
-                prod_src.append(g1.table[i, j][idx_d1])
-                xi = t1[:, ii]
-                yj = tl[:, jj]
-                img = np.zeros(len(idx_d2), dtype=np.int16)
-                for a2, i2 in enumerate(ones2):
-                    if not xi[a2]:
-                        continue
-                    for b2, j2 in enumerate(lower2):
-                        if not yj[b2]:
-                            continue
-                        c = f.mul(int(xi[a2]), int(yj[b2]))
-                        img = f.add_mat(img[None, :],
-                                        f.scale(int(c), g2.table[i2, j2][idx_d2][None, :]))[0]
-                prod_img.append(img)
-        src_m = np.stack(prod_src)
-        img_m = np.stack(prod_img)
+        # and of the b_j of degree d - 1
+        y = np.zeros((len(lower1), g2.dim), dtype=np.int16)
+        y[:, g2.degree_indices(d - 1)] = blocks[d - 1].T
+        # row j * len(ones1) + i: b_i b_j, and the product of the images
+        src_m = g1.table[np.ix_(ones1, lower1, idx_d1)].transpose(1, 0, 2).reshape(-1, len(idx_d1))
+        img_m = f.products(g2.table, x, y)[:, g2.degree_indices(d)]
         # T_d with T_d @ s = img for every product pair, i.e. src @ T_d^T = img
         tdt = f.solve_matrix(src_m, img_m)
         if tdt is None:

@@ -61,6 +61,15 @@ def _matrix(values, shape: tuple[int, int], bound: int, what: str) -> np.ndarray
     return a.reshape(shape)
 
 
+def _field_pk(fld) -> tuple[int, int]:
+    """(p, k) of a JSON field object, k defaulting to 1: JSON integers (no
+    float, bool or string, which int() would truncate or parse)."""
+    p, k = fld["p"], fld.get("k", 1)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (p, k)):
+        raise PresentationError(f"field p and k must be integers, got {p!r} and {k!r}")
+    return p, k
+
+
 def _dim(value, vertex: str) -> int:
     """A vertex dimension: a JSON integer >= 0 (no float, no bool)."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -76,8 +85,7 @@ def load_algebra(src) -> Algebra:
     data = _as_dict(src)
     _expect_schema(data, "algebra.v1")
     fld = data["field"]
-    field = Field(int(fld["p"]), int(fld.get("k", 1)),
-                  modulus=tuple(fld["modulus"]) if "modulus" in fld else None)
+    field = Field(*_field_pk(fld), modulus=tuple(fld["modulus"]) if "modulus" in fld else None)
     relations = [[(int(c), list(path)) for c, path in rel] for rel in data.get("relations", [])]
     return Algebra(field, list(data["vertices"]),
                    [tuple(a) for a in data["arrows"]],
@@ -144,36 +152,41 @@ def dump_module(m: Module) -> dict:
 
 
 def dump_graded(g: GradedAlgebra) -> dict:
-    entries = []
-    n = g.dim
-    for i in range(n):
-        for j in range(n):
-            v = g.table[i, j]
-            for l in np.nonzero(v)[0]:
-                entries.append([i, j, int(l), int(v[l])])
     return {
         "schema": "graded_algebra.v1",
         "name": g.name,
         "field": {"p": g.field.p, "k": g.field.k},
         "degrees": [int(d) for d in g.degrees],
         "labels": list(g.labels),
-        "table": entries,
+        "table": [[int(i), int(j), int(l), int(g.table[i, j, l])]
+                  for i, j, l in np.argwhere(g.table)],
     }
 
 
 def load_graded(src, field: Field | None = None) -> GradedAlgebra:
+    """A graded algebra, checked by GradedAlgebra.verify.  With `field`
+    given, the declared field must be GF(p^k) for its p and k."""
     data = _as_dict(src)
     _expect_schema(data, "graded_algebra.v1")
-    fld = data["field"]
-    f = field if field is not None else Field(int(fld["p"]), int(fld.get("k", 1)))
-    degrees = data["degrees"]
+    declared = _field_pk(data["field"])
+    if field is None:
+        field = Field(*declared)
+    elif declared != (field.p, field.k):
+        raise PresentationError(f"graded algebra over GF({declared[0]}^{declared[1]}), "
+                                f"expected GF({field.p}^{field.k})")
+    # below 2^31, so the sum of two degrees is exact in int64
+    degrees, labels = _in_range(data["degrees"], 1 << 31, "degrees"), data["labels"]
+    if degrees.ndim != 1 or not isinstance(labels, list) or len(labels) != len(degrees):
+        raise PresentationError("degrees and labels must be two lists of one length")
     n = len(degrees)
-    entries = _in_range(data["table"], max(n, f.q), "structure constant table")
+    entries = _in_range(data["table"], max(n, field.q), "structure constant table")
     entries = entries.reshape(len(data["table"]), 4)
     i, j, l = _in_range(entries[:, :3], n, "structure constant index").T
     table = np.zeros((n, n, n), dtype=np.int16)
-    table[i, j, l] = _in_range(entries[:, 3], f.q, "structure constant")
-    return GradedAlgebra(f, degrees, data["labels"], table, name=data.get("name", "G"))
+    table[i, j, l] = _in_range(entries[:, 3], field.q, "structure constant")
+    g = GradedAlgebra(field, degrees, labels, table, name=data.get("name", "G"))
+    g.verify()
+    return g
 
 
 # -- complex.v1 ----------------------------------------------------------------

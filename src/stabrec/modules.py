@@ -479,14 +479,7 @@ def image(fmap: ModuleMap, name: str = "im") -> tuple[Module, ModuleMap]:
 
 def cokernel(fmap: ModuleMap, name: str = "coker") -> tuple[Module, ModuleMap]:
     """Cokernel with projection from the target."""
-    m = fmap.tgt
-    rows = []
-    for v in range(len(m.dims)):
-        block = np.zeros((fmap.blocks[v].shape[1], m.dim), dtype=np.int16)
-        block[:, m.offsets[v]: m.offsets[v + 1]] = fmap.blocks[v].T
-        rows.append(block)
-    allrows = np.concatenate(rows, axis=0) if rows else np.zeros((0, m.dim), dtype=np.int16)
-    return quotient(m, allrows, name=name)
+    return quotient(fmap.tgt, _map_image_rows(fmap), name=name)
 
 
 def radical(m: Module) -> list[np.ndarray]:
@@ -857,13 +850,6 @@ def _structure_constants(m: Module, ends: list[ModuleMap], pivots) -> np.ndarray
     return np.concatenate(prods, axis=2)[:, :, pivots]
 
 
-def _products(fld, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coordinate rows of every product x_a y_b, given structure constants t."""
-    d = t.shape[0]
-    xt = fld.matmul(x, t.reshape(d, d * d)).reshape(-1, d, d)
-    return fld.matmul(y, xt.transpose(1, 0, 2).reshape(d, -1)).reshape(-1, d)
-
-
 def _power(e: ModuleMap, n: int) -> ModuleMap:
     """e composed with itself n >= 1 times."""
     if n == 1:
@@ -898,10 +884,10 @@ def _split_once(m: Module):
     eye = fld.eye(d)
     comm = fld.row_space(fld.sub_mat(t, t.transpose(1, 0, 2)).reshape(d * d, d))
     # B comm is a left ideal, so (B comm) B is the two-sided ideal C
-    ideal = fld.row_space(_products(fld, t, fld.row_space(_products(fld, t, eye, comm)), eye))
+    ideal = fld.row_space(fld.products(t, fld.row_space(fld.products(t, eye, comm)), eye))
     power = ideal  # C^(dim C + 1) = 0 iff C is nilpotent
     for _ in range(ideal.shape[0]):
-        power = fld.row_space(_products(fld, t, power, ideal))
+        power = fld.row_space(fld.products(t, power, ideal))
     one = ModuleMap.identity(m).flat()[pivots]
     frob = np.stack([_power(e, fld.q).flat()[pivots] for e in ends])
     # x (frob - 1) lies in C iff it is orthogonal to the kernel of C

@@ -19,7 +19,7 @@ import itertools
 import numpy as np
 
 from stabrec.errors import PresentationError, Undecided
-from stabrec.filtration import (Filtration, _empty_rows, _full_rows,
+from stabrec.filtration import (Filtration, _empty_rows, _full_rows, _sset_sig,
                                 _transport_rows, is_filtrable, padding_search,
                                 s_radical_filtration, verify_s_radical)
 from stabrec.graded import GradedAlgebra, graded_iso_check  # noqa: F401
@@ -62,10 +62,6 @@ class FilteredModule:
 
     def layer(self, t: int) -> Module:
         return self.filt.levels()[t].layer
-
-
-def _sset_keys(sset) -> tuple:
-    return tuple(s.key for s in sset)
 
 
 def filtered_maps(mf: FilteredModule, nf: FilteredModule,
@@ -184,7 +180,7 @@ def graded_hom(mf: FilteredModule, nf: FilteredModule) -> GradedHom:
     Degree i is the image of the maps g: M -> N_i with g(M_j) in N_{i+j},
     taken inside the stable Hom from the top layer of M to layer i of N.
     """
-    if _sset_keys(mf.sset) != _sset_keys(nf.sset):
+    if _sset_sig(mf.sset) != _sset_sig(nf.sset):
         raise PresentationError("filtered modules over different member sets")
     fld = mf.module.algebra.field
     comps = []
@@ -327,8 +323,8 @@ def filtered_direct_sum(fms: list[FilteredModule]) -> FilteredModule:
     """Direct sum of filtered modules, levelwise; short chains end at zero."""
     if not fms:
         raise PresentationError("empty sum of filtered modules")
-    keys = _sset_keys(fms[0].sset)
-    if any(_sset_keys(f.sset) != keys for f in fms):
+    keys = _sset_sig(fms[0].sset)
+    if any(_sset_sig(f.sset) != keys for f in fms):
         raise PresentationError("filtered modules over different member sets")
     fld = fms[0].module.algebra.field
     total, injs, _ = direct_sum([f.module for f in fms])

@@ -263,7 +263,7 @@ def test_gr_oracle_staircase_not_adapted():
     vd[i_d] = 1
     vc = np.zeros(a.dim, dtype=np.int16)
     vc[i_c] = 1
-    prod = a._mul_vectors(vc, vd)  # c * d applies d first: the path d then c
+    prod = f.products(a.mult, [vc], [vd])[0]  # c * d applies d first: the path d then c
     rad3 = a.radical_powers[3]
     stacked = np.concatenate([rad3, prod[None, :]], axis=0)
     assert np.any(prod)

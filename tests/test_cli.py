@@ -221,6 +221,9 @@ def _with_entry(sset, value):
 MALFORMED = {
     "p_not_prime": lambda alg, sset: ({**alg, "field": {"p": 4, "k": 1}}, sset),
     "p_string": lambda alg, sset: ({**alg, "field": {"p": "five", "k": 1}}, sset),
+    "p_numeric_string": lambda alg, sset: ({**alg, "field": {"p": "5", "k": 1}}, sset),
+    "p_float": lambda alg, sset: ({**alg, "field": {"p": 5.5, "k": 1}}, sset),
+    "k_float": lambda alg, sset: ({**alg, "field": {"p": 5, "k": 1.0}}, sset),
     "no_field": lambda alg, sset: ({k: v for k, v in alg.items() if k != "field"}, sset),
     "arrow_2_list": lambda alg, sset: ({**alg, "arrows": [a[:2] for a in alg["arrows"]]},
                                        sset),
@@ -257,6 +260,30 @@ def test_malformed_input_exits_3(capsys, tmp_path, case):
     alg, sset = MALFORMED[case](alg, sset)
     argv = ["hypcheck", write(tmp_path / "alg.json", alg), write(tmp_path / "set.json", sset)]
     assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
+# each case edits lambda4's valid oracle (graded_algebra.v1) for reconstruct
+ORACLE_MALFORMED = {
+    "float_degrees": lambda g: {**g, "degrees": [0, 0, 1.7, 1]},
+    "bool_degrees": lambda g: {**g, "degrees": [False, 0, True, 1]},
+    "string_degrees": lambda g: {**g, "degrees": ["0", 0, 1, 1]},
+    "negative_degrees": lambda g: {**g, "degrees": [0, 0, 1, -1]},
+    "short_labels": lambda g: {**g, "labels": g["labels"][:3]},
+    "long_labels": lambda g: {**g, "labels": g["labels"] + ["w"]},
+    "other_field": lambda g: {**g, "field": {"p": 3, "k": 1}},
+    "extension_field": lambda g: {**g, "field": {"p": 5, "k": 2}},
+    "float_field": lambda g: {**g, "field": {"p": 5.0, "k": 1}},
+    # e_u e_u = e_u dropped: no longer associative
+    "broken_table": lambda g: {**g, "table": [e for e in g["table"] if e[:3] != [0, 0, 0]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_MALFORMED))
+def test_malformed_oracle_exits_3(capsys, lam_files, case):
+    oracle = json.loads(Path(lam_files["oracle"]).read_text(encoding="utf-8"))
+    bad = write(lam_files["tmp"] / "bad.json", ORACLE_MALFORMED[case](oracle))
+    assert main(["reconstruct", lam_files["algebra"], lam_files["set"], "--oracle", bad]) == 3
     assert capsys.readouterr().out == ""
 
 

@@ -275,6 +275,36 @@ def test_rref_against_scalar_reference(fm):
     assert np.array_equal(got, want)
 
 
+def reference_products(f, t, x, y):
+    """Every x_a y_b by scalar field operations, row b * len(x) + a."""
+    d = t.shape[0]
+    rows = []
+    for yb in y:
+        for xa in x:
+            out = [0] * d
+            for i in range(d):
+                for j in range(d):
+                    c = int(f.mul(int(xa[i]), int(yb[j])))
+                    out = [int(f.add(o, f.mul(c, int(v)))) for o, v in zip(out, t[i, j])]
+            rows.append(out)
+    return np.array(rows, dtype=np.int16).reshape(len(y) * len(x), d)
+
+
+@pytest.mark.parametrize("f", [F2, F4, F8, F251], ids=lambda f: f"GF({f.q})")
+@pytest.mark.parametrize("nx,ny", [(3, 2), (0, 2), (2, 0), (1, 1)])
+def test_products_against_scalar_reference(f, nx, ny):
+    # random structure constants: products is bilinear, the algebra need
+    # not be associative
+    rng = np.random.default_rng(nx * 10 + ny)
+    d = 4
+    t = rng.integers(0, f.q, size=(d, d, d)).astype(np.int16)
+    x = rng.integers(0, f.q, size=(nx, d)).astype(np.int16)
+    y = rng.integers(0, f.q, size=(ny, d)).astype(np.int16)
+    got = f.products(t, x, y)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, reference_products(f, t, x, y))
+
+
 def test_matinv_round_trip():
     a = F4.mat([[1, 2], [3, 0]])  # det = -(2*3) = t*(t+1) = 1
     ai = F4.matinv(a)
