@@ -9,6 +9,7 @@ a Filtration value is self-validating.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -377,22 +378,72 @@ def _mult_candidates(m: Module, sset):
     return [mv for _, mv in cands]
 
 
-def _surjections_onto(m: Module, x: Module, budget: _Budget):
-    """Iterate surjective maps m -> x in coefficient order, spending budget."""
-    homs = hom_space(m, x)
-    if not homs:
+def _gaussian_binomial(h: int, r: int, q: int) -> int:
+    """[h, r]_q, the number of r-dimensional subspaces of GF(q)^h."""
+    num = den = 1
+    for j in range(r):
+        num *= q ** (h - j) - 1
+        den *= q ** (j + 1) - 1
+    return num // den
+
+
+def _echelon_rows(r: int, h: int, q: int):
+    """The r x h reduced-echelon matrices of rank r over GF(q), flattened
+    row by row, by pivot columns and then free entries in lexicographic
+    order: one per r-dimensional subspace of GF(q)^h."""
+    for pivots in itertools.combinations(range(h), r):
+        base = [0] * (r * h)
+        slots = []
+        for i, p in enumerate(pivots):
+            base[i * h + p] = 1
+            slots += [i * h + j for j in range(p + 1, h) if j not in pivots]
+        for vals in itertools.product(range(q), repeat=len(slots)):
+            for s, v in zip(slots, vals):
+                base[s] = v
+            yield tuple(base)
+
+
+def _block_rows(blocks, q: int):
+    """Concatenations of one _echelon_rows(r, h, q) per (r, h) in blocks,
+    generated lazily, the first block varying slowest."""
+    if not blocks:
+        yield ()
         return
-    q = m.algebra.field.q
-    if q ** len(homs) > budget.maps:
+    for head in _echelon_rows(*blocks[0], q):
+        for tail in _block_rows(blocks[1:], q):
+            yield head + tail
+
+
+def _surjections_onto(m: Module, sset, mv, budget: _Budget):
+    """(X, f) for one surjection f: m ->> X = sum of S_i^{mv[i]} per orbit of
+    prod GL_{mv[i]}(q) on the maps whose coefficient blocks have full row
+    rank, spending one unit of budget per orbit.
+
+    Only ker f is used, and ker(g f) = ker f for every automorphism g of X.
+    The component of f onto the copies of S_i is an mv[i] x h_i block of
+    coefficients over the basis of Hom(m, S_i), of dimension h_i; f is onto
+    only if every block has full row rank (else some g in GL_{mv[i]} zeroes
+    a copy), and each orbit of such blocks holds one reduced-echelon block.
+    So the [h_i, mv[i]]_q products of echelon blocks reach every kernel.
+    Some mv[i] > h_i leaves no surjection: nothing is yielded and the budget
+    is untouched (a certified absence).  More orbits than the maps left is
+    a refusal: budget.hit is set and nothing is yielded."""
+    fld = m.algebra.field
+    homs = {si: hom_space(m, sset[si]) for si, r in enumerate(mv) if r}
+    if any(mv[si] > len(h) for si, h in homs.items()):
+        return
+    orbits = math.prod(_gaussian_binomial(len(h), mv[si], fld.q) for si, h in homs.items())
+    if orbits > budget.maps:
         budget.hit = True
         return
-    rows = itertools.product(range(q), repeat=len(homs))
-    next(rows)  # the zero map
-    for f in combinations(homs, rows):
+    x, injs, _, layout = _sum_with_mults(sset, mv)
+    basis = [inj.compose(h) for inj, (si, _) in zip(injs, layout) for h in homs[si]]
+    rows = _block_rows([(mv[si], len(h)) for si, h in homs.items()], fld.q)
+    for f in combinations(basis, rows):
         if not budget.spend():
             return
         if f.is_surjective_map():
-            yield f
+            yield x, f
 
 
 def _filtrable(m: Module, sset, budget, cache) -> Filtration | None:
@@ -464,9 +515,8 @@ def _split_and_filter(m, sset, rest, part, budget, cache):
 def _search_filtration(m, sset, budget, cache) -> Filtration | None:
     """Bounded exhaustive search over quotients in add(S)."""
     for mv in _mult_candidates(m, sset):
-        x, _, _, _ = _sum_with_mults(sset, mv)
         seen = set()
-        for f in _surjections_onto(m, x, budget):
+        for _, f in _surjections_onto(m, sset, mv, budget):
             k, incl = kernel(f)
             rows = _transport_rows(incl, _full_rows(k))
             skey = rows.tobytes()
@@ -487,8 +537,12 @@ def is_filtrable(m: Module, sset, search_cap: int = 200000) -> Filtration | None
     """A filtration with add(S) layers, or None (certified), or Undecided.
 
     Greedy first; then splitting off projective summand groups; then a
-    bounded exhaustive search over top quotients.  A None returned after a
-    search that hit no cap is a certified negative; otherwise Undecided.
+    bounded exhaustive search over top quotients.  search_cap counts the
+    quotients tried, one per orbit of prod GL_{m_i}(q) on the surjections
+    onto X = sum of S_i^{m_i}; an X with some m_i > dim Hom(M, S_i) has no
+    surjection, a certified absence that spends nothing.  A None returned
+    after a search that hit no cap is a certified negative; otherwise
+    Undecided.
     """
     cache = m.algebra.cached(("filtrable", _sset_sig(sset)), dict)
     budget = _Budget(search_cap)
@@ -616,8 +670,13 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
 
     Each level enumerates surjections onto add(S) sums whose kernel is
     filtrable, has no projective remainder, and which satisfy the stable
-    surjectivity half of the minimality criterion.  `seed` is ignored; it
-    is kept because the benchmark workloads pass it.
+    surjectivity half of the minimality criterion.  Both tests depend on
+    the surjection only up to automorphisms of the sum, so one surjection
+    per orbit of prod GL_{m_i}(q) is tried, and search_cap counts these
+    orbit representatives, over the whole search; a sum with some
+    m_i > dim Hom(m, S_i) has no surjection, a certified absence that
+    spends nothing.  `seed` is ignored; it is kept because the benchmark
+    workloads pass it.
     """
     budget = _Budget(search_cap)
     fld = m.algebra.field
@@ -648,8 +707,7 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
     def minimal_step(cur):
         found = {}
         for mv in _mult_candidates(cur, sset):
-            x, _, _, _ = _sum_with_mults(sset, mv)
-            for f in _surjections_onto(cur, x, budget):
+            for x, f in _surjections_onto(cur, sset, mv, budget):
                 k, incl = kernel(f)
                 rows = _transport_rows(incl, _full_rows(k))
                 skey = rows.tobytes()

@@ -83,6 +83,9 @@ class Field:
         if modulus is None:
             # every (p, k) with k > 1 and q <= 256 has a default; k = 1 is t
             modulus = DEFAULT_MODULI.get((p, k), (0, 1))
+        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in modulus):
+            # int() would truncate a float or parse a string
+            raise FieldError(f"modulus coefficients must be integers, got {modulus!r}")
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree k")

@@ -73,14 +73,29 @@ class GradedAlgebra:
             raise PresentationError(
                 f"product b_{i} b_{j} has a component in degree {deg[l]}, "
                 f"expected {expected[i, j]}")
-        # (b_i b_j) b_l against b_i (b_j b_l), one i at a time: O(n^3) memory
-        eye = f.eye(n)
+        # (b_i b_j) b_l against b_i (b_j b_l), one i and one degree e of b_j
+        # at a time.  On a graded table both lie in degree deg i + e + deg l,
+        # so only the l with that sum at most the top degree are compared;
+        # b_i b_j has its coordinates in degree deg i + e, and b_i b_a
+        # vanishes unless deg a <= top - deg i (the indices ks)
+        top = deg.max(initial=0)
         for i in range(n):
-            left = f.products(t, t[i], eye).reshape(n, n, n).transpose(1, 0, 2)
-            right = f.products(t, eye[i:i + 1], t.reshape(n * n, n)).reshape(n, n, n)
-            bad = np.argwhere(np.any(left != right, axis=2))
-            if len(bad):
-                raise PresentationError(f"not associative at ({i},{bad[0][0]},{bad[0][1]})")
+            ks = np.flatnonzero(deg <= top - deg[i])
+            bad = []
+            for e in np.unique(deg[ks]):
+                js = np.flatnonzero(deg == e)
+                ls = np.flatnonzero(deg <= top - deg[i] - e)
+                mid = np.flatnonzero(deg == deg[i] + e)
+                shape = (len(js), len(ls), n)
+                left = f.matmul(t[i][np.ix_(js, mid)],
+                                t[np.ix_(mid, ls)].reshape(len(mid), -1)).reshape(shape)
+                right = f.matmul(t[np.ix_(js, ls, ks)].reshape(-1, len(ks)), t[i, ks])
+                hit = np.argwhere(np.any(left != right.reshape(shape), axis=2))
+                if len(hit):
+                    bad.append((js[hit[0][0]], ls[hit[0][1]]))
+            if bad:
+                j, l = min(bad)
+                raise PresentationError(f"not associative at ({i},{j},{l})")
         # the unit equations split by degree with their right side in degree
         # 0, so on a graded table unit() finds its solution in degree 0
         if self.unit() is None:

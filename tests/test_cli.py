@@ -224,6 +224,13 @@ MALFORMED = {
     "p_numeric_string": lambda alg, sset: ({**alg, "field": {"p": "5", "k": 1}}, sset),
     "p_float": lambda alg, sset: ({**alg, "field": {"p": 5.5, "k": 1}}, sset),
     "k_float": lambda alg, sset: ({**alg, "field": {"p": 5, "k": 1.0}}, sset),
+    # lambda4's field GF(5) has the modulus t, [0, 1]
+    "modulus_float": lambda alg, sset: ({**alg, "field": {"p": 5, "k": 1,
+                                                          "modulus": [0, 1.5]}}, sset),
+    "modulus_string": lambda alg, sset: ({**alg, "field": {"p": 5, "k": 1,
+                                                           "modulus": ["0", "1"]}}, sset),
+    "modulus_bool": lambda alg, sset: ({**alg, "field": {"p": 5, "k": 1,
+                                                         "modulus": [False, True]}}, sset),
     "no_field": lambda alg, sset: ({k: v for k, v in alg.items() if k != "field"}, sset),
     "arrow_2_list": lambda alg, sset: ({**alg, "arrows": [a[:2] for a in alg["arrows"]]},
                                        sset),

@@ -9,13 +9,16 @@ algebra the simples form a stable simple set with Omega swapping them.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import _random_filtrable
 from test_modules import known_indecomposables, scrambled
 
 from stabrec import filtration, fixtures
@@ -28,7 +31,12 @@ from stabrec.errors import (
 from stabrec.filtration import (
     Filtration,
     _Budget,
+    _echelon_rows,
+    _full_rows,
+    _gaussian_binomial,
+    _sum_with_mults,
     _surjections_onto,
+    _transport_rows,
     adjust_to_surjection,
     align_filtrations,
     align_surjections,
@@ -48,13 +56,14 @@ from stabrec.filtration import (
     top_layer,
     verify_s_radical,
 )
-from stabrec.gf import coset_rank_maximize
+from stabrec.gf import Field, coset_rank_maximize
 from stabrec.modules import (
     combinations,
     direct_sum,
     ext1,
     ModuleMap,
     hom_space,
+    kernel,
     module_isomorphic,
     quotient,
     radical_series,
@@ -281,44 +290,119 @@ def scale_add(maps, coeffs):
     return out
 
 
-def reference_surjections(m, x, budget):
-    """_surjections_onto with one scale/add fold per candidate map."""
-    homs = hom_space(m, x)
-    q = m.algebra.field.q
-    if q ** len(homs) > budget.maps:
-        budget.hit = True
-        return
-    for coeffs in itertools.product(range(q), repeat=len(homs)):
-        if not any(coeffs):
-            continue
-        if not budget.spend():
-            return
-        f = scale_add(homs, coeffs)
-        if f.is_surjective_map():
-            yield f
+def kernel_set(maps) -> set:
+    return {_transport_rows(incl, _full_rows(k)).tobytes() for k, incl in map(kernel, maps)}
 
 
-def test_batched_surjections_keep_order_and_budget(n3):
+def orbit_cases():
+    """(M, S, mv) over n3, ka4 and lambda4 with q^h <= 4096 maps in
+    Hom(M, X), h = dim Hom(M, X), X the sum of S_i^mv[i], mv[i] <= 2."""
+    n3, ka4, lam = (fixtures.load(name) for name in ("n3", "ka4", "lambda4"))
     j1, j2, j3 = (jordan(n3, i) for i in (1, 2, 3))
-    # Hom dims 2 (24 candidate maps) and 4 (624, more than one chunk)
-    for m, x in ((j3, j2), (direct_sum([j2, j1])[0], direct_sum([j1, j1])[0])):
-        assert len(hom_space(m, x)) >= 2
-        got, want = _Budget(1000), _Budget(1000)
-        assert ([f.flat().tolist() for f in _surjections_onto(m, x, got)]
-                == [f.flat().tolist() for f in reference_surjections(m, x, want)])
-        assert (got.maps, got.hit) == (want.maps, want.hit)
-        # a consumer that stops at the first yield
-        got, want = _Budget(1000), _Budget(1000)
-        next(_surjections_onto(m, x, got))
-        next(reference_surjections(m, x, want))
-        assert got.maps == want.maps
+    fam = fixtures.ka4_family()
+    lam_s = [lam.simple(0), lam.simple(1)]
+    pairs = [
+        (direct_sum([j3, j2])[0], [j1, j2]),
+        # [5, 1]_5 = 781 orbits onto J2: more than one COMBINE_CHUNK
+        (direct_sum([j3, j3, j1])[0], [j1, j2]),
+        (direct_sum([n3.projective(0)] * 2)[0], [j1]),
+        (direct_sum([fam[1], fam[2], fam[0]])[0], fam),
+        (direct_sum([ka4.projective(1), fam[0]])[0], fam),
+        (direct_sum([lam.projective(0), lam.projective(1)])[0], lam_s),
+        (direct_sum([lam.projective(0), lam.projective(0), lam.simple(1)])[0], lam_s),
+    ]
+    for m, sset in pairs:
+        q = m.algebra.field.q
+        for mv in itertools.product(range(3), repeat=len(sset)):
+            x = _sum_with_mults(sset, mv)[0]
+            if any(mv) and q ** len(hom_space(m, x)) <= 4096:
+                yield m, sset, mv
+
+
+def test_surjections_onto_visit_every_kernel_once_per_orbit():
+    """One candidate per orbit of prod GL_{m_i}(q): every kernel of a
+    surjection M ->> X is reached, budget.spend is called once per orbit,
+    and m_i > h_i is a certified absence, not a refusal."""
+    big = 10 ** 6
+    seen = collections.Counter()
+    for m, sset, mv in orbit_cases():
+        q = m.algebra.field.q
+        x = _sum_with_mults(sset, mv)[0]
+        homs = hom_space(m, x)
+        brute = [f for f in combinations(homs, itertools.product(range(q), repeat=len(homs)))
+                 if f.is_surjective_map()] if homs else []
+        hs = [len(hom_space(m, s)) for s in sset]
+        if any(r > h for r, h in zip(mv, hs)):
+            budget = _Budget(0)
+            assert list(_surjections_onto(m, sset, mv, budget)) == []
+            assert (budget.maps, budget.hit) == (0, False) and not brute
+            seen["absent"] += 1
+            continue
+        orbits = math.prod(_gaussian_binomial(h, r, q) for h, r in zip(hs, mv))
+        budget, at = _Budget(big), []
+        got = []
+        for xx, f in _surjections_onto(m, sset, mv, budget):
+            assert xx.dims == x.dims and f.tgt is xx
+            at.append(big - budget.maps)  # the orbit index of this candidate
+            got.append(f)
+        assert kernel_set(got) == kernel_set(brute)
+        assert (big - budget.maps, budget.hit) == (orbits, False)
+        seen["orbits"] += orbits > 1
+        seen["several kernels"] += len(kernel_set(brute)) > 1
+        # too many orbits for the maps left: a refusal, nothing spent
+        budget = _Budget(orbits - 1)
+        assert list(_surjections_onto(m, sset, mv, budget)) == []
+        assert (budget.maps, budget.hit) == (orbits - 1, True)
+        if not got:
+            continue
+        # a consumer that stops at the first yield pays for what it saw
+        budget = _Budget(big)
+        next(_surjections_onto(m, sset, mv, budget))
+        assert big - budget.maps == at[0]
         # a consumer that spends budget between yields, as nested searches do
-        got, want = _Budget(700), _Budget(700)
-        seen = []
-        for b, gen in ((got, _surjections_onto), (want, reference_surjections)):
-            seen.append([f.flat().tolist() for f in gen(m, x, b) if b.spend(40)])
-        assert seen[0] == seen[1]
-        assert (got.maps, got.hit) == (want.maps, want.hit)
+        yielded = set(at)
+        for start in (orbits + 40, orbits + 40 * len(got)):
+            maps, hit, want = start, False, 0
+            for c in range(1, orbits + 1):
+                if maps < 1:
+                    hit = True
+                    break
+                maps -= 1
+                if c in yielded:
+                    if maps < 40:
+                        hit = True
+                    else:
+                        maps, want = maps - 40, want + 1
+            budget = _Budget(start)
+            kept = [f for _, f in _surjections_onto(m, sset, mv, budget) if budget.spend(40)]
+            assert (len(kept), budget.maps, budget.hit) == (want, maps, hit)
+    assert seen["absent"] and seen["orbits"] and seen["several kernels"]
+
+
+def test_echelon_rows_against_brute_force():
+    for r, h, q in ((0, 3, 2), (1, 3, 5), (2, 4, 3), (2, 3, 4), (3, 3, 2)):
+        fld = Field(*{2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}[q])
+        brute = set()
+        for flat in itertools.product(range(q), repeat=r * h):
+            a = np.array(flat, dtype=np.int16).reshape(r, h)
+            red, piv = fld.rref(a)
+            if len(piv) == r and np.array_equal(red, a):
+                brute.add(flat)
+        got = list(_echelon_rows(r, h, q))
+        assert len(got) == len(set(got)) == _gaussian_binomial(h, r, q)
+        assert set(got) == brute
+
+
+def test_enumeration_decides_a_ka4_stream_module_at_cap_500():
+    # ka4 stream module 1 (one of the enumeration benchmark's seeds 1-16):
+    # its tops have more than 500 maps q^h but few orbits, so cap 500
+    # decides it only when the cap counts orbits
+    fam = fixtures.ka4_family()
+    m = _random_filtrable(fam[0].algebra, fam, 1)
+    assert m.dims == (2, 2, 2)
+    filts = exhaustive_radical_filtrations(m, fam, search_cap=500)
+    assert filts
+    assert all(verify_s_radical(f).ok for f in filts)
 
 
 def test_combinations_match_scale_add():
