@@ -19,12 +19,13 @@ import numpy as np
 
 from stabrec import io
 from stabrec.derived import (
+    NuFamilyResult,
     as_complex,
     endo_dg_cohomology,
     nu_family_check,
     verify_family_pattern,
 )
-from stabrec.errors import Inconclusive, PresentationError, StabrecError
+from stabrec.errors import Inconclusive, NotSelfInjective, PresentationError, StabrecError
 from stabrec.filtration import has_projective_remainder, hyp_check, is_filtrable, \
     verify_s_radical
 from stabrec.graded import graded_iso_check
@@ -205,9 +206,15 @@ def cmd_derived(args):
     alg = _load(args.algebra, "algebra", io.load_algebra)
     members = _load(args.set, "set", _complexes, alg)
     cands = _load(args.candidates, "candidates", _complexes, alg)
+    if len(cands) != len(members):
+        raise _InputError(f"{len(cands)} candidates for {len(members)} members: "
+                          "need one candidate per member")
     rep = verify_family_pattern(members, cands, "I")
     endo = endo_dg_cohomology(cands, window=args.window)
-    nu = nu_family_check(cands)
+    try:
+        nu = nu_family_check(cands)
+    except NotSelfInjective as e:   # nu needs one; the pattern, the verdict, does not
+        nu = NuFamilyResult("Undecided", {}, None, str(e))
     result = {
         "pattern_ok": rep.ok,
         "failures": [list(f) for f in rep.failures],

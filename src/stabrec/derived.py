@@ -28,8 +28,8 @@ import random
 import numpy as np
 
 from .errors import PresentationError, Undecided
-from .modules import (Module, ModuleMap, zero_module, hom_space, direct_sum,
-                      kernel, quotient, submodule, cokernel, pullback,
+from .modules import (Module, ModuleMap, zero_module, hom_space, hom_flats,
+                      direct_sum, kernel, quotient, submodule, cokernel, pullback,
                       projective_cover, injective_hull, ext1, ses_class,
                       is_exact_pair, is_projective, is_injective_module,
                       match_summands, module_isomorphic,
@@ -179,39 +179,43 @@ def complex_sum(parts: list[Complex], name: str | None = None) -> Complex:
 # -- total Hom complex --------------------------------------------------------
 
 
-def _hom_positions(x: Complex, y: Complex, n: int) -> list[int]:
-    """Source degrees p with X^p and Y^{p+n} both nonzero."""
-    return [p for p in x.degrees() if (p + n) in y.terms]
+def _layout(x: Complex, y: Complex, n: int):
+    """Flat Hom^n(X, Y) rows, ModuleMap.flat after ModuleMap.flat: source
+    degree p -> per vertex v (column slice, dim Y^{p+n}_v, dim X^p_v) for
+    each p with X^p and Y^{p+n} nonzero; and the row width."""
+    out, pos = {}, 0
+    for p in [p for p in x.degrees() if p + n in y.terms]:
+        out[p] = []
+        for a, c in zip(y.terms[p + n].dims, x.terms[p].dims):
+            out[p].append((slice(pos, pos + a * c), a, c))
+            pos += a * c
+    return out, pos
 
 
-def _apply_total_d(x: Complex, y: Complex, n: int, elem: dict[int, ModuleMap]):
-    """D(g) for g in Hom^n(X, Y) given as position -> component."""
-    neg = x.algebra.field.neg(1)
-    out: dict[int, ModuleMap] = {}
-
-    def acc(q, f):
-        if f.is_zero():
-            return
-        out[q] = out[q].add(f) if q in out else f
-
-    for p, g in elem.items():
-        acc(p, y.diff(p + n).compose(g))
-        tail = g.compose(x.diff(p - 1))
-        # -(-1)^n g d_X
-        acc(p - 1, tail.scale(neg) if n % 2 == 0 else tail)
+def _total_d(x: Complex, y: Complex, n: int, rows: np.ndarray) -> np.ndarray:
+    """D on every row of a matrix of flat Hom^n(X, Y) coordinates, as flat
+    Hom^{n+1} rows: one product per (position, vertex, side)."""
+    fld = x.algebra.field
+    (src, _), (dst, width) = _layout(x, y, n), _layout(x, y, n + 1)
+    r = len(rows)
+    out = np.zeros((r, width), dtype=np.int16)
+    tail = fld.sub_mat if n % 2 == 0 else fld.add_mat   # -(-1)^n g d_X
+    for q, cols in dst.items():
+        dy, dx = y.diffs.get(q + n), x.diffs.get(q)
+        for v, (cut, a, c) in enumerate(cols):
+            if not r or not a * c:
+                continue
+            # d_Y g_q as (g_q^T d_Y^T)^T: Field.matmul blows up its right
+            # factor k^2-fold, so the stacked rows stay on the left
+            if dy is not None and src[q][v][1]:
+                g = rows[:, src[q][v][0]].reshape(r, -1, c).transpose(0, 2, 1)
+                img = fld.matmul(g.reshape(r * c, -1), dy.blocks[v].T)
+                out[:, cut] = img.reshape(r, c, a).transpose(0, 2, 1).reshape(r, -1)
+            if dx is not None and src[q + 1][v][2]:
+                g = rows[:, src[q + 1][v][0]].reshape(r * a, -1)
+                img = fld.matmul(g, dx.blocks[v])
+                out[:, cut] = tail(out[:, cut], img.reshape(r, -1))
     return out
-
-
-def _flatten_hom(x: Complex, y: Complex, n: int, elem) -> np.ndarray:
-    parts = []
-    for p in _hom_positions(x, y, n):
-        f = elem.get(p)
-        if f is None:
-            f = ModuleMap.zero(x.term(p), y.term(p + n))
-        parts.append(f.flat())
-    if not parts:
-        return np.zeros(0, dtype=np.int16)
-    return np.concatenate(parts)
 
 
 def total_hom_dims(x: Complex, y: Complex, window: tuple[int, int],
@@ -220,41 +224,26 @@ def total_hom_dims(x: Complex, y: Complex, window: tuple[int, int],
 
     These are homotopy-category Hom dimensions Hom_{K^b}(X, Y[n]); they
     agree with derived Homs when X is termwise projective or Y termwise
-    injective.
+    injective.  The basis of Hom^n is one matrix (the hom_flats of its
+    positions, block-diagonally), and D maps it, then its image, at once.
     """
     a, b = window
     if a > b:
         raise PresentationError("empty window")
-    fld = x.algebra.field
-    sizes = {}
-    ranks = {}
+    sizes, ranks = {}, {}
     for n in range(a - 1, b + 1):
-        basis = []
-        for p in _hom_positions(x, y, n):
-            basis.extend((p, h) for h in hom_space(x.term(p), y.term(p + n)))
+        layout, width = _layout(x, y, n)
+        basis = np.concatenate([np.zeros((0, width), dtype=np.int16)] + [
+            np.pad(hom_flats(x.terms[p], y.terms[p + n]),
+                   ((0, 0), (cols[0][0].start, width - cols[-1][0].stop)))
+            for p, cols in layout.items()])
+        image = _total_d(x, y, n, basis)
+        if check and np.any(_total_d(x, y, n + 1, image)):
+            raise PresentationError(
+                f"total differential does not square to zero at degree {n}")
         sizes[n] = len(basis)
-        rows = []
-        for p, h in basis:
-            img = _apply_total_d(x, y, n, {p: h})
-            if check:
-                ddg = _apply_total_d(x, y, n + 1, img)
-                if any(not f.is_zero() for f in ddg.values()):
-                    raise PresentationError(
-                        f"total differential does not square to zero at degree {n}")
-            rows.append(_flatten_hom(x, y, n + 1, img))
-        width = rows[0].shape[0] if rows else 0
-        if not rows or width == 0:
-            ranks[n] = 0
-        else:
-            ranks[n] = fld.rank(np.stack(rows))
-    dims = []
-    for n in range(a, b + 1):
-        if n not in sizes:
-            basis_n = sum(len(hom_space(x.term(p), y.term(p + n)))
-                          for p in _hom_positions(x, y, n))
-            sizes[n] = basis_n
-        dims.append(sizes[n] - ranks[n] - ranks.get(n - 1, 0))
-    return tuple(dims)
+        ranks[n] = x.algebra.field.rank(image) if image.size else 0
+    return tuple(sizes[n] - ranks[n] - ranks[n - 1] for n in range(a, b + 1))
 
 
 # -- projective resolutions ---------------------------------------------------

@@ -675,8 +675,9 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
     per orbit of prod GL_{m_i}(q) is tried, and search_cap counts these
     orbit representatives, over the whole search; a sum with some
     m_i > dim Hom(m, S_i) has no surjection, a certified absence that
-    spends nothing.  `seed` is ignored; it is kept because the benchmark
-    workloads pass it.
+    spends nothing.  A cap hit, here or in testing a kernel, raises
+    Undecided, never a partial list; stopping at max_results is not one.
+    `seed` is ignored; it is kept because the benchmark workloads pass it.
     """
     budget = _Budget(search_cap)
     fld = m.algebra.field
@@ -684,13 +685,8 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
     seen_chains = set()
 
     def admissible(cur, x, f, k):
-        try:
-            if is_filtrable(k, sset) is None:
-                return False
-            if has_projective_remainder(k, sset):
-                return False
-        except Undecided:
-            budget.hit = True
+        # an undecided kernel leaves the enumeration undecided: it raises
+        if is_filtrable(k, sset) is None or has_projective_remainder(k, sset):
             return False
         for s in sset:
             sh_c = stable_hom(cur, s)
@@ -733,7 +729,7 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
             chain.pop()
 
     dfs(m, ModuleMap.identity(m), [_full_rows(m)])
-    if budget.hit and len(results) < 2:
+    if budget.hit:
         raise Undecided("radical filtration enumeration hit its cap")
     return results
 

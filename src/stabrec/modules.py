@@ -277,17 +277,21 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
     a: u -> v.  The result is the reduced-echelon basis of the solution
     space in flat coordinates, so it is deterministic.
     """
-    flats = m.algebra.cached(("hom", m.key, n.key), lambda: _hom_flats(m, n))
-    return [flat_to_map(m, n, vec) for vec in flats]
+    return [flat_to_map(m, n, vec) for vec in hom_flats(m, n)]
 
 
-def _hom_flats(m: Module, n: Module) -> list[np.ndarray]:
+def hom_flats(m: Module, n: Module) -> np.ndarray:
+    """The hom_space basis as the rows of one matrix (ModuleMap.flat)."""
+    return m.algebra.cached(("hom", m.key, n.key), lambda: _hom_flats(m, n))
+
+
+def _hom_flats(m: Module, n: Module) -> np.ndarray:
     f = m.algebra.field
     nv = len(m.dims)
     sizes = [n.dims[v] * m.dims[v] for v in range(nv)]
     total = sum(sizes)
     if total == 0:
-        return []
+        return np.zeros((0, 0), dtype=np.int16)
     starts = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     rows = []
     for a, (_, u, v) in enumerate(m.algebra.arrows):
@@ -303,7 +307,7 @@ def _hom_flats(m: Module, n: Module) -> list[np.ndarray]:
         block[:, starts[v]: starts[v + 1]] = f.sub_mat(block[:, starts[v]: starts[v + 1]], rhs)
         rows.append(block)
     system = np.concatenate(rows, axis=0) if rows else np.zeros((0, total), dtype=np.int16)
-    return list(f.kernel(system))
+    return f.kernel(system)
 
 
 def end_space(m: Module) -> list[ModuleMap]:

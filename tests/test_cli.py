@@ -192,6 +192,28 @@ def test_derived_wrong_candidates(capsys, lam_files, tmp_path):
     assert rep["result"]["failures"]
 
 
+def test_derived_candidate_count_mismatch_is_input_error(capsys, lam_files, tmp_path):
+    members, cands = _derived_inputs(tmp_path)
+    one = write(tmp_path / "one.json", json.loads(Path(cands).read_text())[:1])
+    assert main(["derived", lam_files["algebra"], members, one]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_derived_over_non_self_injective_algebra_reports(capsys, tmp_path):
+    # the pattern holds for a2's simples and injectives; nu is not computed
+    # there, which leaves it undecided instead of ending the run
+    a2 = fixtures.load("a2")
+    members = write(tmp_path / "members.json",
+                    [io.dump_module(s) for s in fixtures.simples(a2)])
+    cands = write(tmp_path / "cands.json",
+                  [io.dump_module(a2.injective(v)) for v in range(a2.nvertices)])
+    code, rep = run(capsys, "derived", str(DATA / "a2.json"), members, cands)
+    assert code == 0
+    assert rep["result"]["pattern_ok"] is True
+    assert rep["result"]["nu"]["status"] == "Undecided"
+    assert "not self-injective" in rep["result"]["nu"]["detail"]
+
+
 def test_bad_window_is_input_error(capsys, lam_files, tmp_path):
     members, cands = _derived_inputs(tmp_path)
     assert main(["derived", lam_files["algebra"], members, cands,
@@ -357,11 +379,13 @@ def _mutate(doc, rng: random.Random):
 
 
 def test_fuzzed_inputs_keep_the_exit_code_contract(capsys, tmp_path):
-    # every bundled algebra with its simples, one input mutated per case;
-    # each run must end in 0/1/2/3, never an exception
+    # every bundled algebra with its simples (and, for derived, one injective
+    # candidate per vertex), one input mutated per case; each run must end
+    # in 0/1/2/3, never an exception, and a derived exit 1 prints its report
     rng = random.Random(3)
     inputs = {"validate": ["algebra"], "hypcheck": ["algebra", "set"],
-              "filtrate": ["algebra", "set", "module"]}
+              "filtrate": ["algebra", "set", "module"],
+              "derived": ["algebra", "set", "candidates"]}
     broken = []
     for case in range(100):
         name = rng.choice(fixtures.CORPUS + fixtures.EXTRAS)
@@ -369,7 +393,9 @@ def test_fuzzed_inputs_keep_the_exit_code_contract(capsys, tmp_path):
         simples = fixtures.simples(alg)
         docs = {"algebra": json.loads((DATA / f"{name}.json").read_text(encoding="utf-8")),
                 "set": [io.dump_module(s) for s in simples],
-                "module": io.dump_module(rng.choice(simples))}
+                "module": io.dump_module(rng.choice(simples)),
+                "candidates": [io.dump_module(alg.injective(v))
+                               for v in range(alg.nvertices)]}
         cmd = rng.choice(sorted(inputs))
         target = rng.choice(inputs[cmd])
         docs[target] = _mutate(docs[target], rng)
@@ -379,7 +405,7 @@ def test_fuzzed_inputs_keep_the_exit_code_contract(capsys, tmp_path):
             code = main(argv)
         except Exception as e:  # noqa: BLE001 - any escape breaks the contract
             code = repr(e)
-        capsys.readouterr()
-        if code not in (0, 1, 2, 3):
+        out = capsys.readouterr().out
+        if code not in (0, 1, 2, 3) or (cmd == "derived" and code == 1 and not out):
             broken.append((case, name, cmd, target, code))
     assert broken == []

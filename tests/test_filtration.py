@@ -27,6 +27,7 @@ from stabrec.errors import (
     NoSurjectionInCoset,
     NotFiltrable,
     PresentationError,
+    Undecided,
 )
 from stabrec.filtration import (
     Filtration,
@@ -403,6 +404,16 @@ def test_enumeration_decides_a_ka4_stream_module_at_cap_500():
     filts = exhaustive_radical_filtrations(m, fam, search_cap=500)
     assert filts
     assert all(verify_s_radical(f).ok for f in filts)
+
+
+def test_capped_enumeration_is_undecided_not_partial():
+    # ka4_restricted_projective() has 24 filtrations; a cap that stops the
+    # search part way (3 of them found at cap 80) must not read as complete
+    fam = fixtures.ka4_family()
+    rp = fixtures.ka4_restricted_projective()
+    with pytest.raises(Undecided):
+        exhaustive_radical_filtrations(rp, fam, search_cap=80)
+    assert len(exhaustive_radical_filtrations(rp, fam)) == 24
 
 
 def test_combinations_match_scale_add():
