@@ -300,6 +300,10 @@ def main(argv=None) -> int:
     except _InputError as e:
         print(f"stabrec: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except NotSelfInjective as e:
+        # a certified negative: report it with its witness, as validate does
+        code, outcome, artifacts = EXIT_FAIL, "not self-injective", []
+        result = {"self_injective": False, "witness": e.witness}
     except Inconclusive as e:
         print(f"stabrec: undecided: {e}", file=sys.stderr)
         return EXIT_UNDECIDED

@@ -20,7 +20,6 @@ from .errors import (
     PresentationError,
     Undecided,
 )
-from .gf import coset_rank_maximize
 from .modules import (
     Module,
     ModuleMap,
@@ -33,7 +32,6 @@ from .modules import (
     extend_along_injection,
     hom_space,
     injective_hull,
-    is_exact_pair,
     is_projective,
     kernel,
     match_summands,
@@ -583,17 +581,6 @@ def strip_remainder(m: Module, sset, seed: int = 0):
     raise NotFiltrable("no decomposition with a filtrable complement")
 
 
-def find_nonzero_target(m: Module, sset, side: str = "to") -> Module:
-    """Some S with nonzero stable Hom(m, S) (or Hom(S, m) for side='from')."""
-    for s in sset:
-        d = stable_hom(m, s).dim if side == "to" else stable_hom(s, m).dim
-        if d:
-            return s
-    raise PresentationError(
-        "no nonzero stable map to any S: module is projective or the "
-        "filtrable precondition fails")
-
-
 # -- certification ----------------------------------------------------------------
 
 class RadicalCertificate:
@@ -876,176 +863,6 @@ def stable_iso_lifts(m1: Module, m2: Module, sset, seed: int = 0) -> ModuleMap:
             "uniqueness violated: stably isomorphic no-remainder filtrable "
             "modules must be isomorphic")
     return iso
-
-
-# -- symmetric two-step uniqueness -------------------------------------------------
-
-def _splits(mono: ModuleMap, epi: ModuleMap) -> bool:
-    fld = epi.src.algebra.field
-    homs = hom_space(epi.tgt, epi.src)
-    if not homs:
-        return epi.tgt.dim == 0
-    mat = np.stack([epi.compose(h).flat() for h in homs]).T
-    return fld.solve(mat, ModuleMap.identity(epi.tgt).flat()) is not None
-
-
-def symmetric_two_step_swap(e1, e2, sset):
-    """Automorphism of the shared middle carrying one two-step exact
-    sequence onto the other; needs a symmetric algebra and sequences that
-    don't both split.
-
-    e1, e2 are (mono, epi) pairs with ends in S and the same middle.
-    Returns (sigma, a, b) with sigma.mono1 = mono2.a and epi2.sigma = b.epi1.
-    """
-    mono1, epi1 = e1
-    mono2, epi2 = e2
-    m = epi1.src
-    alg = m.algebra
-    if not alg.symmetry().symmetric:
-        raise PresentationError("algebra is not symmetric")
-    if epi2.src.key != m.key:
-        raise PresentationError("sequences have different middles")
-    for mod in (mono1.src, epi1.tgt, mono2.src, epi2.tgt):
-        if not any(s.dim == mod.dim and module_isomorphic(mod, s) is not None
-                   for s in sset):
-            raise PresentationError("sequence end is not in S")
-    if not (is_exact_pair(mono1, epi1) and is_exact_pair(mono2, epi2)):
-        raise PresentationError("inputs are not exact sequences")
-    if _splits(mono1, epi1) and _splits(mono2, epi2):
-        raise PresentationError("both sequences split: swap not guaranteed")
-    fld = alg.field
-    ends = hom_space(m, m)
-    hs = hom_space(mono1.src, mono2.src)
-    ht = hom_space(epi1.tgt, epi2.tgt)
-    z1 = m.dim * mono1.src.dim
-    z2 = epi2.tgt.dim * m.dim
-    cols = []
-    for e in ends:
-        cols.append(np.concatenate([e.compose(mono1).flat(),
-                                    epi2.compose(e).flat()]))
-    for a in hs:
-        cols.append(np.concatenate(
-            [np.asarray(fld.neg(mono2.compose(a).flat()), dtype=np.int16),
-             np.zeros(z2, dtype=np.int16)]))
-    for b in ht:
-        cols.append(np.concatenate(
-            [np.zeros(z1, dtype=np.int16),
-             np.asarray(fld.neg(b.compose(epi1).flat()), dtype=np.int16)]))
-    kerrows = fld.kernel(np.stack(cols).T)
-    rows_kept = [row for row in kerrows if np.any(row[: len(ends)])]
-    sdirs = [combine(ends, row[: len(ends)]).global_matrix() for row in rows_kept]
-    _, coeffs, rank, exhaustive = coset_rank_maximize(
-        fld, np.zeros((m.dim, m.dim), dtype=np.int16), sdirs)
-    if rank < m.dim:
-        if exhaustive:
-            raise PresentationError("no automorphism swaps the sequences")
-        raise Inconclusive("swap search not exhaustive")
-    total = fld.matmul(np.array([coeffs], dtype=np.int16), np.stack(rows_kept))[0]
-    sigma = combine(ends, total[: len(ends)])
-    a = combine(hs, total[len(ends): len(ends) + len(hs)])
-    b = combine(ht, total[len(ends) + len(hs):])
-    if not (sigma.is_iso() and a.is_iso() and b.is_iso()):
-        raise PresentationError("swap solution degenerated")
-    if np.any(sigma.compose(mono1).sub(mono2.compose(a)).flat()):
-        raise PresentationError("swap verification failed on the socle side")
-    if np.any(epi2.compose(sigma).sub(b.compose(epi1)).flat()):
-        raise PresentationError("swap verification failed on the top side")
-    return sigma, a, b
-
-
-# -- non-projective surjection adjustment ------------------------------------------
-
-def _elementary_chain(filt: Filtration):
-    """Refine an add(S) filtration into single-S steps: (rows, tags)."""
-    m = filt.module
-    fld = m.algebra.field
-    rows_out = [_full_rows(m)]
-    tags = []
-    for i, lv in enumerate(filt.levels()):
-        _, _, projs, layout = _sum_with_mults(filt.sset, lv.mults)
-        casc = lv.witness.compose(lv.qmap)  # sub_i -> X
-        k = len(layout)
-        for c in range(k):
-            if c + 1 < k:
-                # kernel of the projection onto the first c+1 copies
-                head = [projs[j].compose(casc) for j in range(c + 1)]
-                mats = np.concatenate([h.global_matrix() for h in head],
-                                      axis=0).astype(np.int16)
-                ker_rows = fld.kernel(mats)
-                rows_out.append(_transport_rows(lv.incl, ker_rows))
-            else:
-                rows_out.append(filt.chain[i + 1])
-            tags.append(layout[c][0])
-    return rows_out, tags
-
-
-def adjust_to_surjection(f: ModuleMap, filt: Filtration):
-    """g stably equal to f, surjective, with filtrable kernel.
-
-    Peels one S-layer of the filtration at a time, correcting by projective
-    maps.  Returns (g, kernel module, kernel inclusion, kernel Filtration).
-    """
-    m, s = f.src, f.tgt
-    sset = filt.sset
-    if m.key != filt.module.key:
-        raise PresentationError("filtration is for a different module")
-    if not any(t.key == s.key for t in sset):
-        raise PresentationError("target is not a member of S")
-    if stable_hom(m, s).is_projective_map(f):
-        raise PresentationError("map is projective; no surjective adjustment")
-    rows, tags = _elementary_chain(filt)
-
-    def recurse(cur, rows_c, tags_c, fc):
-        fld = cur.algebra.field
-        sh = stable_hom(cur, s)
-        if len(tags_c) == 1:
-            g = sh.rep(sh.coords(fc))
-            if not g.is_surjective_map():
-                raise PresentationError("base-case representative not onto")
-            return g, [_empty_rows(cur)], []
-        sub, alpha = submodule(cur, rows_c[1], name="N")
-        rows_n = [_rows_in_sub(alpha, r) for r in rows_c[1:]]
-        t = sset[tags_c[0]]
-        fa = fc.compose(alpha)
-        if stable_hom(sub, s).is_projective_map(fa):
-            lq, qm = quotient(cur, rows_c[1], name="T")
-            wit = module_isomorphic(lq, t)
-            if wit is None:
-                raise PresentationError("top layer fails to match its tag")
-            beta = wit.compose(qm)
-            pmaps = projective_maps(cur, s)
-            ghoms = hom_space(t, s)
-            if not ghoms:
-                raise PresentationError(
-                    "no maps from the top layer to the target")
-            cols = [p.flat() for p in pmaps] + \
-                   [g.compose(beta).flat() for g in ghoms]
-            sol = fld.solve(np.stack(cols).T, fc.flat())
-            if sol is None:
-                raise PresentationError("projective-restriction split failed")
-            gpart = combine(ghoms, sol[len(pmaps):])
-            if not gpart.is_iso():
-                raise PresentationError("layer-to-target map must be an iso")
-            g = gpart.compose(beta)
-            return g, rows_c[1:], tags_c[1:]
-        gn, krows_n, ktags_n = recurse(sub, rows_n, tags_c[1:], fa)
-        p = _extend_projective_map(alpha, gn.sub(fa), s)
-        g = fc.add(p)
-        if not g.is_surjective_map():
-            raise PresentationError("adjusted map is not surjective")
-        k, incl = kernel(g)
-        out_rows = [_transport_rows(incl, _full_rows(k))]
-        for r in krows_n:
-            out_rows.append(_transport_rows(alpha, r))
-        return g, out_rows, [tags_c[0]] + ktags_n
-
-    g, krows, ktags = recurse(m, rows, tags, f)
-    if np.any(stable_hom(m, s).coords(g.sub(f))):
-        raise PresentationError("adjustment changed the stable class")
-    kmod, kincl = submodule(m, krows[0], name="ker_adj")
-    kchain = [_rows_in_sub(kincl, r) for r in krows]
-    kfilt = Filtration(kmod, sset, kchain)
-    return g, kmod, kincl, kfilt
 
 
 # -- padding and hypothesis checks --------------------------------------------------

@@ -373,6 +373,9 @@ def coset_rank_maximize(field: Field, base: np.ndarray, directions: list[np.ndar
     exhaustive_limit points is not walked: the base point comes back with
     exhaustive False, and the caller must treat the answer as undecided.
     With exhaustive True the rank is the maximum over the coset.
+
+    The engine no longer calls it; it stays because the benchmark's tracer
+    (perfbench/tracing.py) wraps it by name, and goes with that entry.
     """
     base = np.asarray(base, dtype=np.int16)
     n = len(directions)

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from stabrec.errors import Inconclusive, PresentationError
+from stabrec.errors import PresentationError
 from stabrec.gf import Field
 
 
@@ -106,8 +106,8 @@ class GradedAlgebra:
     def primitive_idempotents(self) -> list[np.ndarray]:
         """The primitive orthogonal idempotents of the degree-0 subalgebra.
 
-        The degree-0 part is assumed split semisimple commutative (a finite
-        product of copies of the base field), which is verified on the way.
+        The degree-0 part must be split semisimple commutative (a finite
+        product of copies of the base field), which is decided on the way.
         Returned in a canonical order: sorted by their coefficient tuples.
         """
         f = self.field
@@ -121,31 +121,29 @@ class GradedAlgebra:
             raise PresentationError("degree-0 part is not closed")
         if not np.array_equal(sub, sub.transpose(1, 0, 2)):
             raise PresentationError("degree-0 part is not commutative")
-        if f.q ** m > 1 << 16:
-            raise Inconclusive("degree-0 part too large to enumerate idempotents")
-        points = np.array(list(itertools.product(range(f.q), repeat=m)), dtype=np.int16)[1:]
-        idems = np.array([x for x in points if np.array_equal(f.products(sub, [x], [x])[0], x)],
-                         dtype=np.int16).reshape(-1, m)
-        # primitive = no other nonzero idempotent g with e g = g; in a split
-        # commutative semisimple algebra these are the atoms
-        prims = [e for e in idems
-                 if np.all(f.products(sub, [e], idems) == idems, axis=1).sum() == 1]
-        if len(prims) == 0:
-            raise PresentationError("degree-0 part has no primitive idempotents")
-        total = prims[0]
-        for e in prims[1:]:
-            total = f.add_mat(total, e)
         u = self.unit()
-        if u is None or not np.array_equal(total, u[idx]):
-            raise PresentationError("primitive idempotents do not sum to the unit; "
-                                    "degree-0 part is not split semisimple")
-        prims.sort(key=lambda e: tuple(int(c) for c in e))
-        out = []
-        for e in prims:
-            full = np.zeros(self.dim, dtype=np.int16)
-            full[idx] = e
-            out.append(full)
-        return out
+        one = None if u is None else u[idx]
+        if one is None or not np.array_equal(f.products(sub, [one], f.eye(m)), f.eye(m)):
+            raise PresentationError("degree-0 part does not hold the unit")
+        # Refine {1} by the idempotents 1 - (b_i - c)^(q-1), one per basis
+        # element b_i and value c: the factors where b_i takes the value c.
+        # sub[i] is multiplication by b_i on coordinate rows.
+        atoms = one[None]
+        values = np.arange(f.q)[:, None]
+        for i in range(m):
+            powers = np.tile(one, (f.q, 1))  # row c: (b_i - c)^(q-1) at the end
+            for _ in range(f.q - 1):
+                powers = f.sub_mat(f.matmul(powers, sub[i]), f.mul(values, powers))
+            # x -> x^q is linear on a commutative algebra over GF(q), so it is
+            # the identity, i.e. the part is split semisimple, iff it fixes
+            # every basis element
+            if not np.array_equal(f.matmul(powers[:1], sub[i])[0], f.eye(m)[i]):
+                raise PresentationError("degree-0 part is not split semisimple")
+            parts = f.products(sub, atoms, f.sub_mat(one, powers))
+            atoms = parts[np.any(parts, axis=1)]
+        out = np.zeros((m, self.dim), dtype=np.int16)
+        out[:, idx] = sorted(atoms.tolist())
+        return list(out)
 
 
 class GradedIso:

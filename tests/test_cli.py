@@ -214,6 +214,26 @@ def test_derived_over_non_self_injective_algebra_reports(capsys, tmp_path):
     assert "not self-injective" in rep["result"]["nu"]["detail"]
 
 
+def test_non_self_injective_algebra_reports_its_witness(capsys, tmp_path):
+    # hypcheck, filtrate and reconstruct need a self-injective algebra; over
+    # a2 each ends in a certified negative with a report, as validate does
+    a2 = fixtures.load("a2")
+    simples = fixtures.simples(a2)
+    sset = write(tmp_path / "set.json", [io.dump_module(s) for s in simples])
+    mod = write(tmp_path / "mod.json", io.dump_module(simples[0]))
+    _, want = run(capsys, "validate", str(DATA / "a2.json"))
+    for argv in (["hypcheck", str(DATA / "a2.json"), sset],
+                 ["filtrate", str(DATA / "a2.json"), sset, mod],
+                 ["reconstruct", str(DATA / "a2.json"), sset]):
+        code, rep = run(capsys, *argv)
+        assert code == 1
+        assert rep["command"] == argv[0]
+        assert rep["outcome"] == want["outcome"] == "not self-injective"
+        assert rep["result"] == {"self_injective": False,
+                                 "witness": want["result"]["witness"]}
+        assert "not a permutation" in rep["result"]["witness"]
+
+
 def test_bad_window_is_input_error(capsys, lam_files, tmp_path):
     members, cands = _derived_inputs(tmp_path)
     assert main(["derived", lam_files["algebra"], members, cands,

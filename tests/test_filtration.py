@@ -10,7 +10,6 @@ algebra the simples form a stable simple set with Omega swapping them.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 from test_acceptance import _random_filtrable
 from test_modules import known_indecomposables, scrambled
 
-from stabrec import filtration, fixtures
+from stabrec import fixtures
 from stabrec.errors import (
     Inconclusive,
     NoSurjectionInCoset,
@@ -38,12 +37,10 @@ from stabrec.filtration import (
     _sum_with_mults,
     _surjections_onto,
     _transport_rows,
-    adjust_to_surjection,
     align_filtrations,
     align_surjections,
     canonical_top,
     exhaustive_radical_filtrations,
-    find_nonzero_target,
     has_projective_remainder,
     hyp_check,
     is_filtrable,
@@ -53,11 +50,10 @@ from stabrec.filtration import (
     stable_iso_lifts,
     strip_remainder,
     surjective_representative,
-    symmetric_two_step_swap,
     top_layer,
     verify_s_radical,
 )
-from stabrec.gf import Field, coset_rank_maximize
+from stabrec.gf import Field
 from stabrec.modules import (
     combinations,
     direct_sum,
@@ -476,92 +472,6 @@ def test_stable_iso_lifts(n3):
         stable_iso_lifts(j1, j1, [j2])
 
 
-# -- surjection adjustment ----------------------------------------------------------
-
-
-def test_adjust_to_surjection_socle_input(n3):
-    j1, j2, j3 = (jordan(n3, i) for i in (1, 2, 3))
-    m, injs, projs = direct_sum([j1, j3])
-    filt = s_radical_filtration(m, [j2])
-    soc = hom_space(j1, j2)[0]
-    f = soc.compose(projs[0])  # lands in the socle, far from surjective
-    assert not f.is_surjective_map()
-    g, kmod, kincl, kfilt = adjust_to_surjection(f, filt)
-    assert g.is_surjective_map()
-    assert not np.any(stable_hom(m, j2).coords(g.sub(f)))
-    assert kmod.dim == 2
-    assert module_isomorphic(kmod, j2) is not None
-    assert kfilt.mult_sequence() == ((1,),)
-
-
-def test_adjust_to_surjection_batch(n3):
-    j1, j2, j3 = (jordan(n3, i) for i in (1, 2, 3))
-    m, injs, projs = direct_sum([j1, j3, j2])
-    filt = s_radical_filtration(m, [j2])
-    soc = hom_space(j1, j2)[0].compose(projs[0])
-    onto = next(h for h in hom_space(j3, j2)
-                if h.is_surjective_map()).compose(projs[1])
-    ident = next(h for h in hom_space(j2, j2)
-                 if h.is_iso()).compose(projs[2])
-    sh = stable_hom(m, j2)
-    for f in (soc, ident, soc.add(ident), soc.add(onto), ident.add(onto)):
-        assert np.any(sh.coords(f))
-        g, kmod, kincl, kfilt = adjust_to_surjection(f, filt)
-        assert g.is_surjective_map()
-        assert not np.any(sh.coords(g.sub(f)))
-        assert kmod.dim == m.dim - j2.dim
-        assert set(kfilt.mult_sequence()) <= {(1,), (2,)}
-
-
-def test_adjust_rejects_projective_map(n3):
-    j1, j2, j3 = (jordan(n3, i) for i in (1, 2, 3))
-    m, injs, projs = direct_sum([j1, j3])
-    filt = s_radical_filtration(m, [j2])
-    f = hom_space(j3, j2)[0].compose(projs[1])  # factors through a projective
-    with pytest.raises(PresentationError):
-        adjust_to_surjection(f, filt)
-
-
-# -- symmetric two-step swap ---------------------------------------------------------
-
-
-def test_symmetric_two_step_swap(n3):
-    assert n3.symmetry().symmetric
-    j2 = jordan(n3, 2)
-    e = ext1(j2, j2)
-    assert e.dim == 1
-    total, mono, epi = e.realize(e.reps[0])
-    unit = next(h for h in hom_space(j2, j2) if h.is_iso())
-    twisted = mono.compose(unit.add(unit))  # scalar twist of the inclusion
-    sigma, a, b = symmetric_two_step_swap((mono, epi), (twisted, epi), [j2])
-    assert sigma.is_iso() and a.is_iso() and b.is_iso()
-    assert np.array_equal(sigma.compose(mono).flat(),
-                          twisted.compose(a).flat())
-    assert np.array_equal(epi.compose(sigma).flat(),
-                          b.compose(epi).flat())
-
-
-def test_swap_needs_symmetric_algebra(lam):
-    su, sv = lam.simple(0), lam.simple(1)
-    assert not lam.symmetry().symmetric
-    e = ext1(su, sv)
-    total, mono, epi = e.realize(e.reps[0])
-    with pytest.raises(PresentationError):
-        symmetric_two_step_swap((mono, epi), (mono, epi), [su, sv])
-
-
-def test_swap_past_the_odometer_limit_is_inconclusive(n3, monkeypatch):
-    j2 = jordan(n3, 2)
-    e = ext1(j2, j2)
-    total, mono, epi = e.realize(e.reps[0])
-    unit = next(h for h in hom_space(j2, j2) if h.is_iso())
-    twisted = mono.compose(unit.add(unit))
-    monkeypatch.setattr(filtration, "coset_rank_maximize",
-                        functools.partial(coset_rank_maximize, exhaustive_limit=1))
-    with pytest.raises(Inconclusive):
-        symmetric_two_step_swap((mono, epi), (twisted, epi), [j2])
-
-
 # -- exact top-layer lifts against the whole coset -------------------------------------
 
 
@@ -716,17 +626,6 @@ def test_hyp_check_n3(n3):
     dims = {e["module"]: e["padding_dim"] for e in rep.entries}
     # the simple needs one copy of the projective, Omega J2 = J1 likewise
     assert set(dims.values()) == {3}
-
-
-# -- target finding ---------------------------------------------------------------
-
-
-def test_find_nonzero_target(n3, lam):
-    j1, j2, j3 = (jordan(n3, i) for i in (1, 2, 3))
-    m = direct_sum([j1, j3])[0]
-    assert find_nonzero_target(m, [j2]) is j2
-    with pytest.raises(PresentationError):
-        find_nonzero_target(lam.projective(0), [lam.simple(0), lam.simple(1)])
 
 
 # -- the ka4 reference family -----------------------------------------------------

@@ -1,29 +1,33 @@
-"""GradedAlgebra.verify on hand-built structure constant tables.
+"""GradedAlgebra.verify and the degree-0 idempotents on hand-built tables.
 
-Each table is a small graded algebra over GF(5) given by its products of
-basis elements; the broken ones must be refused with a PresentationError
-naming the first offending basis index in (i, j, l) loop order.
+Each table is a small graded algebra given by its products of basis
+elements; the broken ones must be refused with a PresentationError naming
+the first offending basis index in (i, j, l) loop order.  The primitive
+idempotents of k^m in a random basis are checked against the walk over all
+q^m points of the degree-0 part.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 
 from stabrec.errors import PresentationError
 from stabrec.gf import Field
-from stabrec.graded import GradedAlgebra
+from stabrec.graded import GradedAlgebra, graded_iso_check
 
 F5 = Field(5)
 
 
-def algebra(degrees, products):
+def algebra(degrees, products, field=F5):
     """products maps (i, j) to the index l with b_i b_j = b_l."""
     n = len(degrees)
     table = np.zeros((n, n, n), dtype=np.int16)
     for (i, j), l in products.items():
         table[i, j, l] = 1
-    return GradedAlgebra(F5, degrees, [f"b{i}" for i in range(n)], table)
+    return GradedAlgebra(field, degrees, [f"b{i}" for i in range(n)], table)
 
 
 def truncated(n):
@@ -74,3 +78,77 @@ def test_unit_outside_degree_0():
     with pytest.raises(PresentationError,
                        match=r"product b_0 b_1 has a component in degree 0, expected 1"):
         g.verify()
+
+
+def test_nilpotent_in_degree_0_is_refused():
+    # 1 and a nilpotent x in degree 0, y in degree 1, every product not by 1
+    # zero: a graded algebra whose degree-0 part k[x]/(x^2) is not semisimple
+    g = algebra([0, 0, 1], {**{(0, l): l for l in range(3)},
+                            **{(l, 0): l for l in range(3)}}, field=Field(3))
+    g.verify()
+    with pytest.raises(PresentationError, match="not split semisimple"):
+        g.primitive_idempotents()
+    with pytest.raises(PresentationError, match="not split semisimple"):
+        graded_iso_check(g, g)
+
+
+def scrambled_product(f, m, rng):
+    """k^m over f in a random basis b_r = sum_i P[r, i] e_i of degree 0, after
+    one degree-1 element y with e_0 y = y e_0 = y, so that the degree-0 part
+    does not start at index 0."""
+    while not f.is_invertible(p := rng.integers(0, f.q, (m, m)).astype(np.int16)):
+        pass
+    pinv = f.matinv(p)
+    table = np.zeros((m + 1, m + 1, m + 1), dtype=np.int16)
+    for r, s in itertools.product(range(m), repeat=2):
+        table[r + 1, s + 1, 1:] = f.matmul(f.mul(p[r], p[s])[None], pinv)[0]
+    table[1:, 0, 0] = table[0, 1:, 0] = p[:, 0]
+    g = GradedAlgebra(f, [1] + [0] * m, [f"b{i}" for i in range(m + 1)], table)
+    g.verify()
+    return g
+
+
+def walk_idempotents(g):
+    """The primitive idempotents by the walk over every nonzero point of the
+    degree-0 part: the idempotents, then those with no smaller one below."""
+    f, idx = g.field, g.degree_indices(0)
+    sub, m = g.table[np.ix_(idx, idx, idx)], len(idx)
+    points = np.array(list(itertools.product(range(f.q), repeat=m)), dtype=np.int16)[1:]
+    idems = np.array([x for chunk in np.array_split(points, -(-len(points) // 64))
+                      for x, sq in zip(chunk, f.products(sub, chunk, chunk)[:: len(chunk) + 1])
+                      if np.array_equal(sq, x)])
+    # e g = g for g = e only; rows b * len(es) + a of the products hold e_a g_b
+    prims = [e for es in np.array_split(idems, -(-len(idems) // 64))
+             for e, below in zip(es, np.all(f.products(sub, es, idems).reshape(
+                 len(idems), len(es), m) == idems[:, None], axis=2).sum(axis=0))
+             if below == 1]
+    prims.sort(key=lambda e: tuple(int(c) for c in e))
+    out = np.zeros((len(prims), g.dim), dtype=np.int16)
+    out[:, idx] = prims
+    return out
+
+
+@pytest.mark.parametrize("p,k,sizes", [(2, 1, (1, 4, 10)), (3, 1, (2, 7)),
+                                       (2, 2, (3, 6)), (5, 1, (2, 5))])
+def test_idempotents_against_the_walk(p, k, sizes):
+    f = Field(p, k)
+    rng = np.random.default_rng(p * 10 + k)
+    for m in sizes:
+        for _ in range(2):
+            g = scrambled_product(f, m, rng)
+            assert np.array_equal(np.array(g.primitive_idempotents()), walk_idempotents(g))
+
+
+@pytest.mark.parametrize("p,k,m", [(2, 2, 9), (2, 1, 17), (3, 1, 11)])
+def test_idempotents_past_the_walk(p, k, m):
+    # q^m > 2^16: decided without visiting the points
+    f = Field(p, k)
+    g = scrambled_product(f, m, np.random.default_rng(m))
+    idems = np.array(g.primitive_idempotents())
+    assert len(idems) == m
+    prods = f.products(g.table, idems, idems).reshape(m, m, g.dim)
+    assert np.array_equal(prods, np.eye(m, dtype=bool)[:, :, None] * idems[None])
+    total = idems[0]
+    for e in idems[1:]:
+        total = f.add_mat(total, e)
+    assert np.array_equal(total, g.unit())
