@@ -25,11 +25,13 @@ from stabrec.derived import (
     nu_family_check,
     verify_family_pattern,
 )
-from stabrec.errors import Inconclusive, NotSelfInjective, PresentationError, StabrecError
+from stabrec.errors import (Inconclusive, NotFiltrable, NotSelfInjective, PresentationError,
+                            StabrecError)
 from stabrec.filtration import has_projective_remainder, hyp_check, is_filtrable, \
     verify_s_radical
 from stabrec.graded import graded_iso_check
 from stabrec.reconstruct import end_g, generator_build
+from stabrec.stable import check_simple_set
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -183,7 +185,15 @@ def cmd_reconstruct(args):
     oracle = None
     if args.oracle:
         oracle = _load(args.oracle, "oracle", io.load_graded, alg.field)
-    gen = generator_build(alg, sset, padding_cap=args.padding_cap)
+    srep = check_simple_set(alg, sset)
+    if not srep.ok:
+        return EXIT_FAIL, "fail", {"simple_set_ok": False,
+                                   "violations": list(srep.violations)}, []
+    try:
+        gen = generator_build(alg, sset, padding_cap=args.padding_cap)
+    except NotFiltrable as e:  # no padding makes a cover kernel filtrable
+        return EXIT_FAIL, "not filtrable", {"simple_set_ok": True,
+                                            "reason": str(e)}, []
     g = end_g(gen, name=f"EndG({alg.name})")
     art = io.canon_dumps(io.dump_graded(g))
     result = {"dims_by_degree": {str(d): int(n)

@@ -218,8 +218,7 @@ def _total_d(x: Complex, y: Complex, n: int, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def total_hom_dims(x: Complex, y: Complex, window: tuple[int, int],
-                   check: bool = True) -> tuple[int, ...]:
+def total_hom_dims(x: Complex, y: Complex, window: tuple[int, int]) -> tuple[int, ...]:
     """dim H^n of the total Hom complex for n in the closed window.
 
     These are homotopy-category Hom dimensions Hom_{K^b}(X, Y[n]); they
@@ -238,7 +237,7 @@ def total_hom_dims(x: Complex, y: Complex, window: tuple[int, int],
                    ((0, 0), (cols[0][0].start, width - cols[-1][0].stop)))
             for p, cols in layout.items()])
         image = _total_d(x, y, n, basis)
-        if check and np.any(_total_d(x, y, n + 1, image)):
+        if np.any(_total_d(x, y, n + 1, image)):
             raise PresentationError(
                 f"total differential does not square to zero at degree {n}")
         sizes[n] = len(basis)
@@ -266,7 +265,7 @@ class Resolution:
         self.of = of
 
 
-def projective_resolution(x: Complex, depth: int, check: bool = True) -> Resolution:
+def projective_resolution(x: Complex, depth: int) -> Resolution:
     """Resolve X by projectives, keeping `depth` terms at or below min X.
 
     The construction is the usual one by pullbacks: on top of the cover of
@@ -302,8 +301,7 @@ def projective_resolution(x: Complex, depth: int, check: bool = True) -> Resolut
         pdiffs[n] = zincl.compose(pz).compose(cover)
     cx = Complex(algebra, pterms, pdiffs, name=f"P({x.name})")
     res = Resolution(cx, eps, cut, x)
-    if check:
-        _check_resolution(res)
+    _check_resolution(res)
     return res
 
 
@@ -343,8 +341,8 @@ def _safe_depth(x: Complex, y: Complex, window: tuple[int, int]) -> int:
     return max(coarse, exact, 1)
 
 
-def derived_hom_dims(x, y, window: tuple[int, int], depth: int | None = None,
-                     check: bool = True) -> tuple[int, ...]:
+def derived_hom_dims(x, y, window: tuple[int, int],
+                     depth: int | None = None) -> tuple[int, ...]:
     """dim Hom_{D^b(A)}(X, Y[i]) for i in the closed window.
 
     Modules are accepted and placed in degree 0.  When X is termwise
@@ -361,10 +359,10 @@ def derived_hom_dims(x, y, window: tuple[int, int], depth: int | None = None,
     if x.is_zero or y.is_zero:
         return (0,) * (b - a + 1)
     if x.is_termwise_projective() or y.is_termwise_injective():
-        return total_hom_dims(x, y, window, check=check)
+        return total_hom_dims(x, y, window)
     use = depth if depth is not None else _safe_depth(x, y, window)
-    res = projective_resolution(x, use, check=check)
-    return total_hom_dims(res.complex, y, window, check=check)
+    res = projective_resolution(x, use)
+    return total_hom_dims(res.complex, y, window)
 
 
 # -- t-structure membership ---------------------------------------------------
@@ -408,7 +406,7 @@ class Membership:
         return f"Membership({self.side}: {tag})"
 
 
-def t_membership(n_obj, members, side: str, check: bool = True) -> Membership:
+def t_membership(n_obj, members, side: str) -> Membership:
     """Membership of N in the aisle T^{<=0} or T^{>=0} defined by `members`.
 
     side "le": N is in T^{<=0} iff Hom(N, S[i]) = 0 for all S and i < 0.
@@ -440,7 +438,7 @@ def t_membership(n_obj, members, side: str, check: bool = True) -> Membership:
                 if lo > -1:
                     checked.append((s_cx.name, None))
                     continue
-                dims = derived_hom_dims(n_cx, s_cx, win, check=check)
+                dims = derived_hom_dims(n_cx, s_cx, win)
                 checked.append((s_cx.name, win))
                 for i, d in zip(range(win[0], win[1] + 1), dims):
                     if d and witness is None:
@@ -450,7 +448,7 @@ def t_membership(n_obj, members, side: str, check: bool = True) -> Membership:
                 if hi < 1:
                     checked.append((s_cx.name, None))
                     continue
-                dims = derived_hom_dims(s_cx, n_cx, (-hi, -1), check=check)
+                dims = derived_hom_dims(s_cx, n_cx, (-hi, -1))
                 checked.append((s_cx.name, (1, hi)))
                 for j, d in zip(range(-hi, 0), dims):
                     if d and witness is None:
@@ -482,8 +480,7 @@ class HomPatternReport:
         return f"HomPatternReport({self.kind}: {tag})"
 
 
-def verify_family_pattern(members, candidates, kind: str,
-                          check: bool = True) -> HomPatternReport:
+def verify_family_pattern(members, candidates, kind: str) -> HomPatternReport:
     """Check the defining delta pattern of a P- or I-family.
 
     For kind "I" the candidates play the role of I_S(S): the pattern is
@@ -518,11 +515,11 @@ def verify_family_pattern(members, candidates, kind: str,
             if kind == "I":
                 lo = c.min_degree() - t.max_degree()
                 hi = c.max_degree() - t.min_degree()
-                got = total_hom_dims(t, c, (lo, hi), check=check)
+                got = total_hom_dims(t, c, (lo, hi))
             else:
                 lo = t.min_degree() - c.max_degree()
                 hi = t.max_degree() - c.min_degree()
-                got = total_hom_dims(c, t, (lo, hi), check=check)
+                got = total_hom_dims(c, t, (lo, hi))
             if not (lo <= 0 <= hi) and i == j:
                 failures.append((j, i, 0, 0, 1))
             for n, d in zip(range(lo, hi + 1), got):
@@ -534,8 +531,8 @@ def verify_family_pattern(members, candidates, kind: str,
                             [m.name for m in fam], [c.name for c in cands])
 
 
-def endo_dg_cohomology(candidates, window: tuple[int, int] | None = None,
-                       check: bool = True) -> dict[int, int]:
+def endo_dg_cohomology(candidates,
+                       window: tuple[int, int] | None = None) -> dict[int, int]:
     """Cohomology dims of the endomorphism dg-algebra of a family.
 
     With C the direct sum of the candidate complexes, returns degree ->
@@ -555,7 +552,7 @@ def endo_dg_cohomology(candidates, window: tuple[int, int] | None = None,
                         "(= injective) family")
     spread = total.max_degree() - total.min_degree()
     win = window if window is not None else (-spread, spread)
-    dims = total_hom_dims(total, total, win, check=check)
+    dims = total_hom_dims(total, total, win)
     return {n: d for n, d in zip(range(win[0], win[1] + 1), dims)}
 
 
@@ -832,7 +829,7 @@ class ReorderResult:
         self.swaps = swaps
 
 
-def tower_reorder(tower: Tower, verify: bool = True) -> ReorderResult:
+def tower_reorder(tower: Tower) -> ReorderResult:
     """Sort the layer shifts non-increasingly from the top.
 
     Adjacent violations are repaired by the split-swap or the iso-cancel
@@ -864,11 +861,10 @@ def tower_reorder(tower: Tower, verify: bool = True) -> ReorderResult:
         i = max(i - 1, 0)
     top = steps[0].sub.tgt if steps else floor
     out = Tower(tower.algebra, tower.members, steps, top)
-    if verify:
-        problems = out.verify()
-        if problems:
-            raise PresentationError("reordered tower failed certification: "
-                                    + "; ".join(problems))
+    problems = out.verify()
+    if problems:
+        raise PresentationError("reordered tower failed certification: "
+                                + "; ".join(problems))
     return ReorderResult(out, cancelled, swaps)
 
 

@@ -354,26 +354,30 @@ def _dims_feasible(dims, sset) -> bool:
     return rec(tuple(dims), 0)
 
 
+def _of_total(weights, bounds, total):
+    """The vectors 0 <= c <= bounds with sum c_i w_i = total, lazily, in
+    lexicographic order; a zero weight forces its coordinate to 0."""
+    if not weights:
+        if total == 0:
+            yield ()
+        return
+    w, rest_w, rest_b = weights[0], weights[1:], bounds[1:]
+    for c in range(min(bounds[0], total // w) + 1 if w else 1):
+        for tail in _of_total(rest_w, rest_b, total - c * w):
+            yield (c, *tail)
+
+
 def _mult_candidates(m: Module, sset):
     """Multiplicity vectors for potential top layers, pruned by vertex
-    dimensions, ordered by total dimension then lexicographically."""
-    bounds = []
-    for s in sset:
-        b = m.dim // s.dim if s.dim else 0  # a zero member is in no layer
-        for v in range(len(m.dims)):
-            if s.dims[v]:
-                b = min(b, m.dims[v] // s.dims[v])
-        bounds.append(b)
-    cands = []
-    for mv in itertools.product(*(range(b + 1) for b in bounds)):
-        if not any(mv):
-            continue
-        dims = [sum(mv[si] * s.dims[v] for si, s in enumerate(sset))
-                for v in range(len(m.dims))]
-        if all(d <= mvd for d, mvd in zip(dims, m.dims)):
-            cands.append((sum(dims), mv))
-    cands.sort()
-    return [mv for _, mv in cands]
+    dimensions, by total dimension then lexicographically."""
+    weights = [s.dim for s in sset]
+    bounds = [min([m.dims[v] // d for v, d in enumerate(s.dims) if d], default=0)
+              for s in sset]  # a zero member is in no layer
+    for total in range(1, m.dim + 1):
+        for mv in _of_total(weights, bounds, total):
+            if all(sum(c * s.dims[v] for c, s in zip(mv, sset)) <= d
+                   for v, d in enumerate(m.dims)):
+                yield mv
 
 
 def _gaussian_binomial(h: int, r: int, q: int) -> int:
@@ -444,6 +448,36 @@ def _surjections_onto(m: Module, sset, mv, budget: _Budget):
             yield x, f
 
 
+def _top_kernels(m: Module, sset, budget: _Budget):
+    """(X, f, K, incl) for the top quotients f: m ->> X in add(S), by
+    `_mult_candidates` then `_surjections_onto`, once per kernel K of m
+    (incl: K -> m its inclusion): both searches use f only through K."""
+    seen = set()
+    for mv in _mult_candidates(m, sset):
+        for x, f in _surjections_onto(m, sset, mv, budget):
+            k, incl = kernel(f)
+            key = _transport_rows(incl, _full_rows(k)).tobytes()
+            if key not in seen:
+                seen.add(key)
+                yield x, f, k, incl
+
+
+def _projective_splits(m: Module):
+    """(rest, part) for every nonempty group `part` of projective summands
+    of m, `rest` the other summands: by size of part, then in
+    itertools.combinations order."""
+    pieces = decompose(m)
+    proj_idx = [i for i, p in enumerate(pieces) if is_projective(p.module)]
+    for size in range(1, len(proj_idx) + 1):
+        for subset in itertools.combinations(proj_idx, size):
+            yield ([p for i, p in enumerate(pieces) if i not in subset],
+                   [pieces[i] for i in subset])
+
+
+def _sum_of(mods, algebra) -> Module:
+    return direct_sum(mods)[0] if mods else zero_module(algebra)
+
+
 def _filtrable(m: Module, sset, budget, cache) -> Filtration | None:
     key = m.key
     if key in cache:
@@ -463,19 +497,13 @@ def _filtrable(m: Module, sset, budget, cache) -> Filtration | None:
     except NotFiltrable:
         pass
 
-    pieces = decompose(m)
-    proj_idx = [i for i, p in enumerate(pieces) if is_projective(p.module)]
-    if len(pieces) > 1 and proj_idx:
-        for size in range(1, len(proj_idx) + 1):
-            for subset in itertools.combinations(proj_idx, size):
-                rest = [p for i, p in enumerate(pieces) if i not in subset]
-                if not rest:
-                    break  # fully projective: the direct search handles it
-                part = [pieces[i] for i in subset]
-                merged = _split_and_filter(m, sset, rest, part, budget, cache)
-                if merged is not None:
-                    cache[key] = merged
-                    return merged
+    for rest, part in _projective_splits(m):
+        if not rest:
+            continue  # fully projective: the direct search handles it
+        merged = _split_and_filter(m, sset, rest, part, budget, cache)
+        if merged is not None:
+            cache[key] = merged
+            return merged
 
     filt = _search_filtration(m, sset, budget, cache)
     if filt is not None or not budget.hit:
@@ -512,21 +540,10 @@ def _split_and_filter(m, sset, rest, part, budget, cache):
 
 def _search_filtration(m, sset, budget, cache) -> Filtration | None:
     """Bounded exhaustive search over quotients in add(S)."""
-    for mv in _mult_candidates(m, sset):
-        seen = set()
-        for _, f in _surjections_onto(m, sset, mv, budget):
-            k, incl = kernel(f)
-            rows = _transport_rows(incl, _full_rows(k))
-            skey = rows.tobytes()
-            if skey in seen:
-                continue
-            seen.add(skey)
-            sub = _filtrable(k, sset, budget, cache)
-            if sub is None:
-                continue
-            chain = [_full_rows(m)]
-            for r in sub.chain:
-                chain.append(_transport_rows(incl, r))
+    for _, _, k, incl in _top_kernels(m, sset, budget):
+        sub = _filtrable(k, sset, budget, cache)
+        if sub is not None:
+            chain = [_full_rows(m)] + [_transport_rows(incl, r) for r in sub.chain]
             return Filtration(m, sset, chain)
     return None
 
@@ -553,29 +570,17 @@ def is_filtrable(m: Module, sset, search_cap: int = 200000) -> Filtration | None
 def has_projective_remainder(m: Module, sset) -> bool:
     """Whether m = N + P with P a nonzero projective summand group and N
     filtrable."""
-    pieces = decompose(m)
-    proj_idx = [i for i, p in enumerate(pieces) if is_projective(p.module)]
-    for size in range(1, len(proj_idx) + 1):
-        for subset in itertools.combinations(proj_idx, size):
-            rest = [p.module for i, p in enumerate(pieces) if i not in subset]
-            n = direct_sum(rest)[0] if rest else zero_module(m.algebra)
-            if is_filtrable(n, sset) is not None:
-                return True
-    return False
+    return any(is_filtrable(_sum_of([p.module for p in rest], m.algebra), sset) is not None
+               for rest, _ in _projective_splits(m))
 
 
 def strip_remainder(m: Module, sset, seed: int = 0):
     """(N, P) with m = N + P, P projective maximal with N still filtrable.
     `seed` is ignored; it is kept because the benchmark workloads pass it."""
-    pieces = decompose(m)
-    proj_idx = [i for i, p in enumerate(pieces) if is_projective(p.module)]
-    for size in range(len(proj_idx), 0, -1):
-        for subset in itertools.combinations(proj_idx, size):
-            rest = [p.module for i, p in enumerate(pieces) if i not in subset]
-            n = direct_sum(rest)[0] if rest else zero_module(m.algebra)
-            if is_filtrable(n, sset) is not None:
-                part = direct_sum([pieces[i].module for i in subset])[0]
-                return n, part
+    for rest, part in sorted(_projective_splits(m), key=lambda s: -len(s[1])):
+        n = _sum_of([p.module for p in rest], m.algebra)
+        if is_filtrable(n, sset) is not None:
+            return n, _sum_of([p.module for p in part], m.algebra)
     if is_filtrable(m, sset) is not None:
         return m, zero_module(m.algebra)
     raise NotFiltrable("no decomposition with a filtrable complement")
@@ -651,9 +656,8 @@ def verify_s_radical(filt: Filtration) -> RadicalCertificate:
 # -- exhaustive radical-filtration enumeration ------------------------------------
 
 def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
-                                   max_results: int = 64,
                                    search_cap: int = 500000) -> list[Filtration]:
-    """All S-radical filtrations of m, deduplicated by subspace chain.
+    """All S-radical filtrations of m, each chain once.
 
     Each level enumerates surjections onto add(S) sums whose kernel is
     filtrable, has no projective remainder, and which satisfy the stable
@@ -663,13 +667,12 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
     orbit representatives, over the whole search; a sum with some
     m_i > dim Hom(m, S_i) has no surjection, a certified absence that
     spends nothing.  A cap hit, here or in testing a kernel, raises
-    Undecided, never a partial list; stopping at max_results is not one.
+    Undecided, never a partial list.
     `seed` is ignored; it is kept because the benchmark workloads pass it.
     """
     budget = _Budget(search_cap)
     fld = m.algebra.field
     results: list[Filtration] = []
-    seen_chains = set()
 
     def admissible(cur, x, f, k):
         # an undecided kernel leaves the enumeration undecided: it raises
@@ -688,26 +691,13 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
         return True
 
     def minimal_step(cur):
-        found = {}
-        for mv in _mult_candidates(cur, sset):
-            for x, f in _surjections_onto(cur, sset, mv, budget):
-                k, incl = kernel(f)
-                rows = _transport_rows(incl, _full_rows(k))
-                skey = rows.tobytes()
-                if skey in found:
-                    continue
-                if admissible(cur, x, f, k):
-                    found[skey] = (k, incl)
-        return list(found.values())
+        # distinct kernels of cur give distinct chains below it
+        return [(k, incl) for x, f, k, incl in _top_kernels(cur, sset, budget)
+                if admissible(cur, x, f, k)]
 
     def dfs(cur, to_m, chain):
-        if len(results) >= max_results:
-            return
         if cur.dim == 0:
-            key = tuple(r.tobytes() for r in chain)
-            if key not in seen_chains:
-                seen_chains.add(key)
-                results.append(Filtration(m, sset, list(chain)))
+            results.append(Filtration(m, sset, list(chain)))
             return
         for k, incl in minimal_step(cur):
             nxt = to_m.compose(incl)
@@ -867,6 +857,12 @@ def stable_iso_lifts(m1: Module, m2: Module, sset, seed: int = 0) -> ModuleMap:
 
 # -- padding and hypothesis checks --------------------------------------------------
 
+def _padded_parts(m: Module, mv) -> list[Module]:
+    """m followed by mv[v] copies of each indecomposable projective P_v."""
+    alg = m.algebra
+    return [m] + [alg.projective(v) for v in range(alg.nvertices) for _ in range(mv[v])]
+
+
 def padding_search(m: Module, sset, cap: int | None = None):
     """Projective P with m + P filtrable, by increasing dim P.
 
@@ -882,26 +878,18 @@ def padding_search(m: Module, sset, cap: int | None = None):
             raise NotFiltrable(
                 f"vertex {alg.vertices[v]} is outside the support of S")
     pdims = [alg.projective(v).dim for v in range(alg.nvertices)]
-    cands = []
-    for mv in itertools.product(*(range(cap // d + 1) for d in pdims)):
-        total = sum(c * d for c, d in zip(mv, pdims))
-        if total <= cap:
-            cands.append((total, mv))
-    cands.sort()
     undecided = False
-    for total, mv in cands:
-        parts = [m] + [alg.projective(v) for v in range(alg.nvertices)
-                       for _ in range(mv[v])]
-        padded = direct_sum(parts)[0] if len(parts) > 1 else m
-        try:
-            filt = is_filtrable(padded, sset)
-        except Undecided:
-            undecided = True
-            continue
-        if filt is not None:
-            pad = direct_sum(parts[1:])[0] if len(parts) > 1 else \
-                zero_module(alg)
-            return pad, mv, filt
+    for total in range(cap + 1):
+        for mv in _of_total(pdims, [cap] * len(pdims), total):
+            parts = _padded_parts(m, mv)
+            padded = direct_sum(parts)[0] if len(parts) > 1 else m
+            try:
+                filt = is_filtrable(padded, sset)
+            except Undecided:
+                undecided = True
+                continue
+            if filt is not None:
+                return _sum_of(parts[1:], alg), mv, filt
     raise Undecided("padding search exhausted its cap"
                     + (" with undecided branches" if undecided else ""))
 

@@ -15,6 +15,10 @@ import numpy as np
 from stabrec.errors import PresentationError
 from stabrec.gf import Field
 
+# graded_iso_check answers 'inconclusive' when the degree-1 search space,
+# q^(s^2) block matrices for each nonzero s x s Peirce block, is larger
+DEGREE1_SEARCH_BUDGET = 200000
+
 
 class GradedAlgebra:
     """An associative graded algebra over GF(q) with unit in degree 0.
@@ -199,8 +203,7 @@ def _is_degree_one_generated(g: GradedAlgebra) -> bool:
     return True
 
 
-def graded_iso_check(g1: GradedAlgebra, g2: GradedAlgebra, *,
-                     budget: int = 200000) -> GradedIsoResult:
+def graded_iso_check(g1: GradedAlgebra, g2: GradedAlgebra) -> GradedIsoResult:
     """Decide whether two graded algebras are isomorphic as graded algebras.
 
     Strategy: match dimension data, put both degree-0 parts in their
@@ -254,7 +257,7 @@ def graded_iso_check(g1: GradedAlgebra, g2: GradedAlgebra, *,
         space = 1
         for s in sizes:
             space *= f.q ** (s * s)
-        if space > budget:
+        if space > DEGREE1_SEARCH_BUDGET:
             return GradedIsoResult("inconclusive",
                                    reason=f"degree-1 search space {space} exceeds budget")
         choice_iters = []

@@ -14,13 +14,12 @@ stably equivalent algebra presented by the set.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from stabrec.errors import PresentationError, Undecided
-from stabrec.filtration import (Filtration, _empty_rows, _full_rows, _sset_sig,
-                                _transport_rows, is_filtrable, padding_search,
+from stabrec.filtration import (Filtration, _empty_rows, _full_rows, _of_total,
+                                _padded_parts, _sset_sig, _transport_rows,
+                                is_filtrable, padding_search,
                                 s_radical_filtration, verify_s_radical)
 from stabrec.graded import GradedAlgebra, graded_iso_check  # noqa: F401
 from stabrec.modules import (Module, ModuleMap, combine, cover_kernel,
@@ -247,13 +246,10 @@ def _same_dim_alternatives(core: Module, sset, mv):
     pdims = [alg.projective(v).dim for v in range(alg.nvertices)]
     total = sum(c * d for c, d in zip(mv, pdims))
     out = []
-    for cand in itertools.product(*(range(total // d + 1) for d in pdims)):
+    for cand in _of_total(pdims, [total] * len(pdims), total):
         if cand == tuple(mv):
             continue
-        if sum(c * d for c, d in zip(cand, pdims)) != total:
-            continue
-        parts = [core] + [alg.projective(v) for v in range(alg.nvertices)
-                          for _ in range(cand[v])]
+        parts = _padded_parts(core, cand)
         padded = direct_sum(parts)[0] if len(parts) > 1 else core
         try:
             if is_filtrable(padded, sset) is not None:
@@ -287,9 +283,7 @@ def generator_build(algebra, sset, *, padding_cap: int | None = None) -> Filtere
         if core.dim == 0:
             raise PresentationError(f"{s.name} is projective")
         _, mv, _ = padding_search(core, sset, padding_cap)
-        parts = [core] + [algebra.projective(v)
-                          for v in range(algebra.nvertices)
-                          for _ in range(mv[v])]
+        parts = _padded_parts(core, mv)
         inner_total, _, dprojs = direct_sum(parts, name=f"om({s.name})+Q")
         inner = s_radical_filtration(inner_total, sset)
         top_parts = [cover] + parts[1:]

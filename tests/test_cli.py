@@ -160,6 +160,40 @@ def test_reconstruct_wrong_oracle(capsys, lam_files, tmp_path):
     assert rep["outcome"] == "not iso"
 
 
+@pytest.fixture()
+def nak3_files(tmp_path):
+    simples = fixtures.simples(fixtures.load("nak3"))
+    return {
+        "algebra": str(DATA / "nak3.json"),
+        "set": write(tmp_path / "set.json", [io.dump_module(s) for s in simples]),
+        "s01": write(tmp_path / "s01.json", [io.dump_module(s) for s in simples[:2]]),
+        "s00": write(tmp_path / "s00.json", [io.dump_module(simples[0])] * 2),
+    }
+
+
+def test_reconstruct_reports_an_unusable_member_set(capsys, nak3_files):
+    # without S(v2) no padding reaches vertex v2 of a cover kernel
+    code, rep = run(capsys, "reconstruct", nak3_files["algebra"], nak3_files["s01"])
+    assert code == 1 and rep["outcome"] == "not filtrable"
+    assert rep["result"]["reason"] == "vertex v2 is outside the support of S"
+    # S(v0) twice breaks the stable-Hom pattern
+    code, rep = run(capsys, "reconstruct", nak3_files["algebra"], nak3_files["s00"])
+    assert code == 1 and rep["outcome"] == "fail"
+    assert rep["result"]["simple_set_ok"] is False
+    assert "stable Hom(S(v0),S(v0)) has dim 1, want 0" in rep["result"]["violations"]
+
+
+def test_reconstruct_large_padding_cap_gives_the_same_artifact(capsys, nak3_files):
+    # paddings are tried lazily by total dimension: a large cap costs
+    # nothing before the first filtrable padding
+    digests = []
+    for cap in ([], ["--padding-cap", "2000"]):
+        code, rep = run(capsys, "reconstruct", nak3_files["algebra"], nak3_files["set"], *cap)
+        assert code == 0
+        digests.append(rep["artifacts"][0]["sha256"])
+    assert digests[0] == digests[1]
+
+
 def _derived_inputs(tmp_path):
     lam = fixtures.load("lambda4")
     pu, pv = lam.projective(0), lam.projective(1)
@@ -401,10 +435,11 @@ def _mutate(doc, rng: random.Random):
 def test_fuzzed_inputs_keep_the_exit_code_contract(capsys, tmp_path):
     # every bundled algebra with its simples (and, for derived, one injective
     # candidate per vertex), one input mutated per case; each run must end
-    # in 0/1/2/3, never an exception, and a derived exit 1 prints its report
+    # in 0/1/2/3, never an exception, and every exit 1 prints its report
     rng = random.Random(3)
     inputs = {"validate": ["algebra"], "hypcheck": ["algebra", "set"],
               "filtrate": ["algebra", "set", "module"],
+              "reconstruct": ["algebra", "set"],
               "derived": ["algebra", "set", "candidates"]}
     broken = []
     for case in range(100):
@@ -426,6 +461,6 @@ def test_fuzzed_inputs_keep_the_exit_code_contract(capsys, tmp_path):
         except Exception as e:  # noqa: BLE001 - any escape breaks the contract
             code = repr(e)
         out = capsys.readouterr().out
-        if code not in (0, 1, 2, 3) or (cmd == "derived" and code == 1 and not out):
+        if code not in (0, 1, 2, 3) or (code == 1 and not out):
             broken.append((case, name, cmd, target, code))
     assert broken == []

@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -34,8 +35,11 @@ from stabrec.filtration import (
     _echelon_rows,
     _full_rows,
     _gaussian_binomial,
+    _mult_candidates,
+    _of_total,
     _sum_with_mults,
     _surjections_onto,
+    _top_kernels,
     _transport_rows,
     align_filtrations,
     align_surjections,
@@ -287,8 +291,12 @@ def scale_add(maps, coeffs):
     return out
 
 
+def kernel_keys(maps) -> list:
+    return [_transport_rows(incl, _full_rows(k)).tobytes() for k, incl in map(kernel, maps)]
+
+
 def kernel_set(maps) -> set:
-    return {_transport_rows(incl, _full_rows(k)).tobytes() for k, incl in map(kernel, maps)}
+    return set(kernel_keys(maps))
 
 
 def orbit_cases():
@@ -388,6 +396,37 @@ def test_echelon_rows_against_brute_force():
         got = list(_echelon_rows(r, h, q))
         assert len(got) == len(set(got)) == _gaussian_binomial(h, r, q)
         assert set(got) == brute
+
+
+def test_of_total_against_a_sorted_product():
+    rng = random.Random(5)
+    cases = [((), (), 0), ((), (), 2), ((0, 3), (2, 2), 0), ((2, 0, 1), (3, 4, 2), 3)]
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        weights = tuple(rng.choice((0, 1, 2, 3, 5)) for _ in range(n))
+        bounds = tuple(rng.randint(0, 4) for _ in range(n))
+        cases.append((weights, bounds, rng.randint(0, 12)))
+    for weights, bounds, total in cases:
+        want = sorted(c for c in itertools.product(*(range(b + 1) for b in bounds))
+                      if sum(ci * w for ci, w in zip(c, weights)) == total
+                      and all(ci == 0 for ci, w in zip(c, weights) if w == 0))
+        assert list(_of_total(weights, bounds, total)) == want
+
+
+def test_top_kernels_yield_each_reachable_kernel_once():
+    # criterion 5's module: every kernel that _surjections_onto reaches at
+    # the enumeration's default cap, in the order first reached, once
+    fam = fixtures.ka4_family()
+    rp = fixtures.ka4_restricted_projective()
+    budget = _Budget(500000)
+    got = [_transport_rows(incl, _full_rows(k)).tobytes()
+           for _, _, k, incl in _top_kernels(rp, fam, budget)]
+    assert not budget.hit and len(got) == len(set(got))
+    budget = _Budget(500000)
+    reached = [key for mv in _mult_candidates(rp, fam)
+               for key in kernel_keys(f for _, f in _surjections_onto(rp, fam, mv, budget))]
+    assert not budget.hit and len(reached) > len(got)
+    assert got == list(dict.fromkeys(reached))
 
 
 def test_enumeration_decides_a_ka4_stream_module_at_cap_500():
