@@ -315,8 +315,9 @@ def main(argv=None) -> int:
         code, outcome, artifacts = EXIT_FAIL, "not self-injective", []
         result = {"self_injective": False, "witness": e.witness}
     except Inconclusive as e:
-        print(f"stabrec: undecided: {e}", file=sys.stderr)
-        return EXIT_UNDECIDED
+        # a search stopped short: report what stopped it
+        code, outcome, artifacts = EXIT_UNDECIDED, "undecided", []
+        result = {"reason": str(e)}
     except StabrecError as e:
         print(f"stabrec: {e}", file=sys.stderr)
         return EXIT_FAIL

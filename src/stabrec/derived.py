@@ -225,6 +225,8 @@ def total_hom_dims(x: Complex, y: Complex, window: tuple[int, int]) -> tuple[int
     agree with derived Homs when X is termwise projective or Y termwise
     injective.  The basis of Hom^n is one matrix (the hom_flats of its
     positions, block-diagonally), and D maps it, then its image, at once.
+    Out of a projective term X^p, as in a projective resolution, hom_flats
+    takes its basis from the generators of X^p with no linear system.
     """
     a, b = window
     if a > b:

@@ -5,9 +5,13 @@ Field elements are plain Python ints (and numpy integer arrays) in the range
 generator t, in base p: n = sum(c_i * p**i) represents sum(c_i * t**i); for a
 prime field (k = 1, modulus t) that is n itself.  Every field takes its
 arithmetic from dense q x q lookup tables built once per field.  A matrix
-product is a single integer product over GF(p): the left factor is written
-out in base-p digits and each entry of the right factor becomes the k x k
-GF(p)-matrix of multiplication by that entry.
+product is a single product over GF(p): the left factor is written out in
+base-p digits and each entry of the right factor becomes the k x k
+GF(p)-matrix of multiplication by that entry.  That product is taken in
+float64, so that BLAS runs it; its entries are integers of at most
+n k (p-1)^2 <= 62,500 n for an inner dimension n, below 2^53 for any n up
+to 10^11, so it is exact in any summation order; it is reduced mod p in
+int64.
 
 Row reduction has two paths with the same result (the RREF is unique and
 both use the same pivot rule).  Matrices of at most SMALL_RREF_ENTRIES
@@ -17,7 +21,7 @@ overhead; larger ones are reduced with one vectorised row operation per
 pivot.
 
 All matrix routines are exact and deterministic.  Matrices are numpy arrays
-of dtype int16 (int64 internally where products can overflow).
+of dtype int16 (float64 and int64 internally where products can overflow).
 """
 
 from __future__ import annotations
@@ -130,11 +134,13 @@ class Field:
         if np.count_nonzero(self._inv_t[1:]) != q - 1:
             raise FieldError("modulus is not irreducible over GF(p)")
 
-        # for matmul: the base-p digits of each element, and the GF(p)-matrices
-        # of x -> x * b: _blowup[i, b] holds the digits of t^i * b
-        self._digits = digits
+        # for matmul, in float64 so that its product runs on BLAS: the base-p
+        # digits of each element, and the GF(p)-matrices of x -> x * b
+        # (_blowup[i, b] holds the digits of t^i * b)
+        self._digits = digits.astype(np.float64)
+        self._blowup = self._digits[self._mul_t[powers]]
         self._powers = powers
-        self._blowup = digits[self._mul_t[powers]]
+        self._krange = np.arange(k)[:, None]
 
         # for the small-shape rref: the tables as nested Python lists
         self._mul_l = self._mul_t.tolist()
@@ -189,17 +195,22 @@ class Field:
         return np.eye(n, dtype=np.int16)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b as one integer product over GF(p): the base-p digits of a
-        (m x nk) times the blow-up of b into multiplication matrices
-        (nk x rk), reduced mod p and recombined digit by digit."""
+        """a @ b as one product over GF(p): the base-p digits of a (m x nk)
+        times the blow-up of b into multiplication matrices (nk x rk),
+        reduced mod p and recombined digit by digit.
+
+        The product is taken in float64, so BLAS runs it.  Its entries are
+        integers of at most n k (p-1)^2 < 2^53, exact whatever order the sum
+        is taken in; they are reduced as int64 (int32 would overflow for
+        GF(251) once n reaches 34,360)."""
         a = np.asarray(a, dtype=np.int16)
         b = np.asarray(b, dtype=np.int16)
         if a.shape[1] != b.shape[0]:
             raise FieldError(f"shape mismatch {a.shape} @ {b.shape}")
         (m, n), r, k = a.shape, b.shape[1], self.k
         digits = self._digits.take(a, axis=0).reshape(m, n * k)
-        blown = self._blowup[np.arange(k)[:, None], b[:, None, :]].reshape(n * k, r * k)
-        out = digits @ blown
+        blown = self._blowup[self._krange, b[:, None, :]].reshape(n * k, r * k)
+        out = (digits @ blown).astype(np.int64)
         out %= self.p
         return (out.reshape(m, r, k) @ self._powers).astype(np.int16)
 
@@ -207,10 +218,13 @@ class Field:
         """Coordinate rows of every product x_a y_b of an algebra with
         structure constants t, t[i, j] the coordinates of b_i b_j: row
         b * len(x) + a holds x_a y_b.  Two matrix products: x_a b_j for all
-        a, j, then contracted with y."""
+        a, j, then contracted with y.  Each is taken as (B^T A^T)^T, so that
+        matmul blows up x and y k^2-fold and the d x d^2 tensor only k-fold."""
         d, nx, ny = t.shape[0], len(x), len(y)
-        xt = self.matmul(x, t.reshape(d, d * d)).reshape(nx, d, d)
-        return self.matmul(y, xt.transpose(1, 0, 2).reshape(d, nx * d)).reshape(ny * nx, d)
+        x, y = np.asarray(x, dtype=np.int16), np.asarray(y, dtype=np.int16)
+        xt = self.matmul(t.reshape(d, d * d).T, x.reshape(nx, d).T).T.reshape(nx, d, d)
+        xt = xt.transpose(1, 0, 2).reshape(d, nx * d)
+        return self.matmul(xt.T, y.reshape(ny, d).T).T.reshape(ny * nx, d)
 
     def scale(self, c: int, a: np.ndarray) -> np.ndarray:
         return np.asarray(self.mul(int(c), np.asarray(a)), dtype=np.int16)

@@ -273,9 +273,10 @@ def flat_to_map(src: Module, tgt: Module, vec: np.ndarray) -> ModuleMap:
 def hom_space(m: Module, n: Module) -> list[ModuleMap]:
     """Canonical basis of Hom_A(m, n).
 
-    Solves the intertwining system N_a F_u = F_v M_a for every arrow
-    a: u -> v.  The result is the reduced-echelon basis of the solution
-    space in flat coordinates, so it is deterministic.
+    The maps F with N_a F_u = F_v M_a for every arrow a: u -> v, as the
+    reduced-echelon basis of that space in flat coordinates, so it is
+    deterministic.  Out of a projective m they come from the generators of
+    m; out of any other m, from the kernel of that intertwining system.
     """
     return [flat_to_map(m, n, vec) for vec in hom_flats(m, n)]
 
@@ -286,6 +287,17 @@ def hom_flats(m: Module, n: Module) -> np.ndarray:
 
 
 def _hom_flats(m: Module, n: Module) -> np.ndarray:
+    # out of a projective the generators give a basis with no system to
+    # solve; the echelon basis of a subspace is unique, so its row space has
+    # the bytes of the Kronecker kernel
+    if is_projective(m):
+        return m.algebra.field.row_space(_generated_hom_flats(m, n))
+    return _kronecker_flats(m, n)
+
+
+def _kronecker_flats(m: Module, n: Module) -> np.ndarray:
+    """The echelon basis of Hom_A(m, n) as the kernel of the intertwining
+    system N_a F_u = F_v M_a, one block of rows per arrow a: u -> v."""
     f = m.algebra.field
     nv = len(m.dims)
     sizes = [n.dims[v] * m.dims[v] for v in range(nv)]
@@ -308,6 +320,61 @@ def _hom_flats(m: Module, n: Module) -> np.ndarray:
         rows.append(block)
     system = np.concatenate(rows, axis=0) if rows else np.zeros((0, total), dtype=np.int16)
     return f.kernel(system)
+
+
+def _generated_hom_flats(p: Module, n: Module) -> np.ndarray:
+    """A basis of Hom_A(p, n) for a projective p, as flat rows, with no
+    linear system to solve: a map out of a projective is free on its
+    generators.
+
+    The generators g_i at v_i are the top generators of p (as in
+    projective_cover).  The vectors b g_i, b running over the paths from v_i
+    to w, form a basis of p_w, the columns of E_w.  The map sending g_i to
+    x_i in e_{v_i} n sends b g_i to N_b x_i (the columns of G_w), so its
+    block at w is F_w = G_w E_w^-1.  Row (i, j) is the map sending g_i to
+    the j-th unit vector of n_{v_i} and every other generator to 0; the rows
+    are a basis, not the echelon one.
+    """
+    f = p.algebra.field
+    blocks = [[np.zeros((0, n.dims[w] * pw), dtype=np.int16)] for w, pw in enumerate(p.dims)]
+    for v, m_v, rights in _generator_inverses(p):
+        if n.dims[v] == 0:
+            continue
+        # the generators at v share G: row (j, r) and column b hold (N_b)[r, j]
+        for w, (x, right) in enumerate(zip(_path_images(n, v, slice(None)), rights)):
+            (nw, nv, paths), pw = x.shape, p.dims[w]
+            out = f.matmul(x.transpose(1, 0, 2).reshape(nv * nw, paths), right)
+            blocks[w].append(out.reshape(nv, nw, m_v, pw).transpose(2, 0, 1, 3)
+                             .reshape(m_v * nv, nw * pw))
+    return np.concatenate([np.concatenate(b) for b in blocks], axis=1)
+
+
+def _generator_inverses(p: Module) -> list[tuple[int, int, list[np.ndarray]]]:
+    """For a projective p, (v, m_v, rights) for each vertex v holding m_v
+    top generators: rights[w] holds the rows of E_w^-1 (E_w as in
+    _generated_hom_flats) that belong to the columns b g_i of the
+    generators at v, as a paths x (m_v dims[w]) matrix.  Kept in the
+    algebra memo, since Homs out of one projective are asked for many
+    targets."""
+    def build():
+        f = p.algebra.field
+        gens = _top_generators(p)
+        tops = [(v, sum(u == v for u, _ in gens)) for v in sorted({v for v, _ in gens})]
+        out = [(v, m_v, []) for v, m_v in tops]
+        for w, e in enumerate(_generator_images(p, gens)):
+            pw = p.dims[w]
+            e_inv = f.matinv(e) if e.shape == (pw, pw) else None
+            if e_inv is None:
+                raise PresentationError("paths on the top generators are not a basis "
+                                        "of the module: it is not projective")
+            start = 0
+            for v, m_v, rights in out:
+                paths = len(p.algebra.projective_basis_words(v, w))
+                block = e_inv[start: start + m_v * paths].reshape(m_v, paths, pw)
+                rights.append(block.transpose(1, 0, 2).reshape(paths, m_v * pw))
+                start += m_v * paths
+        return out
+    return p.algebra.cached(("generator inverses", p.key), build)
 
 
 def end_space(m: Module) -> list[ModuleMap]:
@@ -488,13 +555,15 @@ def cokernel(fmap: ModuleMap, name: str = "coker") -> tuple[Module, ModuleMap]:
 
 def radical(m: Module) -> list[np.ndarray]:
     """Per-vertex row bases of rad(A) m = sum of arrow images."""
-    f = m.algebra.field
-    nv = len(m.dims)
-    spaces = [np.zeros((0, m.dims[v]), dtype=np.int16) for v in range(nv)]
-    for a, (_, u, v) in enumerate(m.algebra.arrows):
-        img = m.mats[a].T
-        spaces[v] = f.row_space(np.concatenate([spaces[v], img], axis=0))
-    return spaces
+    return [m.algebra.field.row_space(img) for img in _arrow_images(m)]
+
+
+def _arrow_images(m: Module) -> list[np.ndarray]:
+    """Per vertex v, the columns of every arrow into v, as rows of m_v."""
+    images = [[np.zeros((0, d), dtype=np.int16)] for d in m.dims]
+    for a, (_, _u, v) in enumerate(m.algebra.arrows):
+        images[v].append(m.mats[a].T)
+    return [np.concatenate(i) for i in images]
 
 
 def radical_submodule(m: Module) -> tuple[Module, ModuleMap]:
@@ -502,8 +571,8 @@ def radical_submodule(m: Module) -> tuple[Module, ModuleMap]:
 
 
 def top_dims(m: Module) -> tuple[int, ...]:
-    rad = radical(m)
-    return tuple(m.dims[v] - rad[v].shape[0] for v in range(len(m.dims)))
+    gens = [v for v, _ in _top_generators(m)]
+    return tuple(gens.count(v) for v in range(len(m.dims)))
 
 
 def socle_dims(m: Module) -> tuple[int, ...]:
@@ -557,39 +626,64 @@ def projective_cover(m: Module):
         top of m; generators are the echelon complement of rad m.
     """
     A = m.algebra
-    f = A.field
-    rad = radical(m)
-    gens = []  # (vertex, local generator vector)
-    for v in range(len(m.dims)):
-        r, piv = f.rref(rad[v])
-        free = [c for c in range(m.dims[v]) if c not in piv]
-        for c in free:
-            e = np.zeros(m.dims[v], dtype=np.int16)
-            e[c] = 1
-            gens.append((v, e))
+    gens = _top_generators(m)
     if not gens:
         p = zero_module(A)
         return p, ModuleMap(p, m, [np.zeros((m.dims[v], 0), dtype=np.int16)
                                    for v in range(len(m.dims))])
-    summands = [A.projective(v) for v, _ in gens]
-    p, injs, _ = direct_sum(summands, name=f"P({m.name})")
-    blocks = [np.zeros((m.dims[w], p.dims[w]), dtype=np.int16) for w in range(len(m.dims))]
-    col_off = [0] * len(m.dims)
-    for (v, gen), pv in zip(gens, summands):
-        for w in range(len(m.dims)):
-            for j, bidx in enumerate(A.projective_basis_words(v, w)):
-                word = A.basis_words[bidx]
-                if word:
-                    vec = f.matmul(m.word_action(word), gen[:, None]).reshape(-1)
-                else:
-                    vec = gen
-                blocks[w][:, col_off[w] + j] = vec
-        for w in range(len(m.dims)):
-            col_off[w] += pv.dims[w]
-    epi = ModuleMap(p, m, blocks)
+    p = direct_sum([A.projective(v) for v, _ in gens], name=f"P({m.name})")[0]
+    epi = ModuleMap(p, m, _generator_images(m, gens))
     if not epi.is_surjective_map():
         raise PresentationError("projective cover construction failed to surject")
     return p, epi
+
+
+def _top_generators(m: Module) -> tuple[tuple[int, int], ...]:
+    """(vertex, coordinate) of each unit vector in the echelon complement of
+    rad m: a basis of m modulo its radical, in vertex order.  Kept in the
+    algebra memo: top_dims, is_projective, projective_cover and hom_flats
+    all read it."""
+    def build():
+        f = m.algebra.field
+        gens = []
+        for v, img in enumerate(_arrow_images(m)):
+            piv = f.rref(img)[1]
+            gens.extend((v, c) for c in range(m.dims[v]) if c not in piv)
+        return tuple(gens)
+    return m.algebra.cached(("top", m.key), build)
+
+
+def _path_images(m: Module, v: int, cols) -> list[np.ndarray]:
+    """Per vertex w, the images M_b e_c of the unit vectors e_c of m_v, c in
+    cols (an index list or slice), under the basis paths b from v to w,
+    stacked on a last axis (dims[w] x len(cols) x paths).  An arrow's image
+    is a column selection, a longer path's its prefix's times one arrow."""
+    A = m.algebra
+    images = {(): np.eye(m.dims[v], dtype=np.int16)[:, cols]}
+
+    def image(word):
+        if word not in images:
+            images[word] = (m.mats[word[0]][:, cols] if len(word) == 1 else
+                            A.field.matmul(m.mats[word[-1]], image(word[:-1])))
+        return images[word]
+
+    out = []
+    for w in range(len(m.dims)):
+        stack = [image(A.basis_words[b]) for b in A.projective_basis_words(v, w)]
+        out.append(np.stack(stack, axis=2) if stack else
+                   np.zeros((m.dims[w], images[()].shape[1], 0), dtype=np.int16))
+    return out
+
+
+def _generator_images(m: Module, gens: tuple[tuple[int, int], ...]) -> list[np.ndarray]:
+    """Per vertex w, one column b g per generator g = e_c at v in gens (in
+    order) and basis path b from v to w: the vertex blocks of the map onto
+    m from the sum of the P(v)."""
+    blocks = [[np.zeros((d, 0), dtype=np.int16)] for d in m.dims]
+    for v in sorted({v for v, _ in gens}):
+        for w, x in enumerate(_path_images(m, v, [c for u, c in gens if u == v])):
+            blocks[w].append(x.reshape(m.dims[w], x.shape[1] * x.shape[2]))
+    return [np.concatenate(b, axis=1) for b in blocks]
 
 
 def cover_kernel(m: Module):

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from stabrec import fixtures
+from stabrec import fixtures, io
 from stabrec.algebra import Algebra, _has_unit_point
 from stabrec.errors import Inconclusive, PresentationError
 from stabrec.gf import Field
@@ -244,6 +244,38 @@ def test_gr_oracle_adapted(lam):
     g = a.gr_oracle()
     g.verify()
     assert g.dims_by_degree() == {0: 1, 1: 1, 2: 1}
+
+
+# sha256 of the canonical gr_oracle() dump of each corpus algebra
+GR_ORACLE_SHA256 = {
+    "lambda4": "e145ff86bd9d40dd5f8c325e473b2230cd054f5a763b8e3e6368e40ea2af6749",
+    "n3": "18d07be50d92819f131d26fb512a4e157afd0223c19a3279c1726eeb640e076f",
+    "kx2": "7dbb53d1087ec3349b0ac2e87ff196320841596425d8a31c9efd2eb4157b7c1c",
+    "nak3": "ac7a5ebc7640a43f7f28be5e78bc4dc82cc8398a7ae01c56d0c156dfdeadaec4",
+    "ka4": "822e9828efff38bb053fb0d57bcaa1089a8ab9e31d2e983720df0564ff9c5613",
+}
+
+
+@pytest.mark.parametrize("name", fixtures.CORPUS)
+def test_products_keep_the_gr_oracle_bytes(name):
+    # Field.products takes both of its matrix products transposed; the
+    # bytes must be those of the plain x t, then y (x t), on the structure
+    # tensors of gr_oracle() and of A, and the oracle dump must not move
+    a = fixtures.load(name)
+    f = a.field
+    g = a.gr_oracle()
+    assert io.sha256_text(io.canon_dumps(io.dump_graded(g))) == GR_ORACLE_SHA256[name]
+    rng = np.random.default_rng(len(name))
+    for t in (g.table, a.mult):
+        d = t.shape[0]
+        x = rng.integers(0, f.q, size=(d + 1, d)).astype(np.int16)
+        y = rng.integers(0, f.q, size=(3, d)).astype(np.int16)
+        xt = f.matmul(x, t.reshape(d, d * d)).reshape(len(x), d, d)
+        plain = f.matmul(y, xt.transpose(1, 0, 2).reshape(d, len(x) * d))
+        assert f.products(t, x, y).tobytes() == plain.reshape(len(y) * len(x), d).tobytes()
+    eye = f.eye(g.dim)
+    every = f.products(g.table, eye, eye).reshape(g.dim, g.dim, g.dim)
+    assert every.transpose(1, 0, 2).tobytes() == np.ascontiguousarray(g.table).tobytes()
 
 
 def test_gr_oracle_staircase_not_adapted():

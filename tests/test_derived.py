@@ -193,6 +193,25 @@ def test_derived_hom_projective_fast_path(lam):
     assert via_res == derived_hom_dims(su, lam.projective(1), w)
 
 
+def test_derived_and_endo_dims_of_a_cube_are_nine_times():
+    # ka4 with X the sum of the syzygies of its simples: Hom is additive in
+    # each variable, so X^3 has 9 times the derived Hom and endomorphism
+    # cohomology dims of X (Hom out of resolution terms up to (60, 60, 60))
+    alg = fixtures.load("ka4")
+    x = direct_sum([syzygy(s, 1) for s in fixtures.simples(alg)], name="X")[0]
+    x3 = direct_sum([x] * 3, name="X^3")[0]
+
+    def dims(m):
+        res = projective_resolution(as_complex(m), 2)
+        endo = endo_dg_cohomology([res.complex])
+        return derived_hom_dims(m, m, (-3, 3)), tuple(endo[n] for n in sorted(endo))
+
+    (hom1, endo1), (hom3, endo3) = dims(x), dims(x3)
+    assert hom1 == (0, 0, 0, 9, 6, 9, 12) and endo1 == (18, 48, 18)
+    assert hom3 == tuple(9 * d for d in hom1)
+    assert endo3 == tuple(9 * d for d in endo1)
+
+
 def test_resolution_period_two(lam):
     su = lam.simple(0)
     res = projective_resolution(as_complex(su), 3)

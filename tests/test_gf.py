@@ -218,6 +218,32 @@ def test_matmul_against_naive(fm):
     assert np.array_equal(f.matmul(a, b), expect.astype(np.int16))
 
 
+def reference_matmul(f, a, b):
+    """a @ b from the field's tables and int64 sums: every product a_ij b_jk
+    by the multiplication table, summed in base-p digits."""
+    prods = f.mul(a[:, :, None], b[None, :, :]).astype(np.int64)
+    powers = f.p ** np.arange(f.k, dtype=np.int64)
+    digits = (prods[..., None] // powers) % f.p
+    return ((digits.sum(axis=1) % f.p) @ powers).astype(np.int16)
+
+
+@pytest.mark.parametrize("f", [F2, Field(3), F4, F5, Field(2, 8), F251],
+                         ids=lambda f: f"GF({f.q})")
+@pytest.mark.parametrize("m,n,r", [(3, 4000, 2), (5, 7, 6), (0, 4, 3), (3, 0, 4),
+                                   (4, 5, 0), (0, 0, 0)])
+def test_matmul_against_int64_reference(f, m, n, r):
+    # the float64 product must be exact; with every entry q - 1 a prime
+    # field's sums reach their bound n (p - 1)^2, 2.5e8 for GF(251) at
+    # n = 4,000, past what float32 holds exactly
+    rng = np.random.default_rng(m * 100 + n + r)
+    a = rng.integers(0, f.q, size=(m, n)).astype(np.int16)
+    b = rng.integers(0, f.q, size=(n, r)).astype(np.int16)
+    for x, y in [(a, b), (np.full_like(a, f.q - 1), np.full_like(b, f.q - 1))]:
+        got = f.matmul(x, y)
+        assert got.dtype == np.int16 and got.shape == (m, r)
+        assert np.array_equal(got, reference_matmul(f, x, y))
+
+
 def reference_rref(f, a):
     """Gauss-Jordan with scalar field operations; same pivot rule as rref."""
     nrows, ncols = a.shape

@@ -30,6 +30,7 @@ from stabrec.modules import (
     extend_along_injection,
     factor_through_injection,
     factor_through_surjection,
+    flat_to_map,
     hom_space,
     hull_cokernel,
     image,
@@ -168,6 +169,37 @@ def test_projective_injective_flags(n3, lam):
     assert not is_projective(j1)
     assert is_projective(lam.projective(0))
     assert is_injective_module(lam.projective(0))  # self-injective algebra
+
+
+@pytest.mark.parametrize("name", fixtures.CORPUS + fixtures.EXTRAS)
+def test_hom_flats_out_of_projectives_keep_the_kernel_bytes(name):
+    # out of a projective, hom_flats is the row space of the generator basis;
+    # it must be the Kronecker kernel byte for byte.  Projectives in scrambled
+    # bases (one sum repeats a summand) and the zero module against
+    # projectives, injectives, simples, zero and a scrambled sum; staircase
+    # has projectives zero at some vertices, simples are zero at all but one
+    alg = fixtures.load(name)
+    ps = [alg.projective(v) for v in range(alg.nvertices)]
+    simples = fixtures.simples(alg)
+    sources = [scrambled(p, v) for v, p in enumerate(ps)]
+    sources += [scrambled(direct_sum(ps + ps[:1])[0], 11), zero_module(alg)]
+    targets = ps + [alg.injective(v) for v in range(alg.nvertices)] + simples
+    targets += [scrambled(direct_sum(ps + simples)[0], 12), zero_module(alg)]
+    for p in sources:
+        assert is_projective(p)
+        for n in targets:
+            got, want = modules._hom_flats(p, n), modules._kronecker_flats(p, n)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+            gen = modules._generated_hom_flats(p, n)
+            assert len(gen) == len(want)
+            assert all(flat_to_map(p, n, row).is_map() for row in gen)
+
+
+def test_generated_hom_flats_refuses_a_non_projective(n3):
+    # J2 has one generator, but its three paths do not give a basis of it
+    with pytest.raises(PresentationError, match="not projective"):
+        modules._generated_hom_flats(jordan(n3, 2), n3.projective(0))
 
 
 def test_direct_sum_witnesses(n3):
