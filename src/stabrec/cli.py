@@ -319,8 +319,9 @@ def main(argv=None) -> int:
         code, outcome, artifacts = EXIT_UNDECIDED, "undecided", []
         result = {"reason": str(e)}
     except StabrecError as e:
-        print(f"stabrec: {e}", file=sys.stderr)
-        return EXIT_FAIL
+        # anything else the engine refused: report it, as a failure
+        code, outcome, artifacts = EXIT_FAIL, "error", []
+        result = {"reason": str(e)}
     seconds = time.perf_counter() - started
     listed = [{"name": name, "schema": schema, "sha256": io.sha256_text(text)}
               for name, schema, text in artifacts]

@@ -28,11 +28,11 @@ import random
 import numpy as np
 
 from .errors import PresentationError, Undecided
-from .modules import (Module, ModuleMap, zero_module, hom_space, hom_flats,
+from .modules import (Module, ModuleMap, zero_module, hom_flats, compose_flats,
                       direct_sum, kernel, quotient, submodule, cokernel, pullback,
                       projective_cover, injective_hull, ext1, ses_class,
                       is_exact_pair, is_projective, is_injective_module,
-                      match_summands, module_isomorphic,
+                      match_summands, module_isomorphic, lift_through_surjection,
                       factor_through_surjection, factor_through_injection,
                       combine, _map_image_rows, _sum2)
 from .stable import _gate, stable_core, stably_isomorphic, syzygy, \
@@ -181,40 +181,30 @@ def complex_sum(parts: list[Complex], name: str | None = None) -> Complex:
 
 def _layout(x: Complex, y: Complex, n: int):
     """Flat Hom^n(X, Y) rows, ModuleMap.flat after ModuleMap.flat: source
-    degree p -> per vertex v (column slice, dim Y^{p+n}_v, dim X^p_v) for
-    each p with X^p and Y^{p+n} nonzero; and the row width."""
+    degree p -> its column slice, for each p with X^p and Y^{p+n} nonzero;
+    and the row width."""
     out, pos = {}, 0
     for p in [p for p in x.degrees() if p + n in y.terms]:
-        out[p] = []
-        for a, c in zip(y.terms[p + n].dims, x.terms[p].dims):
-            out[p].append((slice(pos, pos + a * c), a, c))
-            pos += a * c
+        size = sum(a * c for a, c in zip(y.terms[p + n].dims, x.terms[p].dims))
+        out[p] = slice(pos, pos + size)
+        pos += size
     return out, pos
 
 
 def _total_d(x: Complex, y: Complex, n: int, rows: np.ndarray) -> np.ndarray:
     """D on every row of a matrix of flat Hom^n(X, Y) coordinates, as flat
-    Hom^{n+1} rows: one product per (position, vertex, side)."""
+    Hom^{n+1} rows: one compose_flats per position and side."""
     fld = x.algebra.field
     (src, _), (dst, width) = _layout(x, y, n), _layout(x, y, n + 1)
-    r = len(rows)
-    out = np.zeros((r, width), dtype=np.int16)
+    out = np.zeros((len(rows), width), dtype=np.int16)
     tail = fld.sub_mat if n % 2 == 0 else fld.add_mat   # -(-1)^n g d_X
-    for q, cols in dst.items():
+    for q, cut in dst.items():
         dy, dx = y.diffs.get(q + n), x.diffs.get(q)
-        for v, (cut, a, c) in enumerate(cols):
-            if not r or not a * c:
-                continue
-            # d_Y g_q as (g_q^T d_Y^T)^T: Field.matmul blows up its right
-            # factor k^2-fold, so the stacked rows stay on the left
-            if dy is not None and src[q][v][1]:
-                g = rows[:, src[q][v][0]].reshape(r, -1, c).transpose(0, 2, 1)
-                img = fld.matmul(g.reshape(r * c, -1), dy.blocks[v].T)
-                out[:, cut] = img.reshape(r, c, a).transpose(0, 2, 1).reshape(r, -1)
-            if dx is not None and src[q + 1][v][2]:
-                g = rows[:, src[q + 1][v][0]].reshape(r * a, -1)
-                img = fld.matmul(g, dx.blocks[v])
-                out[:, cut] = tail(out[:, cut], img.reshape(r, -1))
+        if dy is not None:
+            out[:, cut] = compose_flats(rows[:, src[q]], x.terms[q], y.terms[q + n], left=dy)
+        if dx is not None:
+            img = compose_flats(rows[:, src[q + 1]], x.terms[q + 1], y.terms[q + n + 1], right=dx)
+            out[:, cut] = tail(out[:, cut], img)
     return out
 
 
@@ -235,9 +225,8 @@ def total_hom_dims(x: Complex, y: Complex, window: tuple[int, int]) -> tuple[int
     for n in range(a - 1, b + 1):
         layout, width = _layout(x, y, n)
         basis = np.concatenate([np.zeros((0, width), dtype=np.int16)] + [
-            np.pad(hom_flats(x.terms[p], y.terms[p + n]),
-                   ((0, 0), (cols[0][0].start, width - cols[-1][0].stop)))
-            for p, cols in layout.items()])
+            np.pad(hom_flats(x.terms[p], y.terms[p + n]), ((0, 0), (cut.start, width - cut.stop)))
+            for p, cut in layout.items()])
         image = _total_d(x, y, n, basis)
         if np.any(_total_d(x, y, n + 1, image)):
             raise PresentationError(
@@ -331,16 +320,13 @@ def _check_resolution(res: Resolution):
 def _safe_depth(x: Complex, y: Complex, window: tuple[int, int]) -> int:
     """Resolution depth after which dims in the window are exact.
 
-    Two bounds are taken together: the coarse margin width(Y) + span + 2,
-    and the cut bound min(X) - depth + 1 <= min(Y) - b - 2 which keeps the
-    truncated degree strictly out of Hom range for every shift in the
-    window (Hom out of the cut term lands in degrees >= cut + b - ...).
+    The cut degree min(X) - depth + 1 is kept at or below min(Y) - b - 2:
+    H^n of the total Hom complex, n <= b, reads Hom^{n+1}(P, Y) only at
+    positions p >= min(Y) - b - 1, which lie strictly above the cut, where
+    the truncated resolution agrees with the full one.
     """
     a, b = window
-    width_y = y.max_degree() - y.min_degree() + 1
-    coarse = width_y + (b - a) + 2
-    exact = x.min_degree() - y.min_degree() + b + 3
-    return max(coarse, exact, 1)
+    return max(x.min_degree() - y.min_degree() + b + 3, 1)
 
 
 def derived_hom_dims(x, y, window: tuple[int, int],
@@ -784,7 +770,6 @@ def _pair_analysis(upper: TowerStep, lower: TowerStep):
     stable isomorphism (then the pair cancels).  Anything else means the
     tower data contradicts the hypotheses.
     """
-    fld = upper.sub.src.algebra.field
     g = upper.sub.compose(lower.sub)              # A_low -> E_up
     t_mid, proj_t = quotient(upper.sub.tgt, _map_image_rows(g), name="mid")
     m = factor_through_surjection(lower.quot, proj_t.compose(upper.sub))
@@ -799,19 +784,8 @@ def _pair_analysis(upper: TowerStep, lower: TowerStep):
             raise PresentationError(
                 "tower extension class violates the stable Hom hypotheses")
         return "cancel", None
-    # split: section of b, then pull the complementary submodule back
-    c_up = b.tgt
-    homs = hom_space(c_up, t_mid)
-    if c_up.dim == 0:
-        section = ModuleMap.zero(c_up, t_mid)
-    else:
-        if not homs:
-            raise PresentationError("zero class but no splitting was found")
-        rows = np.stack([b.compose(h).flat() for h in homs])
-        coeffs = fld.solve(rows.T, ModuleMap.identity(c_up).flat())
-        if coeffs is None:
-            raise PresentationError("zero class but no splitting was found")
-        section = combine(homs, coeffs)
+    # split: a section of b, then pull the complementary submodule back
+    section = lift_through_surjection(b, ModuleMap.identity(b.tgt))
     pre = _preimage_rows(proj_t, _map_image_rows(section))
     a_new, incl = submodule(upper.sub.tgt, pre, name="swap-sub")
     c_new, proj_new = quotient(upper.sub.tgt, pre, name="swap-layer")

@@ -27,9 +27,12 @@ from .modules import (
     cokernel,
     combine,
     combinations,
+    compose_flats,
     decompose,
     direct_sum,
     extend_along_injection,
+    flat_to_map,
+    hom_flats,
     hom_space,
     injective_hull,
     is_projective,
@@ -42,7 +45,7 @@ from .modules import (
     submodule_closure,
     zero_module,
 )
-from .stable import projective_maps, stable_hom, stably_isomorphic
+from .stable import _projective_flats, stable_hom, stably_isomorphic
 
 
 # -- row-space plumbing --------------------------------------------------------
@@ -726,17 +729,17 @@ def align_surjections(f: ModuleMap, fp: ModuleMap) -> ModuleMap:
     fld = m.algebra.field
     if not stable_hom(m, f.tgt).is_projective_map(f.sub(fp)):
         raise PresentationError("maps are not stably equal")
-    pend = stable_hom(m, m).proj
-    if not pend:
+    pend = _projective_flats(m, m)
+    if not len(pend):
         if np.any(f.sub(fp).flat()):
             raise PresentationError("no projective endomorphisms to adjust by")
         return ModuleMap.identity(m)
-    prods = np.stack([f.compose(p).flat() for p in pend]).T
+    prods = compose_flats(pend, m, m, left=f).T
     c = fld.solve(prods, fp.sub(f).flat())
     if c is None:
         raise PresentationError("stable equality failed to lift")
-    h0 = combine(pend, c)
-    dirs = [combine(pend, row) for row in fld.kernel(prods) if np.any(row)]
+    h0 = flat_to_map(m, m, fld.matmul(c[None, :], pend)[0])
+    dirs = [flat_to_map(m, m, d) for d in fld.matmul(fld.kernel(prods), pend)]
     try:
         sigma = lift_to_surjection(ModuleMap.identity(m).add(h0), dirs)
     except NoSurjectionInCoset as e:
@@ -746,25 +749,12 @@ def align_surjections(f: ModuleMap, fp: ModuleMap) -> ModuleMap:
     return sigma
 
 
-def _extend_projective_map(incl: ModuleMap, p: ModuleMap,
-                           tgt: Module) -> ModuleMap:
+def _extend_projective_map(incl: ModuleMap, p: ModuleMap) -> ModuleMap:
     """Projective q: M -> tgt with q . incl = p, for projective p: N -> tgt
-    and incl: N -> M injective."""
-    sub = incl.src
-    fld = sub.algebra.field
-    _, iota = injective_hull(sub)
-    gs = hom_space(iota.tgt, tgt)
-    if not gs:
-        if np.any(p.flat()):
-            raise PresentationError("projective map fails to extend")
-        return ModuleMap.zero(incl.tgt, tgt)
-    mat = np.stack([g.compose(iota).flat() for g in gs]).T
-    c = fld.solve(mat, p.flat())
-    if c is None:
-        raise PresentationError("map is not projective through the hull")
-    gamma = combine(gs, c)
-    iota2 = extend_along_injection(incl, iota)
-    return gamma.compose(iota2)
+    and incl: N -> M injective: p extends along the injective hull iota of
+    N, and iota along incl."""
+    _, iota = injective_hull(incl.src)
+    return extend_along_injection(iota, p).compose(extend_along_injection(incl, iota))
 
 
 def align_filtrations(f1: Filtration, f2: Filtration) -> ModuleMap:
@@ -792,18 +782,18 @@ def align_filtrations(f1: Filtration, f2: Filtration) -> ModuleMap:
             return ModuleMap.identity(cur)
         la, qa = quotient(cur, chain_a[1], name="LA")
         lb, qb = quotient(cur, chain_b[1], name="LB")
-        homs = hom_space(lb, la)
-        if not homs:
+        homs = hom_flats(lb, la)
+        h = len(homs)
+        if not h:
             raise PresentationError("no maps between top layers")
-        pmaps = projective_maps(cur, la)
-        cols = [h.compose(qb).flat() for h in homs] + [p.flat() for p in pmaps]
-        mat = np.stack(cols).T
+        mat = np.concatenate([compose_flats(homs, lb, la, right=qb),
+                              _projective_flats(cur, la)]).T
         sol = fld.solve(mat, qa.flat())
         if sol is None:
             raise PresentationError("layer quotients are not stably equal")
-        psi0 = combine(homs, sol[: len(homs)])
-        dirs = [combine(homs, row[: len(homs)]) for row in fld.kernel(mat)
-                if np.any(row[: len(homs)])]
+        psi0 = flat_to_map(lb, la, fld.matmul(sol[None, :h], homs)[0])
+        ker = fld.kernel(mat)[:, :h]
+        dirs = [flat_to_map(lb, la, d) for d in fld.matmul(ker[ker.any(axis=1)], homs)]
         # level 0 is stably bijective, so the directions are projective
         # maps between add(S) modules: radical, with zero tops
         try:
@@ -821,7 +811,7 @@ def align_filtrations(f1: Filtration, f2: Filtration) -> ModuleMap:
         p = tau.sub(ModuleMap.identity(sub))
         if not np.any(p.flat()):
             return sigma1
-        qmap = _extend_projective_map(incl, p, sub)
+        qmap = _extend_projective_map(incl, p)
         sigma2 = ModuleMap.identity(cur).add(incl.compose(qmap))
         if not sigma2.is_iso():
             raise PresentationError("extension of the inner automorphism failed")

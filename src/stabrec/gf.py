@@ -336,27 +336,19 @@ class Field:
         return self.row_space(basis)
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        """One solution x of a x = b (free variables set to 0), or None."""
-        a = np.asarray(a, dtype=np.int16)
-        b = np.asarray(b, dtype=np.int16).reshape(-1)
-        if b.shape[0] != a.shape[0]:
-            raise FieldError("rhs length mismatch")
-        aug = np.concatenate([a, b[:, None]], axis=1)
-        r, piv = self.rref(aug)
-        ncols = a.shape[1]
-        if ncols in piv:
-            return None
-        x = np.zeros(ncols, dtype=np.int16)
-        for ri, pc in enumerate(piv):
-            x[pc] = r[ri, ncols]
-        return x
+        """One solution x of a x = b (free variables set to 0), or None: the
+        one-column case of solve_matrix."""
+        x = self.solve_matrix(a, np.asarray(b, dtype=np.int16).reshape(-1, 1))
+        return None if x is None else x[:, 0]
 
     def solve_matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        """One solution X of a X = b for matrix right-hand side, or None."""
+        """One solution X of a X = b for matrix right-hand side (free
+        variables set to 0), or None."""
         a = np.asarray(a, dtype=np.int16)
         b = np.asarray(b, dtype=np.int16)
-        aug = np.concatenate([a, b], axis=1)
-        r, piv = self.rref(aug)
+        if b.shape[0] != a.shape[0]:
+            raise FieldError("rhs length mismatch")
+        r, piv = self.rref(np.concatenate([a, b], axis=1))
         ncols = a.shape[1]
         if any(pc >= ncols for pc in piv):
             return None

@@ -162,9 +162,6 @@ class GradedIso:
         for d, block in blocks.items():
             self.matrix[np.ix_(tgt.degree_indices(d), src.degree_indices(d))] = block
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.src.field.matmul(self.matrix, np.reshape(x, (-1, 1))).reshape(-1)
-
     def verify(self) -> bool:
         g, h, f = self.src, self.tgt, self.src.field
         img = self.matrix.T  # row i: the image of b_i

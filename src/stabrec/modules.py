@@ -231,33 +231,56 @@ def combinations(maps: list[ModuleMap], coeff_rows) -> Iterator[ModuleMap]:
 def lift_through_surjection(epi: ModuleMap, f: ModuleMap) -> ModuleMap:
     """Some L with epi L = f, or raise.  Always solvable when f.src is
     projective and epi is surjective."""
-    fld = epi.src.algebra.field
-    homs = hom_space(f.src, epi.src)
-    if not homs:
-        if f.is_zero():
-            return ModuleMap.zero(f.src, epi.src)
-        raise PresentationError("no lift exists: Hom is zero")
-    imgs = np.stack([epi.compose(h).flat() for h in homs])
-    c = fld.solve(imgs.T, f.flat())
-    if c is None:
+    h = _solve_hom(f.src, epi.src, f, left=epi)
+    if h is None:
         raise PresentationError("map does not lift through the surjection")
-    return combine(homs, c)
+    return h
 
 
 def extend_along_injection(mono: ModuleMap, f: ModuleMap) -> ModuleMap:
     """Some g with g mono = f, or raise.  Always solvable when f.tgt is
     injective and mono is injective."""
-    fld = mono.src.algebra.field
-    homs = hom_space(mono.tgt, f.tgt)
-    if not homs:
-        if f.is_zero():
-            return ModuleMap.zero(mono.tgt, f.tgt)
-        raise PresentationError("no extension exists: Hom is zero")
-    imgs = np.stack([h.compose(mono).flat() for h in homs])
-    c = fld.solve(imgs.T, f.flat())
-    if c is None:
+    g = _solve_hom(mono.tgt, f.tgt, f, right=mono)
+    if g is None:
         raise PresentationError("map does not extend along the injection")
-    return combine(homs, c)
+    return g
+
+
+def _solve_hom(src: Module, tgt: Module, f: ModuleMap, left: ModuleMap | None = None,
+               right: ModuleMap | None = None) -> ModuleMap | None:
+    """The h in Hom(src, tgt) with left h right = f whose coordinates in the
+    hom_flats basis have their free variables 0, or None if there is none."""
+    fld = src.algebra.field
+    basis = hom_flats(src, tgt)
+    c = fld.solve(compose_flats(basis, src, tgt, left, right).T, f.flat())
+    return None if c is None else flat_to_map(src, tgt, fld.matmul(c[None, :], basis)[0])
+
+
+def compose_flats(rows: np.ndarray, src: Module, tgt: Module, left: ModuleMap | None = None,
+                  right: ModuleMap | None = None) -> np.ndarray:
+    """The flat rows of left h right for every flat row h of Hom(src, tgt),
+    for left: tgt -> T and right: S -> src, either left out for the identity.
+
+    One field product per vertex and side, the stacked rows kept on the
+    left: Field.matmul blows up its right factor k^2-fold, so L h is taken
+    as (h^T L^T)^T.  Every reshape has explicit sizes, so no rows is fine."""
+    fld = src.algebra.field
+    r, out, pos = len(rows), [], 0
+    for v, (a, c) in enumerate(zip(tgt.dims, src.dims)):
+        h = rows[:, pos: pos + a * c]
+        pos += a * c
+        a2 = a if left is None else left.tgt.dims[v]
+        c2 = c if right is None else right.src.dims[v]
+        if not r * a * c * a2 * c2:
+            out.append(np.zeros((r, a2 * c2), dtype=np.int16))
+            continue
+        if right is not None:
+            h = fld.matmul(h.reshape(r * a, c), right.blocks[v]).reshape(r, a * c2)
+        if left is not None:
+            ht = h.reshape(r, a, c2).transpose(0, 2, 1).reshape(r * c2, a)
+            h = fld.matmul(ht, left.blocks[v].T).reshape(r, c2, a2).transpose(0, 2, 1)
+        out.append(h.reshape(r, a2 * c2))
+    return np.concatenate(out, axis=1)
 
 
 def flat_to_map(src: Module, tgt: Module, vec: np.ndarray) -> ModuleMap:
@@ -824,41 +847,21 @@ class Ext1:
         k, incl, p, epi = cover_kernel(m)
         self.k, self.incl, self.p, self.epi = k, incl, p, epi
         f = m.algebra.field
-        hom_kn = hom_space(k, n)
-        hom_pn = hom_space(p, n)
-        self._hom_kn = hom_kn
-        if not hom_kn:
-            self.dim = 0
-            self.reps = []
-            self._img = np.zeros((0, 0), dtype=np.int16)
-            self._basis_flat = np.zeros((0, 0), dtype=np.int16)
-            self._free = []
-            return
-        flat = np.stack([h.flat() for h in hom_kn])
-        img_vecs = [g.compose(incl).flat() for g in hom_pn]
-        img_coord = []
-        for vec in img_vecs:
-            c = f.solve(flat.T, vec)
-            if c is None:
-                raise PresentationError("restriction image escaped Hom(K, N)")
-            img_coord.append(c)
-        img_rows = f.row_space(np.array(img_coord, dtype=np.int16).reshape(len(img_coord), flat.shape[0])) \
-            if img_coord else np.zeros((0, flat.shape[0]), dtype=np.int16)
-        self._img = img_rows
+        flat = hom_flats(k, n)
+        # the restrictions g incl of all g: P -> N, in the basis of Hom(K, N)
+        coords = f.solve_matrix(flat.T, compose_flats(hom_flats(p, n), p, n, right=incl).T)
+        if coords is None:
+            raise PresentationError("restriction image escaped Hom(K, N)")
+        self._img = f.row_space(coords.T)
         self._basis_flat = flat
-        r, piv = f.rref(img_rows)
-        free = [c for c in range(flat.shape[0]) if c not in piv]
-        self.dim = len(free)
-        self.reps = [hom_kn[c] for c in free]
-        self._free = free
+        piv = f.rref(self._img)[1]
+        self._free = [c for c in range(len(flat)) if c not in piv]
+        self.dim = len(self._free)
+        self.reps = [flat_to_map(k, n, flat[c]) for c in self._free]
 
     def class_coords(self, g: ModuleMap) -> np.ndarray:
         """Coordinates of the class of g: K -> N in the chosen basis."""
         f = self.m.algebra.field
-        if not self._hom_kn:
-            if not g.is_zero():
-                raise PresentationError("map is not in Hom(K, N)")
-            return np.zeros(0, dtype=np.int16)
         c = f.solve(self._basis_flat.T, g.flat())
         if c is None:
             raise PresentationError("map is not in Hom(K, N)")

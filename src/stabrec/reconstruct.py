@@ -22,9 +22,9 @@ from stabrec.filtration import (Filtration, _empty_rows, _full_rows, _of_total,
                                 is_filtrable, padding_search,
                                 s_radical_filtration, verify_s_radical)
 from stabrec.graded import GradedAlgebra, graded_iso_check  # noqa: F401
-from stabrec.modules import (Module, ModuleMap, combine, cover_kernel,
+from stabrec.modules import (Module, ModuleMap, combine, combinations, cover_kernel,
                              direct_sum, factor_through_injection,
-                             factor_through_surjection, hom_space,
+                             factor_through_surjection, flat_to_map, hom_flats,
                              module_isomorphic, submodule)
 from stabrec.stable import check_simple_set, stable_hom
 
@@ -65,38 +65,40 @@ class FilteredModule:
 
 def filtered_maps(mf: FilteredModule, nf: FilteredModule,
                   shift: int = 0) -> list[ModuleMap]:
-    """Basis of the maps g with g(M_j) contained in N_{j+shift} for all j."""
+    """Basis of the maps g with g(M_j) contained in N_{j+shift} for all j.
+
+    A row w lies in the row space of C iff it pairs to zero with ker C, so
+    the condition on g is rows(M_j) G^T ker(N_{j+shift})^T = 0, G the global
+    matrix of g: one product per level and factor, over the global matrices
+    of the whole hom_flats basis at once."""
     m, n = mf.module, nf.module
     fld = m.algebra.field
-    homs = hom_space(m, n)
-    if not homs:
+    homs = hom_flats(m, n)
+    r = len(homs)
+    if not r:
         return []
     chain_m, chain_n = mf.filt.chain, nf.filt.chain
-    last = len(chain_n) - 1
+    gs = np.zeros((r, n.dim, m.dim), dtype=np.int16)
+    pos = 0
+    for v, (a, c) in enumerate(zip(n.dims, m.dims)):
+        gs[:, n.offsets[v]: n.offsets[v + 1], m.offsets[v]: m.offsets[v + 1]] = \
+            homs[:, pos: pos + a * c].reshape(r, a, c)
+        pos += a * c
     anns = {}
-
-    def ann(t: int) -> np.ndarray:
-        t = min(t, last)
+    parts = [np.zeros((r, 0), dtype=np.int16)]
+    for j, rows in enumerate(chain_m[:-1]):
+        s = rows.shape[0]
+        if not s:
+            continue
+        t = min(j + shift, len(chain_n) - 1)
         if t not in anns:
-            # w lies in the row space of C iff w pairs to zero with ker C
             anns[t] = fld.kernel(chain_n[t]).T
-        return anns[t]
-
-    cols = []
-    for h in homs:
-        gt = h.global_matrix().T
-        parts = []
-        for j in range(len(chain_m) - 1):
-            rows = chain_m[j]
-            if not rows.shape[0]:
-                continue
-            k = ann(j + shift)
-            parts.append(fld.matmul(fld.matmul(rows, gt), k).reshape(-1))
-        cols.append(np.concatenate(parts) if parts
-                    else np.zeros(0, dtype=np.int16))
-    mat = np.stack(cols, axis=1)
-    coeffs = fld.kernel(mat)
-    return [combine(homs, c) for c in coeffs]
+        k = anns[t]
+        img = fld.matmul(gs.reshape(r * n.dim, m.dim), rows.T).reshape(r, n.dim, s)
+        parts.append(fld.matmul(img.transpose(0, 2, 1).reshape(r * s, n.dim), k)
+                     .reshape(r, s * k.shape[1]))
+    coeffs = fld.kernel(np.concatenate(parts, axis=1).T)
+    return [flat_to_map(m, n, vec) for vec in fld.matmul(coeffs, homs)]
 
 
 def _induced_layer_map(f: ModuleMap, mf: FilteredModule, j: int,
@@ -191,10 +193,8 @@ def graded_hom(mf: FilteredModule, nf: FilteredModule) -> GradedHom:
                               for g in fmaps])
                     if fmaps else np.zeros((0, sh.dim), dtype=np.int16))
         image = fld.row_space(rows_all)
-        lifts = []
-        for r in image:
-            x = fld.solve(rows_all.T, r)
-            lifts.append(combine(fmaps, x))
+        xs = fld.solve_matrix(rows_all.T, image.T)
+        lifts = list(combinations(fmaps, xs.T)) if fmaps else []
         trivial = [combine(fmaps, c) for c in fld.kernel(rows_all.T)
                    if np.any(c)] if fmaps else []
         comps.append(GradedComponent(i, sh, image, lifts, trivial))

@@ -14,11 +14,12 @@ from .modules import (
     Module,
     ModuleMap,
     Summand,
+    compose_flats,
     cover_kernel,
     decompose,
     direct_sum,
     flat_to_map,
-    hom_space,
+    hom_flats,
     hull_cokernel,
     injective_hull,
     is_projective,
@@ -35,41 +36,42 @@ def _gate(algebra) -> None:
 
 def projective_maps(m: Module, n: Module) -> list[ModuleMap]:
     """Basis of the subspace of Hom(m, n) of maps factoring through a
-    projective module.
+    projective module, the canonical reduced one (see _projective_flats)."""
+    return [flat_to_map(m, n, r) for r in _projective_flats(m, n)]
+
+
+def _projective_flats(m: Module, n: Module) -> np.ndarray:
+    """The echelon basis of the maps m -> n that factor through a projective,
+    as flat rows.
 
     Every such map factors through the injective hull of m: injectives are
     projective here, and the hull embedding is a left factor of any map into
-    a projective-injective.  The basis is the canonical reduced one.
+    a projective-injective.  So they are the g mono, g in Hom(I(m), n).
     """
     _gate(m.algebra)
     if m.dim == 0 or n.dim == 0:
-        return []
-    fld = m.algebra.field
+        return np.zeros((0, 0), dtype=np.int16)
     _, mono = injective_hull(m)
-    homs = hom_space(mono.tgt, n)
-    if not homs:
-        return []
-    flats = np.stack([g.compose(mono).flat() for g in homs])
-    rows = fld.row_space(flats)
-    return [flat_to_map(m, n, r) for r in rows]
+    i = mono.tgt
+    return m.algebra.field.row_space(compose_flats(hom_flats(i, n), i, n, right=mono))
 
 
 class StableHom:
     """Hom(m, n) together with its projective subspace and a choice of coset
-    representatives completing it to a basis."""
+    representatives completing it to a basis; hom, proj and reps are lists
+    of maps."""
 
-    __slots__ = ("src", "tgt", "hom", "proj", "reps", "_basis_t")
+    __slots__ = ("src", "tgt", "hom", "proj", "reps", "_flats")
 
-    def __init__(self, src: Module, tgt: Module, hom, proj, reps):
+    def __init__(self, src: Module, tgt: Module, hom: np.ndarray, proj: np.ndarray,
+                 reps: list[int]):
+        """hom and proj as flat rows, reps as indices into hom."""
         self.src = src
         self.tgt = tgt
-        self.hom = hom
-        self.proj = proj
-        self.reps = reps
-        rows = [p.flat() for p in proj] + [r.flat() for r in reps]
-        w = src.dim * tgt.dim
-        self._basis_t = (np.stack(rows).T if rows
-                         else np.zeros((w, 0), dtype=np.int16))
+        self.hom = [flat_to_map(src, tgt, r) for r in hom]
+        self.proj = [flat_to_map(src, tgt, r) for r in proj]
+        self.reps = [self.hom[j] for j in reps]
+        self._flats = np.concatenate([proj, hom[reps]])
 
     @property
     def dim(self) -> int:
@@ -77,12 +79,7 @@ class StableHom:
 
     def coords(self, f: ModuleMap) -> np.ndarray:
         """Coordinates of the stable class of f in the representative basis."""
-        fld = self.src.algebra.field
-        if self._basis_t.shape[1] == 0:
-            if np.any(f.flat()):
-                raise PresentationError("map outside the Hom space")
-            return np.zeros(0, dtype=np.int16)
-        sol = fld.solve(self._basis_t, f.flat())
+        sol = self.src.algebra.field.solve(self._flats.T, f.flat())
         if sol is None:
             raise PresentationError("map outside the Hom space")
         return sol[len(self.proj):]
@@ -103,21 +100,12 @@ def stable_hom(m: Module, n: Module) -> StableHom:
 
 
 def _stable_hom(m: Module, n: Module) -> StableHom:
-    fld = m.algebra.field
-    hom = hom_space(m, n)
-    proj = projective_maps(m, n)
-    reps: list[ModuleMap] = []
-    if hom:
-        stack = ([p.flat() for p in proj]
-                 if proj else [np.zeros_like(hom[0].flat())])
-        cur = fld.row_space(np.stack(stack))
-        rank = cur.shape[0]
-        for h in hom:
-            trial = fld.row_space(np.concatenate([cur, h.flat()[None, :]]))
-            if trial.shape[0] > rank:
-                reps.append(h)
-                cur, rank = trial, trial.shape[0]
-    return StableHom(m, n, hom, proj, reps)
+    """The reps are the hom basis elements outside the span of the
+    projective maps and the earlier elements: the pivot columns past proj
+    of one rref of the columns [proj | hom]."""
+    hom, proj = hom_flats(m, n), _projective_flats(m, n)
+    piv = m.algebra.field.rref(np.concatenate([proj, hom]).T)[1]
+    return StableHom(m, n, hom, proj, [j - len(proj) for j in piv if j >= len(proj)])
 
 
 def stable_core(m: Module):
@@ -189,18 +177,13 @@ def nakayama_module(m: Module) -> Module:
     alg = m.algebra
     fld = alg.field
     regular, right = alg.cached("regular", lambda: _regular_module(alg))
-    homs = hom_space(m, regular)
-    h = len(homs)
-    if h == 0:
+    flats = hom_flats(m, regular)
+    if not len(flats):
         return zero_module(alg, name=f"nu({m.name})")
-    flats_t = np.stack([f.flat() for f in homs]).T
 
     def action(rmap: ModuleMap) -> np.ndarray:
-        cols = []
-        for f in homs:
-            sol = fld.solve_matrix(flats_t, rmap.compose(f).flat()[:, None])
-            cols.append(sol[:, 0])
-        return np.stack(cols, axis=1)
+        # column j: the coordinates of rmap f_j in the basis f of Hom(m, A)
+        return fld.solve_matrix(flats.T, compose_flats(flats, m, regular, left=rmap).T)
 
     # dual coordinates: y acts as rho(y)^T, so e_v picks out the row space
     # of rho(e_v) and the arrow action of a is right multiplication by rho(a)

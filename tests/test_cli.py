@@ -16,7 +16,7 @@ import stabrec
 from stabrec import cli, fixtures, io
 from stabrec.cli import main
 from stabrec.derived import Complex
-from stabrec.errors import Undecided
+from stabrec.errors import PresentationError, Undecided
 from stabrec.modules import direct_sum, hom_space, quotient, radical_series
 
 DATA = Path(stabrec.__file__).parent / "data"
@@ -400,6 +400,19 @@ def test_inconclusive_search_exits_2(capsys, monkeypatch):
     assert rep["schema"] == "runreport.v1"
     assert rep["outcome"] == "undecided"
     assert rep["result"] == {"reason": "filtration search hit its cap"}
+    assert rep["artifacts"] == []
+
+
+def test_engine_refusal_exits_1_with_a_report(capsys, monkeypatch):
+    def refused(args):
+        raise PresentationError("blocks do not commute with the arrow actions")
+
+    monkeypatch.setattr(cli, "cmd_validate", refused)
+    code, rep = run(capsys, "validate", str(DATA / "lambda4.json"))
+    assert code == 1
+    assert rep["schema"] == "runreport.v1"
+    assert rep["outcome"] == "error"
+    assert rep["result"] == {"reason": "blocks do not commute with the arrow actions"}
     assert rep["artifacts"] == []
 
 

@@ -23,6 +23,7 @@ from stabrec.modules import (
 )
 from stabrec.stable import stable_core, stable_hom, stably_isomorphic, syzygy
 from stabrec.derived import (
+    _safe_depth,
     Complex,
     Tower,
     TowerStep,
@@ -210,6 +211,22 @@ def test_derived_and_endo_dims_of_a_cube_are_nine_times():
     assert hom1 == (0, 0, 0, 9, 6, 9, 12) and endo1 == (18, 48, 18)
     assert hom3 == tuple(9 * d for d in hom1)
     assert endo3 == tuple(9 * d for d in endo1)
+
+
+def test_safe_depth_is_the_cut_bound():
+    # module to module over the window (-3, 3): the cut bound asks for 6
+    # terms, and 3 more change no answer (ka4 X and X^2, X the sum of the
+    # syzygies of the simples; every ordered pair of lambda4 or n3 simples)
+    ka4 = fixtures.load("ka4")
+    x = direct_sum([syzygy(s, 1) for s in fixtures.simples(ka4)], name="X")[0]
+    pairs = [(x, x), (direct_sum([x, x], name="X^2")[0],) * 2]
+    for name in ("lambda4", "n3"):
+        pairs += list(itertools.product(fixtures.simples(fixtures.load(name)), repeat=2))
+    w = (-3, 3)
+    for m, n in pairs:
+        depth = _safe_depth(as_complex(m), as_complex(n), w)
+        assert depth == 6
+        assert derived_hom_dims(m, n, w) == derived_hom_dims(m, n, w, depth=depth + 3)
 
 
 def test_resolution_period_two(lam):

@@ -196,6 +196,31 @@ def test_solve_consistent_systems(fm, data):
     assert np.array_equal(f.matmul(a, x[:, None]).reshape(-1), b)
 
 
+@given(field_matrix(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_solve_matrix_is_solve_column_by_column(fm, data):
+    # the batched solves (Ext^1 restrictions, Nakayama actions, graded lifts)
+    # rely on this: one augmented rref, each column with its free variables
+    # 0, None as soon as one column has no solution
+    f, a = fm
+    cols = data.draw(st.integers(0, 3))
+    x0 = np.array(data.draw(st.lists(st.integers(0, f.q - 1), min_size=a.shape[1] * cols,
+                                     max_size=a.shape[1] * cols)), dtype=np.int16)
+    b = f.matmul(a, x0.reshape(a.shape[1], cols))
+    if data.draw(st.booleans()) and b.size:
+        i = data.draw(st.integers(0, b.shape[0] - 1))
+        b[i, -1] = f.add(int(b[i, -1]), 1)
+    x = f.solve_matrix(a, b)
+    each = [f.solve(a, b[:, j]) for j in range(cols)]
+    if any(c is None for c in each):
+        assert x is None
+    else:
+        assert x.shape == (a.shape[1], cols)
+        assert all(np.array_equal(x[:, j], c) for j, c in enumerate(each))
+    with pytest.raises(FieldError, match="rhs length"):
+        f.solve(a, np.zeros(a.shape[0] + 1, dtype=np.int16))
+
+
 @given(field_matrix(max_dim=4))
 @example((F4, np.zeros((3, 0), dtype=np.int16)))
 @example((F5, np.zeros((2, 0), dtype=np.int16)))

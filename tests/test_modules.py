@@ -484,3 +484,41 @@ def test_projectivity_by_dimension_count(name):
         assert is_injective_module(m) == inj
         kinds.add((proj, inj))
     assert (False, False) in kinds and any(proj for proj, _ in kinds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["kx2", "nak3", "ka4"]), st.sampled_from(["left", "right", "both"]),
+       st.data())
+def test_compose_flats_against_the_per_map_loop(name, side, data):
+    # GF(2), GF(3), GF(4): rows of Hom(X, Y) composed with left: Y -> T
+    # and/or right: S -> X, against h.compose(...).flat() map by map; the
+    # pool has simples (zero at every other vertex) and the zero module,
+    # and every case is also run on no rows at all
+    alg = fixtures.load(name)
+    fld = alg.field
+    pool = known_indecomposables(alg) + [zero_module(alg), scrambled(
+        direct_sum([alg.simple(0), alg.projective(alg.nvertices - 1)])[0], 5)]
+    s, x, y, t = (data.draw(st.sampled_from(pool)) for _ in range(4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+
+    def some_rows(src, tgt, count):
+        basis = modules.hom_flats(src, tgt)
+        coeffs = rng.integers(0, fld.q, size=(count, len(basis))).astype(np.int16)
+        return fld.matmul(coeffs, basis) if len(basis) else \
+            np.zeros((count, sum(a * c for a, c in zip(tgt.dims, src.dims))), dtype=np.int16)
+
+    left = flat_to_map(y, t, some_rows(y, t, 1)[0]) if side != "right" else None
+    right = flat_to_map(s, x, some_rows(s, x, 1)[0]) if side != "left" else None
+    out_src, out_tgt = (x if right is None else s), (y if left is None else t)
+    rows = some_rows(x, y, data.draw(st.integers(1, 4)))
+    for r in (rows, rows[:0]):
+        got = modules.compose_flats(r, x, y, left=left, right=right)
+        want = np.zeros((0, sum(a * c for a, c in zip(out_tgt.dims, out_src.dims))),
+                        dtype=np.int16)
+        for vec in r:
+            h = flat_to_map(x, y, vec)
+            h = h if left is None else left.compose(h)
+            h = h if right is None else h.compose(right)
+            want = np.concatenate([want, h.flat()[None, :]])
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert np.array_equal(got, want)

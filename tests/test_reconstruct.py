@@ -21,7 +21,7 @@ from stabrec import fixtures
 from stabrec.errors import PresentationError
 from stabrec.filtration import Filtration, _full_rows, _empty_rows
 from stabrec.graded import graded_iso_check
-from stabrec.modules import direct_sum, quotient, radical, radical_series
+from stabrec.modules import combine, direct_sum, hom_space, quotient, radical, radical_series
 from stabrec.reconstruct import (
     FilteredModule,
     end_g,
@@ -159,6 +159,38 @@ def test_filtered_maps_shift_reduces_space(n3):
     assert d0 > d1 > 0
     # shift past the chain forces the zero map
     assert d3 == 0
+
+
+def filtered_maps_by_loop(mf, nf, shift):
+    """filtered_maps as first written, one Hom basis map at a time: the
+    conditions rows(M_j) G^T ker(N_{j+shift})^T = 0 as one column per map."""
+    m, n = mf.module, nf.module
+    fld = m.algebra.field
+    homs = hom_space(m, n)
+    if not homs:
+        return []
+    chain_m, chain_n = mf.filt.chain, nf.filt.chain
+    cols = []
+    for h in homs:
+        gt = h.global_matrix().T
+        parts = []
+        for j, rows in enumerate(chain_m[:-1]):
+            if rows.shape[0]:
+                k = fld.kernel(chain_n[min(j + shift, len(chain_n) - 1)]).T
+                parts.append(fld.matmul(fld.matmul(rows, gt), k).reshape(-1))
+        cols.append(np.concatenate(parts) if parts else np.zeros(0, dtype=np.int16))
+    return [combine(homs, c) for c in fld.kernel(np.stack(cols, axis=1))]
+
+
+@pytest.mark.parametrize("name", fixtures.CORPUS)
+def test_filtered_maps_match_the_per_map_loop(name):
+    # the batched conditions give the same basis, byte for byte, at every
+    # shift up to past the end of the chain
+    alg = fixtures.load(name)
+    gen = generator_build(alg, fixtures.simples(alg))
+    for shift in range(len(gen) + 1):
+        got = [g.flat().tobytes() for g in filtered_maps(gen, gen, shift)]
+        assert got == [g.flat().tobytes() for g in filtered_maps_by_loop(gen, gen, shift)]
 
 
 # -- composition and the graded algebra -----------------------------------------

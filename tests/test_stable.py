@@ -23,6 +23,7 @@ from stabrec.modules import (
     radical_series,
 )
 from stabrec.stable import (
+    _stable_hom,
     check_simple_set,
     nakayama_module,
     projective_maps,
@@ -104,6 +105,43 @@ def test_stable_end_j2(n3):
     rows = fld.row_space(np.stack([c.flat() for c in comps]))
     prows = fld.row_space(np.stack([p.flat() for p in sh.proj]))
     assert np.array_equal(rows, prows)
+
+
+def greedy_reps(m, n):
+    """The coset representatives as first chosen, by h + 1 row spaces: each
+    Hom basis element, in order, that enlarges the span of the projective
+    maps and of the elements kept before it."""
+    fld = m.algebra.field
+    hom, proj, reps = hom_space(m, n), projective_maps(m, n), []
+    if hom:
+        stack = [p.flat() for p in proj] if proj else [np.zeros_like(hom[0].flat())]
+        cur = fld.row_space(np.stack(stack))
+        for h in hom:
+            trial = fld.row_space(np.concatenate([cur, h.flat()[None, :]]))
+            if trial.shape[0] > cur.shape[0]:
+                reps.append(h)
+                cur = trial
+    return reps
+
+
+@pytest.mark.parametrize("name", fixtures.CORPUS)
+def test_stable_hom_reps_are_the_greedy_choice(name):
+    # the pivot columns of one rref pick the same representatives as the
+    # greedy loop, on every ordered pair of simples and their syzygies, and
+    # of those sums with a projective, scrambled, where projective maps sit
+    # among the Hom basis
+    alg = fixtures.load(name)
+    simples = fixtures.simples(alg)
+    mods = simples + [syzygy(s, 1) for s in simples]
+    mods += [scrambled(direct_sum([m, alg.projective(v % alg.nvertices)])[0], v)
+             for v, m in enumerate(mods)]
+    for m in mods:
+        for n in mods:
+            sh = _stable_hom(m, n)
+            want = greedy_reps(m, n)
+            assert [r.flat().tobytes() for r in sh.reps] == [r.flat().tobytes() for r in want]
+            assert [p.flat().tobytes() for p in sh.proj] == \
+                [p.flat().tobytes() for p in projective_maps(m, n)]
 
 
 def test_stable_coords_reduction(n3):
