@@ -142,7 +142,14 @@ class Algebra:
         """The value stored under key, computed by build() on first use.
 
         An algebra is immutable once built, so anything derived from it (and
-        from content-keyed modules over it) is kept for its lifetime here."""
+        from content-keyed modules over it) is kept for its lifetime here:
+        its projectives, injectives, self-injectivity report, regular module
+        and filtrability answers per simple set; per module key the top
+        generators, generator inverses and decomposition; per pair of keys
+        the Hom basis and stable Hom; and per (key, name) the projective
+        cover, injective hull and stable core, whose names carry the
+        module's.  Shared values are never written into (see
+        modules.read_only)."""
         memo = self._memo
         if key not in memo:
             memo[key] = build()

@@ -247,15 +247,17 @@ def lift_to_surjection(g: ModuleMap, dirs: list[ModuleMap]) -> ModuleMap:
         raise NoSurjectionInCoset(f"no surjection onto {g.tgt.name} in the coset")
     fld = g.src.algebra.field
     top = cokernel(radical_submodule(g.tgt)[1])[1]
-    tops = [top.compose(d) for d in dirs]
-    psis, count = [], 0
-    for v, phi in enumerate(top.compose(g).blocks):
-        maps = [t.blocks[v] for t in tops]
-        kv = fld.kernel(np.concatenate(maps))
-        nv = fld.row_space(np.concatenate([b.T for b in maps]))
-        count += (phi.shape[1] - kv.shape[0]) * nv.shape[0]
+    flats = compose_flats(np.stack([d.flat() for d in dirs]), g.src, g.tgt, left=top)
+    psis, count, pos, n = [], 0, 0, len(dirs)
+    for phi in top.compose(g).blocks:
+        t, c = phi.shape
+        # every direction's top block at this vertex
+        maps = flats[:, pos: pos + t * c].reshape(n, t, c)
+        pos += t * c
+        kv = fld.kernel(maps.reshape(n * t, c))
+        nv = fld.row_space(maps.transpose(0, 2, 1).reshape(n * c, t))
+        count += (c - kv.shape[0]) * nv.shape[0]
         psis.append(_complete_top(fld, phi, kv, nv))
-    flats = np.stack([t.flat() for t in tops])
     if fld.rank(flats) != count:
         raise Inconclusive("direction tops are not all maps off K into N")
     if any(p is None for p in psis):
@@ -619,8 +621,7 @@ def _canonical_stable_matrix(layer, qmap, sub, s):
     sh_m = stable_hom(sub, s)
     if sh_l.dim == 0:
         return np.zeros((0, sh_m.dim), dtype=np.int16), 0, sh_m.dim
-    rows = np.stack([sh_m.coords(r.compose(qmap)) for r in sh_l.reps])
-    return rows, sh_l.dim, sh_m.dim
+    return sh_m.coords_of(sh_l.precompose(qmap)), sh_l.dim, sh_m.dim
 
 
 def verify_s_radical(filt: Filtration) -> RadicalCertificate:
@@ -688,8 +689,7 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
             sh_x = stable_hom(x, s)
             if sh_x.dim == 0:
                 return False
-            mat = np.stack([sh_c.coords(r.compose(f)) for r in sh_x.reps])
-            if fld.rank(mat) < sh_c.dim:
+            if fld.rank(sh_c.coords_of(sh_x.precompose(f))) < sh_c.dim:
                 return False
         return True
 

@@ -646,8 +646,14 @@ def projective_cover(m: Module):
     Returns:
         (P, epi) where epi: P -> m is surjective with ker epi contained in
         rad P.  P is a direct sum of indecomposable projectives matching the
-        top of m; generators are the echelon complement of rad m.
+        top of m; generators are the echelon complement of rad m.  Kept in
+        the algebra memo under (m.key, m.name), as the name reaches P; later
+        calls share P and epi (see read_only).
     """
+    return m.algebra.cached(("cover", m.key, m.name), lambda: read_only(*_projective_cover(m)))
+
+
+def _projective_cover(m: Module):
     A = m.algebra
     gens = _top_generators(m)
     if not gens:
@@ -659,6 +665,16 @@ def projective_cover(m: Module):
     if not epi.is_surjective_map():
         raise PresentationError("projective cover construction failed to surject")
     return p, epi
+
+
+def read_only(*objs):
+    """objs, modules and maps, with their arrays made read-only: a memoised
+    construction is shared by every later call, so no caller may write into
+    it.  A map's source and target are left as they are."""
+    for o in objs:
+        for a in (o.mats if isinstance(o, Module) else o.blocks):
+            a.flags.writeable = False
+    return objs
 
 
 def _top_generators(m: Module) -> tuple[tuple[int, int], ...]:
@@ -722,13 +738,20 @@ def injective_hull(m: Module):
     Returns:
         (I, mono) where mono: m -> I is injective and an isomorphism on
         socles.  I is a sum of indecomposable injectives matching soc m.
+        Kept in the algebra memo under (m.key, m.name), as the name reaches
+        I; later calls share I and mono (see read_only).
     """
+    return m.algebra.cached(("hull", m.key, m.name), lambda: read_only(*_injective_hull(m)))
+
+
+def _injective_hull(m: Module):
+    """One summand I(v) per functional dual to the socle basis of m_v (and
+    vanishing on its echelon complement); the rows of mono at w that belong
+    to the summand of xi are the xi M_b, b over the paths from w to v."""
     A = m.algebra
     f = A.field
-    soc = socle(m)
-    pieces = []  # (vertex v, functional xi on m at v)
-    for v in range(len(m.dims)):
-        s = soc[v]
+    duals = []  # (vertex v, the functionals at v as rows)
+    for v, s in enumerate(socle(m)):
         if s.shape[0] == 0:
             continue
         r, piv = f.rref(s)
@@ -736,34 +759,42 @@ def injective_hull(m: Module):
         basis_rows = np.concatenate(
             [r[: len(piv)]] +
             ([np.eye(m.dims[v], dtype=np.int16)[free]] if free else []), axis=0)
-        binv = f.matinv(basis_rows.T)
-        # functionals dual to the socle basis, vanishing on the complement
-        for j in range(s.shape[0]):
-            pieces.append((v, binv[j]))
-    if not pieces:
+        duals.append((v, f.matinv(basis_rows.T)[: s.shape[0]]))
+    if not duals:
         i0 = zero_module(A)
         return i0, ModuleMap(m, i0, [np.zeros((0, m.dims[v]), dtype=np.int16)
                                      for v in range(len(m.dims))])
-    summands = [A.injective(v) for v, _ in pieces]
-    big, injs, _ = direct_sum(summands, name=f"I({m.name})")
-    blocks = [np.zeros((big.dims[w], m.dims[w]), dtype=np.int16) for w in range(len(m.dims))]
-    row_off = [0] * len(m.dims)
-    for (v, xi), iv in zip(pieces, summands):
-        for w in range(len(m.dims)):
-            words = A.injective_basis_words(v, w)
-            for j, bidx in enumerate(words):
-                word = A.basis_words[bidx]
-                if word:
-                    row = f.matmul(xi[None, :], m.word_action(word))
-                else:
-                    row = xi[None, :]
-                blocks[w][row_off[w] + j, :] = row[0]
-        for w in range(len(m.dims)):
-            row_off[w] += iv.dims[w]
-    mono = ModuleMap(m, big, blocks)
+    big = direct_sum([A.injective(v) for v, xi in duals for _ in xi], name=f"I({m.name})")[0]
+    blocks = [[np.zeros((0, d), dtype=np.int16)] for d in m.dims]
+    for v, xi in duals:
+        for w, x in enumerate(_functional_images(m, v, xi)):
+            # the summand of xi[j] holds the rows x[:, j], paths in order
+            blocks[w].append(x.transpose(1, 0, 2).reshape(x.shape[1] * x.shape[0], m.dims[w]))
+    mono = ModuleMap(m, big, [np.concatenate(b) for b in blocks])
     if not mono.is_injective_map():
         raise PresentationError("injective hull construction failed to embed")
     return big, mono
+
+
+def _functional_images(m: Module, v: int, xi: np.ndarray) -> list[np.ndarray]:
+    """Per vertex w, the functionals xi M_b on m_w for the rows xi of
+    functionals on m_v and the basis paths b from w to v, stacked on a first
+    axis (paths x len(xi) x dims[w]).  The mirror of _path_images: a path's
+    image is its one-arrow-shorter suffix's times its first arrow."""
+    A = m.algebra
+    images = {(): xi}
+
+    def image(word):
+        if word not in images:
+            images[word] = A.field.matmul(image(word[1:]), m.mats[word[0]])
+        return images[word]
+
+    out = []
+    for w in range(len(m.dims)):
+        stack = [image(A.basis_words[b]) for b in A.injective_basis_words(v, w)]
+        out.append(np.stack(stack) if stack else
+                   np.zeros((0, len(xi), m.dims[w]), dtype=np.int16))
+    return out
 
 
 def hull_cokernel(m: Module):

@@ -24,6 +24,7 @@ from .modules import (
     injective_hull,
     is_projective,
     match_summands,
+    read_only,
     zero_module,
 )
 
@@ -79,10 +80,18 @@ class StableHom:
 
     def coords(self, f: ModuleMap) -> np.ndarray:
         """Coordinates of the stable class of f in the representative basis."""
-        sol = self.src.algebra.field.solve(self._flats.T, f.flat())
+        return self.coords_of(f.flat()[None, :])[0]
+
+    def coords_of(self, rows: np.ndarray) -> np.ndarray:
+        """coords of the map of every flat row, one row each, from one solve."""
+        sol = self.src.algebra.field.solve_matrix(self._flats.T, rows.T)
         if sol is None:
             raise PresentationError("map outside the Hom space")
-        return sol[len(self.proj):]
+        return sol[len(self.proj):].T
+
+    def precompose(self, f: ModuleMap) -> np.ndarray:
+        """The flat rows of r f for every rep r, for f: S -> src."""
+        return compose_flats(self._flats[len(self.proj):], self.src, self.tgt, right=f)
 
     def is_projective_map(self, f: ModuleMap) -> bool:
         return not np.any(self.coords(f))
@@ -113,16 +122,26 @@ def stable_core(m: Module):
 
     Returns (core, kept, dropped, on_core) where kept/dropped are the
     Summand records of the decomposition, dropped being the projective
-    ones, and on_core[i] is kept[i].module as a summand of core.
+    ones, and on_core[i] is kept[i].module as a summand of core.  Kept in
+    the algebra memo under (m.key, m.name), as the name reaches the core;
+    later calls share the core and the read-only blocks of every summand,
+    and get the three lists as tuples.
     """
     _gate(m.algebra)
+    return m.algebra.cached(("core", m.key, m.name), lambda: _stable_core(m))
+
+
+def _stable_core(m: Module):
     kept, dropped = [], []
     for p in decompose(m):
         (dropped if is_projective(p.module) else kept).append(p)
     if not kept:
-        return zero_module(m.algebra), kept, dropped, []
-    core, injs, projs = direct_sum([p.module for p in kept], name=f"core({m.name})")
-    return core, kept, dropped, [Summand(p.module, i, q) for p, i, q in zip(kept, injs, projs)]
+        core, on_core = zero_module(m.algebra), []
+    else:
+        core, injs, projs = direct_sum([p.module for p in kept], name=f"core({m.name})")
+        on_core = [Summand(p.module, i, q) for p, i, q in zip(kept, injs, projs)]
+    read_only(core, *(f for s in kept + dropped + on_core for f in (s.incl, s.proj)))
+    return core, tuple(kept), tuple(dropped), tuple(on_core)
 
 
 def stably_isomorphic(m: Module, n: Module, seed: int = 0) -> ModuleMap | None:

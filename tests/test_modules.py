@@ -53,6 +53,7 @@ from stabrec.modules import (
     top_dims,
     zero_module,
 )
+from stabrec.stable import stable_core, syzygy
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,71 @@ def test_injective_hull_lambda4(lam):
     pv = lam.projective(1)
     assert module_isomorphic(i, pv) is not None
     assert mono.is_injective_map()
+
+
+def reference_hull(m: Module):
+    """The injective hull with its mono built row by row: for each functional
+    xi dual to the socle basis of m_v, vertex w and path b from w to v, the
+    row xi M_b is one word action and one product."""
+    A, f = m.algebra, m.algebra.field
+    pieces = []
+    for v, s in enumerate(modules.socle(m)):
+        if not s.shape[0]:
+            continue
+        r, piv = f.rref(s)
+        free = [c for c in range(m.dims[v]) if c not in piv]
+        basis = np.concatenate([r[: len(piv)]] +
+                               ([np.eye(m.dims[v], dtype=np.int16)[free]] if free else []))
+        binv = f.matinv(basis.T)
+        pieces.extend((v, binv[j]) for j in range(s.shape[0]))
+    big = direct_sum([A.injective(v) for v, _ in pieces], name=f"I({m.name})")[0]
+    blocks = [np.zeros((big.dims[w], m.dims[w]), dtype=np.int16) for w in range(len(m.dims))]
+    row_off = [0] * len(m.dims)
+    for v, xi in pieces:
+        for w in range(len(m.dims)):
+            for j, b in enumerate(A.injective_basis_words(v, w)):
+                word = A.basis_words[b]
+                row = f.matmul(xi[None, :], m.word_action(word))[0] if word else xi
+                blocks[w][row_off[w] + j] = row
+            row_off[w] += A.injective(v).dims[w]
+    return big, blocks
+
+
+@pytest.mark.parametrize("name", fixtures.CORPUS + fixtures.EXTRAS)
+def test_injective_hull_matches_row_by_row_reference(name):
+    alg = fixtures.load(name)
+    simples = fixtures.simples(alg)
+    mods = (simples + [alg.projective(v) for v in range(alg.nvertices)]
+            + [cover_kernel(s)[0] for s in simples])
+    if alg.self_injectivity().ok:
+        mods += [syzygy(s, 1) for s in simples]
+    # doubled, a vertex carries several socle functionals
+    for m in [m for m in mods if m.dim] + [direct_sum([m, m])[0] for m in mods if m.dim]:
+        i, mono = injective_hull(m)
+        ref_i, ref_blocks = reference_hull(m)
+        assert (i.key, i.name) == (ref_i.key, ref_i.name)
+        assert [b.tobytes() for b in mono.blocks] == [b.tobytes() for b in ref_blocks]
+        assert [b.shape for b in mono.blocks] == [b.shape for b in ref_blocks]
+
+
+def test_memoised_constructions_keep_each_name(lam):
+    s = lam.simple(0)
+    twin = Module(lam, s.dims, s.mats, name="twin", check=False)
+    assert twin.key == s.key
+    for m in (s, twin):
+        i, mono = injective_hull(m)
+        p, epi = projective_cover(m)
+        core, kept, _, on_core = stable_core(m)
+        assert (i.name, mono.src.name) == (f"I({m.name})", m.name)
+        assert (p.name, epi.tgt.name) == (f"P({m.name})", m.name)
+        assert core.name == f"core({m.name})"
+        assert [x.module.name for x in kept + on_core] == [m.name, m.name]
+        # a second module with the same content and name shares the values
+        again = Module(lam, m.dims, m.mats, name=m.name, check=False)
+        assert injective_hull(again)[1] is mono and projective_cover(again)[1] is epi
+        assert stable_core(again)[0] is core
+    with pytest.raises(ValueError):
+        injective_hull(s)[1].blocks[0][...] = 0
 
 
 def test_projective_injective_flags(n3, lam):

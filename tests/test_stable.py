@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_modules import known_indecomposables, scrambled
 
-from stabrec import fixtures, io
+from stabrec import fixtures, io, modules
+from stabrec.derived import as_complex, projective_resolution
 from stabrec.errors import NotSelfInjective
-from stabrec.filtration import is_filtrable
+from stabrec.filtration import is_filtrable, s_radical_filtration
 from stabrec.modules import (
+    Module,
     ModuleMap,
     direct_sum,
     ext1,
@@ -23,6 +25,7 @@ from stabrec.modules import (
     radical_series,
 )
 from stabrec.stable import (
+    _stable_core,
     _stable_hom,
     check_simple_set,
     nakayama_module,
@@ -68,6 +71,54 @@ def test_derived_data_is_memoised_inside_the_algebra():
     is_filtrable(alg.projective(0), sset)
     assert set(vars(alg)) == attrs
     assert alg.self_injectivity() is alg.self_injectivity()
+
+
+def memo_snapshot_of(x) -> bytes:
+    """The bytes of a memoised value: module names and matrices, map blocks
+    and their ends, through tuples and Summands."""
+    if isinstance(x, Module):
+        return b"|".join([repr(x.dims).encode(), x.name.encode()] + [a.tobytes() for a in x.mats])
+    if isinstance(x, ModuleMap):
+        return b"|".join([memo_snapshot_of(x.src), memo_snapshot_of(x.tgt)]
+                         + [b.tobytes() for b in x.blocks])
+    return b"|".join(memo_snapshot_of(y) for y in x)
+
+
+def memo_snapshot(alg) -> dict:
+    """memo_snapshot_of every memoised hull, cover and stable core of alg."""
+    return {k: memo_snapshot_of(v) for k, v in alg._memo.items()
+            if k[0] in ("hull", "cover", "core")}
+
+
+@pytest.mark.parametrize("name", fixtures.CORPUS)
+def test_memoised_constructions_are_not_written_into(name):
+    # later calls share what the memo holds, so no caller may write into it
+    alg = io.load_algebra(json.loads(fixtures.fixture_text(name)))
+    sset = fixtures.simples(alg)
+
+    def calls():
+        m = direct_sum([syzygy(s, 1) for s in sset], name="X")[0]
+        for s in sset:
+            assert stably_isomorphic(syzygy(s, 2), syzygy(syzygy(s, 1), 1)) is not None
+            syzygy(s, -2)
+        projective_resolution(as_complex(m), 3)
+        s_radical_filtration(m, sset)
+
+    calls()
+    before = memo_snapshot(alg)
+    assert {k[0] for k in before} == {"hull", "cover", "core"}
+    calls()
+    after = memo_snapshot(alg)
+    assert {k: after[k] for k in before} == before
+    # and each value is what a fresh build from its module gives
+    for key, val in alg._memo.items():
+        if key[0] == "hull":
+            assert memo_snapshot_of(modules._injective_hull(val[1].src)) == after[key]
+        elif key[0] == "cover":
+            assert memo_snapshot_of(modules._projective_cover(val[1].tgt)) == after[key]
+        elif key[0] == "core" and val[1] + val[2]:
+            m = (val[1] + val[2])[0].incl.tgt
+            assert memo_snapshot_of(_stable_core(m)) == after[key]
 
 
 def test_projective_maps_lambda4(lam):
