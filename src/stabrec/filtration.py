@@ -24,6 +24,7 @@ from .modules import (
     Module,
     ModuleMap,
     Summand,
+    _sub_from_spaces,
     cokernel,
     combine,
     combinations,
@@ -454,17 +455,21 @@ def _surjections_onto(m: Module, sset, mv, budget: _Budget):
 
 
 def _top_kernels(m: Module, sset, budget: _Budget):
-    """(X, f, K, incl) for the top quotients f: m ->> X in add(S), by
-    `_mult_candidates` then `_surjections_onto`, once per kernel K of m
-    (incl: K -> m its inclusion): both searches use f only through K."""
+    """(X, f, spaces) for the top quotients f: m ->> X in add(S), by
+    `_mult_candidates` then `_surjections_onto`, once per kernel K of m:
+    both searches use f only through K.  spaces are the per-vertex echelon
+    kernels of f's blocks: canonical, so they identify K.  Callers build K
+    from them (`_sub_from_spaces`) only for the kernels they go on to
+    test; the enumeration first drops those failing its stable test."""
+    fld = m.algebra.field
     seen = set()
     for mv in _mult_candidates(m, sset):
         for x, f in _surjections_onto(m, sset, mv, budget):
-            k, incl = kernel(f)
-            key = _transport_rows(incl, _full_rows(k)).tobytes()
+            spaces = [fld.kernel(b) for b in f.blocks]
+            key = tuple(sp.tobytes() for sp in spaces)
             if key not in seen:
                 seen.add(key)
-                yield x, f, k, incl
+                yield x, f, spaces
 
 
 def _projective_splits(m: Module):
@@ -545,7 +550,8 @@ def _split_and_filter(m, sset, rest, part, budget, cache):
 
 def _search_filtration(m, sset, budget, cache) -> Filtration | None:
     """Bounded exhaustive search over quotients in add(S)."""
-    for _, _, k, incl in _top_kernels(m, sset, budget):
+    for _, _, spaces in _top_kernels(m, sset, budget):
+        k, incl = _sub_from_spaces(m, spaces, "ker")
         sub = _filtrable(k, sset, budget, cache)
         if sub is not None:
             chain = [_full_rows(m)] + [_transport_rows(incl, r) for r in sub.chain]
@@ -663,25 +669,26 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
                                    search_cap: int = 500000) -> list[Filtration]:
     """All S-radical filtrations of m, each chain once.
 
-    Each level enumerates surjections onto add(S) sums whose kernel is
-    filtrable, has no projective remainder, and which satisfy the stable
-    surjectivity half of the minimality criterion.  Both tests depend on
-    the surjection only up to automorphisms of the sum, so one surjection
-    per orbit of prod GL_{m_i}(q) is tried, and search_cap counts these
-    orbit representatives, over the whole search; a sum with some
-    m_i > dim Hom(m, S_i) has no surjection, a certified absence that
-    spends nothing.  A cap hit, here or in testing a kernel, raises
-    Undecided, never a partial list.
+    Each level enumerates surjections f: cur ->> X onto add(S) sums whose
+    kernel passes three tests, cheapest first: the stable surjectivity half
+    of the minimality criterion (a rank test on memoised stable Homs), then
+    filtrability, then no projective remainder (both searches).  The kernel
+    submodule is built only for an f that passes the first.  The order is
+    sound because a kernel is kept only when all three hold; one failing
+    the stable test is never searched, so it cannot leave the enumeration
+    undecided.  All three depend on f only through ker f, fixed by
+    automorphisms of X, so one surjection per orbit of prod GL_{m_i}(q) is
+    tried, and search_cap counts these orbit representatives, over the
+    whole search; a sum with some m_i > dim Hom(m, S_i) has no surjection,
+    a certified absence that spends nothing.  A cap hit, here or in testing
+    a kernel, raises Undecided, never a partial list.
     `seed` is ignored; it is kept because the benchmark workloads pass it.
     """
     budget = _Budget(search_cap)
     fld = m.algebra.field
     results: list[Filtration] = []
 
-    def admissible(cur, x, f, k):
-        # an undecided kernel leaves the enumeration undecided: it raises
-        if is_filtrable(k, sset) is None or has_projective_remainder(k, sset):
-            return False
+    def stably_onto(cur, x, f):
         for s in sset:
             sh_c = stable_hom(cur, s)
             if sh_c.dim == 0:
@@ -694,9 +701,16 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
         return True
 
     def minimal_step(cur):
-        # distinct kernels of cur give distinct chains below it
-        return [(k, incl) for x, f, k, incl in _top_kernels(cur, sset, budget)
-                if admissible(cur, x, f, k)]
+        # distinct kernels of cur give distinct chains below it; an
+        # undecided kernel leaves the enumeration undecided: it raises
+        out = []
+        for x, f, spaces in _top_kernels(cur, sset, budget):
+            if not stably_onto(cur, x, f):
+                continue
+            k, incl = _sub_from_spaces(cur, spaces, "ker")
+            if is_filtrable(k, sset) is not None and not has_projective_remainder(k, sset):
+                out.append((k, incl))
+        return out
 
     def dfs(cur, to_m, chain):
         if cur.dim == 0:

@@ -60,23 +60,40 @@ def _projective_flats(m: Module, n: Module) -> np.ndarray:
 class StableHom:
     """Hom(m, n) together with its projective subspace and a choice of coset
     representatives completing it to a basis; hom, proj and reps are lists
-    of maps."""
+    of maps, each built from the flat rows on first access."""
 
-    __slots__ = ("src", "tgt", "hom", "proj", "reps", "_flats")
+    __slots__ = ("src", "tgt", "_hom", "_nproj", "_flats", "_maps")
 
     def __init__(self, src: Module, tgt: Module, hom: np.ndarray, proj: np.ndarray,
                  reps: list[int]):
         """hom and proj as flat rows, reps as indices into hom."""
         self.src = src
         self.tgt = tgt
-        self.hom = [flat_to_map(src, tgt, r) for r in hom]
-        self.proj = [flat_to_map(src, tgt, r) for r in proj]
-        self.reps = [self.hom[j] for j in reps]
+        self._hom = hom
+        self._nproj = len(proj)
         self._flats = np.concatenate([proj, hom[reps]])
+        self._maps = {}
+
+    def _built(self, name: str, rows: np.ndarray) -> list[ModuleMap]:
+        if name not in self._maps:
+            self._maps[name] = [flat_to_map(self.src, self.tgt, r) for r in rows]
+        return self._maps[name]
+
+    @property
+    def hom(self) -> list[ModuleMap]:
+        return self._built("hom", self._hom)
+
+    @property
+    def proj(self) -> list[ModuleMap]:
+        return self._built("proj", self._flats[:self._nproj])
+
+    @property
+    def reps(self) -> list[ModuleMap]:
+        return self._built("reps", self._flats[self._nproj:])
 
     @property
     def dim(self) -> int:
-        return len(self.reps)
+        return len(self._flats) - self._nproj
 
     def coords(self, f: ModuleMap) -> np.ndarray:
         """Coordinates of the stable class of f in the representative basis."""
@@ -87,11 +104,11 @@ class StableHom:
         sol = self.src.algebra.field.solve_matrix(self._flats.T, rows.T)
         if sol is None:
             raise PresentationError("map outside the Hom space")
-        return sol[len(self.proj):].T
+        return sol[self._nproj:].T
 
     def precompose(self, f: ModuleMap) -> np.ndarray:
         """The flat rows of r f for every rep r, for f: S -> src."""
-        return compose_flats(self._flats[len(self.proj):], self.src, self.tgt, right=f)
+        return compose_flats(self._flats[self._nproj:], self.src, self.tgt, right=f)
 
     def is_projective_map(self, f: ModuleMap) -> bool:
         return not np.any(self.coords(f))
