@@ -1,9 +1,10 @@
 """Filtrations with layers in add(S) and the S-radical filtration calculus.
 
 A filtration is stored as a chain of global row spaces of the ambient module,
-each arrow-stable, strictly decreasing, ending at zero.  Layer witnesses
-(isomorphisms onto direct sums of members of S) are recomputed on demand, so
-a Filtration value is self-validating.
+each arrow-stable, strictly decreasing, ending at zero.  A filtration built
+by a search keeps the layer multiplicities its surjections certified; any
+other has each layer decomposed and matched against S.  Layer witnesses
+(isomorphisms onto direct sums of members of S) are built on demand.
 """
 
 from __future__ import annotations
@@ -108,28 +109,54 @@ def _sum_with_mults(sset, mults):
 # -- filtration values -----------------------------------------------------------
 
 class _Level:
-    __slots__ = ("sub", "incl", "layer", "qmap", "mults", "witness")
+    """Level i of a filtration: the submodule M_i with its inclusion, the
+    layer M_i / M_{i+1} with its quotient map, and the layer's multiplicity
+    vector over S.  `witness`, an isomorphism of the layer onto the grouped
+    sum of S-copies, is assembled on first access."""
 
-    def __init__(self, sub, incl, layer, qmap, mults, witness):
+    __slots__ = ("sub", "incl", "layer", "qmap", "mults", "_sset", "_witness")
+
+    def __init__(self, sub, incl, layer, qmap, mults, sset):
         self.sub = sub
         self.incl = incl
         self.layer = layer
         self.qmap = qmap
         self.mults = mults
-        self.witness = witness
+        self._sset = sset
+        self._witness = None
+
+    @property
+    def witness(self) -> ModuleMap:
+        if self._witness is None:
+            self._witness = _layer_witness(self.layer, self._sset)[1]
+        return self._witness
 
 
 class Filtration:
-    """Chain of arrow-stable subspaces of module with add(S) layers."""
+    """Chain of arrow-stable subspaces of module with add(S) layers.
 
-    __slots__ = ("module", "sset", "chain", "_levels")
+    `mults`, when given, is the multiplicity vector of each layer as the
+    search that built the chain found it: each step of a search takes a
+    surjection f: M_i ->> X = sum of S_j^{m_j} with kernel M_{i+1}, so f
+    itself shows the layer M_i / M_{i+1} isomorphic to X.  They are used
+    only when S is a basic set (`_is_basic`), where Krull-Schmidt makes
+    them the counts that decomposing the layer finds; otherwise, and for a
+    chain given without them (a loaded file, reconstruct), each layer is
+    decomposed and its summands matched against S."""
 
-    def __init__(self, module: Module, sset, chain, check: bool = True):
+    __slots__ = ("module", "sset", "chain", "_mults", "_levels")
+
+    def __init__(self, module: Module, sset, chain, check: bool = True, mults=None):
         self.module = module
         self.sset = list(sset)
         fld = module.algebra.field
         self.chain = [fld.row_space(np.asarray(r, dtype=np.int16))
                       for r in chain]
+        self._mults = None
+        if mults is not None:
+            self._mults = tuple(tuple(int(c) for c in mv) for mv in mults)
+            if len(self._mults) != len(self):
+                raise PresentationError("one multiplicity vector per layer expected")
         self._levels = None
         if check:
             self._validate()
@@ -154,21 +181,36 @@ class Filtration:
     def __len__(self) -> int:
         return len(self.chain) - 1
 
+    def _certified_mults(self):
+        """The search's multiplicities, or None where they may differ from
+        the layers' decompositions (no search, or S not basic)."""
+        if self._mults is not None and _is_basic(self.module.algebra, self.sset):
+            return self._mults
+        return None
+
     def levels(self) -> list[_Level]:
-        """Materialize submodules, layer quotients, and add(S) witnesses."""
+        """Materialize submodules and layer quotients with their
+        multiplicities: the search's when certified, else counted by
+        decomposing each layer (NotFiltrable if a summand is in no add(S))."""
         if self._levels is not None:
             return self._levels
+        known = self._certified_mults()
         out = []
         for i in range(len(self)):
             sub, incl = submodule(self.module, self.chain[i], name=f"M_{i}")
             inner = _rows_in_sub(incl, self.chain[i + 1])
             layer, qmap = quotient(sub, inner, name=f"L_{i}")
-            mults, witness = _layer_witness(layer, self.sset)
-            out.append(_Level(sub, incl, layer, qmap, mults, witness))
+            mults = known[i] if known is not None else _layer_mults(layer, self.sset)
+            out.append(_Level(sub, incl, layer, qmap, mults, self.sset))
         self._levels = out
         return out
 
     def mult_sequence(self) -> tuple[tuple[int, ...], ...]:
+        """Layer multiplicity vectors, top first: the certified search
+        multiplicities without building any level, else from `levels`."""
+        known = self._certified_mults()
+        if known is not None:
+            return known
         return tuple(lv.mults for lv in self.levels())
 
     def layer_multiset(self) -> tuple[tuple[int, ...], ...]:
@@ -176,24 +218,43 @@ class Filtration:
         return tuple(sorted(self.mult_sequence()))
 
 
-def _layer_witness(layer: Module, sset):
-    """Multiplicities and an iso onto the grouped direct sum of S-copies."""
+def _is_basic(algebra, sset) -> bool:
+    """Whether every member of S is indecomposable and no two are
+    isomorphic, memoised per set.  A duplicated member, or one with a
+    projective summand, splits a layer's counts differently from the
+    search's X = sum of S_j^{m_j} (or has no count at all)."""
+    def build():
+        if any(len(decompose(s)) != 1 for s in sset):
+            return False
+        return all(module_isomorphic(a, b) is None
+                   for a, b in itertools.combinations(sset, 2))
+    return algebra.cached(("basic set", _sset_sig(sset)), build)
+
+
+def _layer_mults(layer: Module, sset) -> tuple[int, ...]:
+    """Multiplicities of the members among the summands of layer, each
+    summand counted for the first member it is isomorphic to."""
     if layer.dim == 0:
         raise PresentationError("zero layer in a filtration")
-    pieces = decompose(layer)
     mults = [0] * len(sset)
-    for p in pieces:
+    for p in decompose(layer):
         si = next((si for si, s in enumerate(sset) if p.module.dim == s.dim
                    and module_isomorphic(p.module, s) is not None), None)
         if si is None:
             raise NotFiltrable(f"layer summand of dim {p.module.dim} is not in add(S)")
         mults[si] += 1
+    return tuple(mults)
+
+
+def _layer_witness(layer: Module, sset):
+    """Multiplicities and an iso onto the grouped direct sum of S-copies."""
+    mults = _layer_mults(layer, sset)
     x, injs, projs, layout = _sum_with_mults(sset, mults)
     copies = [Summand(sset[si], i, q) for (si, _), i, q in zip(layout, injs, projs)]
-    witness = match_summands(layer, x, pieces, copies)
+    witness = match_summands(layer, x, decompose(layer), copies)
     if witness is None or not witness.is_iso():
         raise PresentationError("layer witness failed to assemble")
-    return tuple(mults), witness
+    return mults, witness
 
 
 # -- canonical top layer ---------------------------------------------------------
@@ -302,17 +363,18 @@ def s_radical_filtration(m: Module, sset, seed: int = 0) -> Filtration:
     """Greedy S-radical filtration; complete for filtrable modules with no
     projective remainder.  `seed` is ignored; it is kept because the
     benchmark workloads pass it."""
-    chain = [_full_rows(m)]
+    chain, mults = [_full_rows(m)], []
     cur, to_m = m, ModuleMap.identity(m)
     while cur.dim:
         try:
-            _, _, k, incl, _ = top_layer(cur, sset)
+            _, _, k, incl, mv = top_layer(cur, sset)
         except NoSurjectionInCoset as e:
             raise NotFiltrable(f"greedy filtration stalled: {e}") from e
         to_m = to_m.compose(incl)
         chain.append(_transport_rows(to_m, _full_rows(k)))
+        mults.append(mv)
         cur = k
-    return Filtration(m, sset, chain)
+    return Filtration(m, sset, chain, mults=mults)
 
 
 # -- filtrability ---------------------------------------------------------------
@@ -455,12 +517,13 @@ def _surjections_onto(m: Module, sset, mv, budget: _Budget):
 
 
 def _top_kernels(m: Module, sset, budget: _Budget):
-    """(X, f, spaces) for the top quotients f: m ->> X in add(S), by
-    `_mult_candidates` then `_surjections_onto`, once per kernel K of m:
-    both searches use f only through K.  spaces are the per-vertex echelon
-    kernels of f's blocks: canonical, so they identify K.  Callers build K
-    from them (`_sub_from_spaces`) only for the kernels they go on to
-    test; the enumeration first drops those failing its stable test."""
+    """(mv, X, f, spaces) for the top quotients f: m ->> X = sum of
+    S_i^{mv[i]}, by `_mult_candidates` then `_surjections_onto`, once per
+    kernel K of m: both searches use f only through K, and keep mv as the
+    layer m / K.  spaces are the per-vertex echelon kernels of f's blocks:
+    canonical, so they identify K.  Callers build K from them
+    (`_sub_from_spaces`) only for the kernels they go on to test; the
+    enumeration first drops those failing its stable test."""
     fld = m.algebra.field
     seen = set()
     for mv in _mult_candidates(m, sset):
@@ -469,7 +532,7 @@ def _top_kernels(m: Module, sset, budget: _Budget):
             key = tuple(sp.tobytes() for sp in spaces)
             if key not in seen:
                 seen.add(key)
-                yield x, f, spaces
+                yield mv, x, f, spaces
 
 
 def _projective_splits(m: Module):
@@ -493,7 +556,7 @@ def _filtrable(m: Module, sset, budget, cache) -> Filtration | None:
     if key in cache:
         return cache[key]
     if m.dim == 0:
-        filt = Filtration(m, sset, [_empty_rows(m)])
+        filt = Filtration(m, sset, [_empty_rows(m)], mults=())
         cache[key] = filt
         return filt
     if not _dims_feasible(m.dims, sset):
@@ -545,17 +608,22 @@ def _split_and_filter(m, sset, rest, part, budget, cache):
         chain.append(fld.row_space(np.concatenate([top, part_full], axis=0)))
     for rows in f_part.chain[1:]:
         chain.append(_transport_rows(part_to_m, rows))
-    return Filtration(m, sset, chain)
+    # the layers of rest, each plus all of part, then those of part
+    mults = None
+    if f_rest._mults is not None and f_part._mults is not None:
+        mults = f_rest._mults + f_part._mults
+    return Filtration(m, sset, chain, mults=mults)
 
 
 def _search_filtration(m, sset, budget, cache) -> Filtration | None:
     """Bounded exhaustive search over quotients in add(S)."""
-    for _, _, spaces in _top_kernels(m, sset, budget):
+    for mv, _, _, spaces in _top_kernels(m, sset, budget):
         k, incl = _sub_from_spaces(m, spaces, "ker")
         sub = _filtrable(k, sset, budget, cache)
         if sub is not None:
             chain = [_full_rows(m)] + [_transport_rows(incl, r) for r in sub.chain]
-            return Filtration(m, sset, chain)
+            mults = None if sub._mults is None else (mv, *sub._mults)
+            return Filtration(m, sset, chain, mults=mults)
     return None
 
 
@@ -704,25 +772,27 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
         # distinct kernels of cur give distinct chains below it; an
         # undecided kernel leaves the enumeration undecided: it raises
         out = []
-        for x, f, spaces in _top_kernels(cur, sset, budget):
+        for mv, x, f, spaces in _top_kernels(cur, sset, budget):
             if not stably_onto(cur, x, f):
                 continue
             k, incl = _sub_from_spaces(cur, spaces, "ker")
             if is_filtrable(k, sset) is not None and not has_projective_remainder(k, sset):
-                out.append((k, incl))
+                out.append((mv, k, incl))
         return out
 
-    def dfs(cur, to_m, chain):
+    def dfs(cur, to_m, chain, mults):
         if cur.dim == 0:
-            results.append(Filtration(m, sset, list(chain)))
+            results.append(Filtration(m, sset, list(chain), mults=mults))
             return
-        for k, incl in minimal_step(cur):
+        for mv, k, incl in minimal_step(cur):
             nxt = to_m.compose(incl)
             chain.append(_transport_rows(nxt, _full_rows(k)))
-            dfs(k, nxt, chain)
+            mults.append(mv)
+            dfs(k, nxt, chain, mults)
             chain.pop()
+            mults.pop()
 
-    dfs(m, ModuleMap.identity(m), [_full_rows(m)])
+    dfs(m, ModuleMap.identity(m), [_full_rows(m)], [])
     if budget.hit:
         raise Undecided("radical filtration enumeration hit its cap")
     return results

@@ -202,12 +202,15 @@ class Field:
         The product is taken in float64, so BLAS runs it.  Its entries are
         integers of at most n k (p-1)^2 < 2^53, exact whatever order the sum
         is taken in; they are reduced as int64 (int32 would overflow for
-        GF(251) once n reaches 34,360)."""
+        GF(251) once n reaches 34,360).  With m, n or r zero the product is
+        the zero matrix, returned without the blow-up."""
         a = np.asarray(a, dtype=np.int16)
         b = np.asarray(b, dtype=np.int16)
         if a.shape[1] != b.shape[0]:
             raise FieldError(f"shape mismatch {a.shape} @ {b.shape}")
         (m, n), r, k = a.shape, b.shape[1], self.k
+        if not (m and n and r):
+            return np.zeros((m, r), dtype=np.int16)
         digits = self._digits.take(a, axis=0).reshape(m, n * k)
         blown = self._blowup[self._krange, b[:, None, :]].reshape(n * k, r * k)
         out = (digits @ blown).astype(np.int64)

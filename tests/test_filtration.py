@@ -12,8 +12,10 @@ from __future__ import annotations
 import collections
 import hashlib
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +24,16 @@ from hypothesis import strategies as st
 from test_acceptance import _random_filtrable
 from test_modules import known_indecomposables, scrambled
 
-from stabrec import filtration, fixtures
+import stabrec
+from stabrec import filtration, fixtures, io
+from stabrec.cli import main as cli_main
 from stabrec.errors import (
     Inconclusive,
     NoSurjectionInCoset,
     NotFiltrable,
+    NotSelfInjective,
     PresentationError,
+    StabrecError,
     Undecided,
 )
 from stabrec.filtration import (
@@ -36,8 +42,13 @@ from stabrec.filtration import (
     _echelon_rows,
     _full_rows,
     _gaussian_binomial,
+    _layer_witness,
     _mult_candidates,
     _of_total,
+    _projective_splits,
+    _rows_in_sub,
+    _search_filtration,
+    _split_and_filter,
     _sum_with_mults,
     _surjections_onto,
     _top_kernels,
@@ -70,6 +81,7 @@ from stabrec.modules import (
     module_isomorphic,
     quotient,
     radical_series,
+    submodule,
     submodule_closure,
 )
 from stabrec.stable import projective_maps, stable_hom
@@ -423,7 +435,7 @@ def test_top_kernels_yield_each_reachable_kernel_once():
     budget = _Budget(500000)
     got = [_transport_rows(incl, _full_rows(k)).tobytes()
            for k, incl in (_sub_from_spaces(rp, spaces, "ker")
-                           for _, _, spaces in _top_kernels(rp, fam, budget))]
+                           for _, _, _, spaces in _top_kernels(rp, fam, budget))]
     assert not budget.hit and len(got) == len(set(got))
     budget = _Budget(500000)
     reached = [key for mv in _mult_candidates(rp, fam)
@@ -455,10 +467,10 @@ def test_enumeration_searches_only_stably_onto_kernels(monkeypatch):
     real_remainder = filtration.has_projective_remainder
 
     def top_kernels(m, sset, budget):
-        for x, f, spaces in real_top(m, sset, budget):
+        for mv, x, f, spaces in real_top(m, sset, budget):
             if not depth[0]:
                 events.append(("top", stably_onto(m, x, f, sset), kernel(f)[0].key))
-            yield x, f, spaces
+            yield mv, x, f, spaces
 
     def nested(real, record):
         def call(k, sset, *args, **kwargs):
@@ -549,6 +561,206 @@ def test_enumeration_output_is_pinned():
                 continue
             got.append((len(filts), chain_digest(filts)))
         assert got == want, cap
+
+
+# -- layer multiplicities: the searches' against the layers' ----------------------
+
+
+def layer_witness_mults(filt) -> tuple:
+    """The multiplicities _layer_witness finds on levels built afresh from
+    the chain."""
+    out = []
+    for i in range(len(filt)):
+        sub, incl = submodule(filt.module, filt.chain[i])
+        layer, _ = quotient(sub, _rows_in_sub(incl, filt.chain[i + 1]))
+        out.append(_layer_witness(layer, filt.sset)[0])
+    return tuple(out)
+
+
+def search_filtrations(m, sset, cap):
+    """(route, filtration) for every way the searches filter m: greedy,
+    each projective split, the top-quotient search, is_filtrable and every
+    enumerated chain, each at cap (a route that hits it is skipped)."""
+    out = []
+    try:
+        out.append(("greedy", s_radical_filtration(m, sset)))
+    except NotFiltrable:
+        pass
+    for rest, part in _projective_splits(m):
+        if rest:
+            out.append(("split", _split_and_filter(m, sset, rest, part, _Budget(cap), {})))
+    out.append(("search", _search_filtration(m, sset, _Budget(cap), {})))
+    for route, run in (("is_filtrable", lambda: [is_filtrable(m, sset, search_cap=cap)]),
+                       ("enumeration",
+                        lambda: exhaustive_radical_filtrations(m, sset, search_cap=cap))):
+        try:
+            out += [(route, f) for f in run()]
+        except Undecided:
+            pass
+    return [(route, f) for route, f in out if f is not None]
+
+
+def test_search_multiplicities_equal_the_layer_witnesses():
+    # every filtration a search builds keeps the multiplicities of its top
+    # quotients, and they are the ones decomposing its layers finds: over
+    # the corpus with its simples, and over criterion 5's module and the
+    # enumeration stream with the ka4 family at caps 500 and 5,000
+    cases = []
+    for name in fixtures.CORPUS:
+        alg = fixtures.load(name)
+        ss = fixtures.simples(alg)
+        last = alg.projective(alg.nvertices - 1)
+        mods = [direct_sum(ss)[0], alg.projective(0), direct_sum([ss[0], last])[0]]
+        mods += [_random_filtrable(alg, ss, seed) for seed in (1, 2, 3)]
+        cases += [(m, ss, 500) for m in mods if m.dim]
+    fam = fixtures.ka4_family()
+    stream = [fixtures.ka4_restricted_projective()]
+    stream += [_random_filtrable(fam[0].algebra, fam, s) for s in range(1, 17)]
+    cases += [(m, fam, cap) for cap in (500, 5000) for m in stream]
+    routes = collections.Counter()
+    for m, sset, cap in cases:
+        for route, f in search_filtrations(m, sset, cap):
+            assert f._mults is not None, route
+            assert f.mult_sequence() == layer_witness_mults(f), route
+            assert tuple(lv.mults for lv in f.levels()) == f.mult_sequence()
+            routes[route] += 1
+    assert set(routes) == {"greedy", "split", "search", "is_filtrable", "enumeration"}
+    assert routes["enumeration"] > 24
+    # the two fixtures that are not self-injective have no stable Hom, so
+    # no search filters anything over them
+    for name in fixtures.EXTRAS:
+        alg = fixtures.load(name)
+        with pytest.raises(NotSelfInjective):
+            is_filtrable(direct_sum(fixtures.simples(alg))[0], fixtures.simples(alg))
+
+
+def test_level_witnesses_are_isomorphisms():
+    # built on first access: the greedy filtrations of criterion 6's modules,
+    # then a filtration read back from its filtration.v1 document
+    filts = []
+    for name in fixtures.CORPUS:
+        alg = fixtures.load(name)
+        sset = fixtures.simples(alg)
+        done, seed = 0, 0
+        while done < 200:
+            seed += 1
+            n = _random_filtrable(alg, sset, seed)
+            if n.dim:
+                filts.append(s_radical_filtration(n, sset, seed=1000 + seed))
+                done += 1
+    lam = fixtures.load("lambda4")
+    filts.append(io.load_filtration(io.dump_filtration(filts[0]), lam))
+    assert filts[-1]._mults is None
+    for f in filts:
+        for lv in f.levels():
+            w = lv.witness
+            assert w is lv.witness and w.src is lv.layer and w.is_iso()
+            x = _sum_with_mults(f.sset, lv.mults)[0]
+            assert w.tgt.key == x.key
+
+
+def _fresh_lambda4():
+    """lambda4 loaded anew, so that no earlier test's memo shapes a search."""
+    return io.load_algebra(json.loads(fixtures.fixture_text("lambda4")))
+
+
+def hostile_sets(lam):
+    su, sv = fixtures.simples(lam)
+    pv = lam.projective(1)
+    sets = {
+        "duplicated": [su, su, sv],
+        "plus_projective": [direct_sum([su, pv], name="SuPv")[0], sv],
+        "decomposable": [direct_sum([su, sv], name="SuSv")[0]],
+    }
+    mods = {"SS": direct_sum([su, sv], name="SS")[0],
+            "PvSS": direct_sum([su, pv, sv], name="PvSS")[0],
+            "Pu": lam.projective(0), "Su": su}
+    return sets, mods
+
+
+# Member sets that are not basic (a member twice, a member plus P(v), a
+# decomposable member) over lambda4: per (set, module) what is_filtrable,
+# the greedy filtration and the enumeration give, as mult_sequence or
+# (exception, message); per (set, module) the filtrate exit code, outcome,
+# sha256 of its report without the timing and of the --emit filtration.
+# Recorded before filtrations kept their search multiplicities.
+_GREEDY_STALLS = ("NotFiltrable", "greedy filtration stalled: no surjection onto X in the coset")
+_NO_STABLE_TOP = ("NotFiltrable", "greedy filtration stalled: all stable Hom(m, S) vanish "
+                                  "on a nonzero module")
+_DIM2_OUTSIDE = ("NotFiltrable", "layer summand of dim 2 is not in add(S)")
+_DIM1_OUTSIDE = ("NotFiltrable", "layer summand of dim 1 is not in add(S)")
+HOSTILE_LIBRARY = {
+    ("duplicated", "SS"): (((0, 0, 1), (1, 0, 0)), _GREEDY_STALLS, [((1, 0, 1),)]),
+    ("duplicated", "PvSS"): (((0, 0, 1), (1, 0, 0), (0, 0, 1), (1, 0, 0)), _GREEDY_STALLS,
+                             [((1, 0, 2), (1, 0, 0))]),
+    ("duplicated", "Pu"): (((1, 0, 0), (0, 0, 1)), _NO_STABLE_TOP, [((1, 0, 0), (0, 0, 1))]),
+    ("duplicated", "Su"): (((1, 0, 0),), _GREEDY_STALLS, [((1, 0, 0),)]),
+    ("plus_projective", "SS"): (None, _GREEDY_STALLS, []),
+    ("plus_projective", "PvSS"): (_DIM2_OUTSIDE, _DIM2_OUTSIDE, _DIM2_OUTSIDE),
+    ("plus_projective", "Pu"): (None, _NO_STABLE_TOP, []),
+    ("plus_projective", "Su"): (None, _GREEDY_STALLS, []),
+    ("decomposable", "SS"): (_DIM1_OUTSIDE, _GREEDY_STALLS, _DIM1_OUTSIDE),
+    ("decomposable", "PvSS"): (_DIM1_OUTSIDE, _GREEDY_STALLS, []),
+    ("decomposable", "Pu"): (None, _NO_STABLE_TOP, []),
+    ("decomposable", "Su"): (None, _GREEDY_STALLS, []),
+}
+HOSTILE_CLI = {
+    ("duplicated", "SS"): (0, "filtrable", "fd39ea4eececebc4", "b7a926e97fba0b50"),
+    ("duplicated", "PvSS"): (0, "filtrable", "8e2b047f4b08701d", "f1e1e4992d14062e"),
+    ("plus_projective", "SS"): (1, "not filtrable", "b3162543cdaf41ab", None),
+    ("plus_projective", "PvSS"): (1, "error", "ae39ad46ee47115e", None),
+    ("decomposable", "SS"): (1, "error", "56b2644429e4253a", None),
+    ("decomposable", "PvSS"): (1, "error", "9e1a504a09c79457", None),
+}
+
+
+def _mults_or_error(run):
+    try:
+        r = run()
+        if r is None:
+            return None
+        return [f.mult_sequence() for f in r] if isinstance(r, list) else r.mult_sequence()
+    except StabrecError as e:
+        return (type(e).__name__, str(e))
+
+
+def test_hostile_member_sets_answer_as_before():
+    lam = _fresh_lambda4()
+    sets, mods = hostile_sets(lam)
+    got = {}
+    for sn, sset in sets.items():
+        for mn, m in mods.items():
+            got[sn, mn] = (_mults_or_error(lambda: is_filtrable(m, sset)),
+                           _mults_or_error(lambda: s_radical_filtration(m, sset)),
+                           _mults_or_error(lambda: exhaustive_radical_filtrations(m, sset)))
+    assert got == HOSTILE_LIBRARY
+
+
+def test_hostile_member_sets_filtrate_as_before(capsys, tmp_path):
+    sets, mods = hostile_sets(_fresh_lambda4())
+    alg = str(Path(stabrec.__file__).parent / "data" / "lambda4.json")
+
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(io.canon_dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def digest(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+    got = {}
+    for sn, sset in sets.items():
+        set_file = write(f"{sn}.set.json", [io.dump_module(s) for s in sset])
+        for mn in ("SS", "PvSS"):
+            emit = tmp_path / f"emit-{sn}-{mn}"
+            code = cli_main(["filtrate", alg, set_file, write(f"{mn}.json", io.dump_module(mods[mn])),
+                             "--emit", str(emit)])
+            rep = json.loads(capsys.readouterr().out)
+            del rep["timing"]
+            art = emit / "filtrate.filtration.json"
+            got[sn, mn] = (code, rep["outcome"], digest(io.canon_dumps(rep)),
+                           digest(art.read_text(encoding="utf-8")) if art.exists() else None)
+    assert got == HOSTILE_CLI
 
 
 def test_combinations_match_scale_add():

@@ -7,6 +7,8 @@ written.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -267,6 +269,30 @@ def test_matmul_against_int64_reference(f, m, n, r):
         got = f.matmul(x, y)
         assert got.dtype == np.int16 and got.shape == (m, r)
         assert np.array_equal(got, reference_matmul(f, x, y))
+
+
+def digit_blowup_matmul(f, a, b):
+    """a @ b by the digit blow-up that Field.matmul runs on nonempty shapes."""
+    (m, n), r, k = a.shape, b.shape[1], f.k
+    digits = f._digits.take(a, axis=0).reshape(m, n * k)
+    blown = f._blowup[f._krange, b[:, None, :]].reshape(n * k, r * k)
+    out = (digits @ blown).astype(np.int64) % f.p
+    return (out.reshape(m, r, k) @ f._powers).astype(np.int16)
+
+
+@pytest.mark.parametrize("f", [F2, Field(3), F4, F5], ids=lambda f: f"GF({f.q})")
+def test_matmul_empty_shapes_match_the_digit_blowup(f):
+    # a zero dimension returns zeros at once; shape, dtype and entries are
+    # those the blow-up gives
+    rng = np.random.default_rng(f.q)
+    for m, n, r in itertools.product((0, 1, 3), repeat=3):
+        if m and n and r:
+            continue
+        a = rng.integers(0, f.q, size=(m, n)).astype(np.int16)
+        b = rng.integers(0, f.q, size=(n, r)).astype(np.int16)
+        got, want = f.matmul(a, b), digit_blowup_matmul(f, a, b)
+        assert got.shape == want.shape == (m, r) and got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def reference_rref(f, a):
