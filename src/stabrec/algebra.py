@@ -146,10 +146,12 @@ class Algebra:
         its projectives, injectives, self-injectivity report, regular module
         and filtrability answers per simple set; per module key the top
         generators, generator inverses and decomposition; per pair of keys
-        the Hom basis and stable Hom; and per (key, name) the projective
+        the Hom basis and stable Hom; per (key, name) the projective
         cover, injective hull and stable core, whose names carry the
-        module's.  Shared values are never written into (see
-        modules.read_only)."""
+        module's; and per (simple set, multiplicity vector) the sum
+        X = S_1^{m_1} + ... with its copy injections, onto which the
+        filtration searches try surjections.  Shared values are never
+        written into (see modules.read_only)."""
         memo = self._memo
         if key not in memo:
             memo[key] = build()

@@ -27,15 +27,14 @@ from .modules import (
     Summand,
     _sub_from_spaces,
     cokernel,
+    combination_flats,
     combine,
-    combinations,
     compose_flats,
     decompose,
     direct_sum,
     extend_along_injection,
     flat_to_map,
     hom_flats,
-    hom_space,
     injective_hull,
     is_projective,
     kernel,
@@ -43,6 +42,7 @@ from .modules import (
     module_isomorphic,
     quotient,
     radical_submodule,
+    read_only,
     submodule,
     submodule_closure,
     zero_module,
@@ -484,10 +484,22 @@ def _block_rows(blocks, q: int):
             yield head + tail
 
 
+def _copies(sset, mv):
+    """(X, injections, layout) of `_sum_with_mults`, memoised per (S, mv),
+    with the arrays of X and its injections read-only."""
+    def build():
+        x, injs, _, layout = _sum_with_mults(sset, mv)
+        read_only(x, *injs)
+        return x, tuple(injs), tuple(layout)
+    return sset[0].algebra.cached(("X", _sset_sig(sset), tuple(mv)), build)
+
+
 def _surjections_onto(m: Module, sset, mv, budget: _Budget):
-    """(X, f) for one surjection f: m ->> X = sum of S_i^{mv[i]} per orbit of
-    prod GL_{mv[i]}(q) on the maps whose coefficient blocks have full row
-    rank, spending one unit of budget per orbit.
+    """(X, vec, forms) for one surjection f: m ->> X = sum of S_i^{mv[i]}
+    per orbit of prod GL_{mv[i]}(q) on the maps whose coefficient blocks
+    have full row rank, spending one unit of budget per orbit: vec is f's
+    flat row (`flat_to_map(m, X, vec)` is f) and forms its vertex blocks'
+    (rref, pivots).
 
     Only ker f is used, and ker(g f) = ker f for every automorphism g of X.
     The component of f onto the copies of S_i is an mv[i] x h_i block of
@@ -497,23 +509,42 @@ def _surjections_onto(m: Module, sset, mv, budget: _Budget):
     So the [h_i, mv[i]]_q products of echelon blocks reach every kernel.
     Some mv[i] > h_i leaves no surjection: nothing is yielded and the budget
     is untouched (a certified absence).  More orbits than the maps left is
-    a refusal: budget.hit is set and nothing is yielded."""
+    a refusal: budget.hit is set and nothing is yielded.
+
+    The candidates' flat rows come a chunk at a time from one field product
+    of their coefficient rows with the composites inj_c h
+    (`combination_flats`), which are stacked once per call (one
+    `compose_flats` per copy c); X and its injections are memoised per
+    (S, mv) (`_copies`).  Each vertex
+    block of a candidate is reduced once, in vertex order, and the
+    candidate is dropped at the first block short of full row rank (f is
+    onto exactly when every block is); no map is built here."""
     fld = m.algebra.field
-    homs = {si: hom_space(m, sset[si]) for si, r in enumerate(mv) if r}
+    homs = {si: hom_flats(m, sset[si]) for si, r in enumerate(mv) if r}
     if any(mv[si] > len(h) for si, h in homs.items()):
         return
     orbits = math.prod(_gaussian_binomial(len(h), mv[si], fld.q) for si, h in homs.items())
     if orbits > budget.maps:
         budget.hit = True
         return
-    x, injs, _, layout = _sum_with_mults(sset, mv)
-    basis = [inj.compose(h) for inj, (si, _) in zip(injs, layout) for h in homs[si]]
+    x, injs, layout = _copies(sset, mv)
+    stacked = np.concatenate([compose_flats(homs[si], m, sset[si], left=inj)
+                              for inj, (si, _) in zip(injs, layout)])
+    cuts = list(itertools.accumulate((a * c for a, c in zip(x.dims, m.dims)), initial=0))
+    shapes = list(zip(cuts, cuts[1:], x.dims, m.dims))
     rows = _block_rows([(mv[si], len(h)) for si, h in homs.items()], fld.q)
-    for f in combinations(basis, rows):
+    for vec in combination_flats(fld, stacked, rows):
         if not budget.spend():
             return
-        if f.is_surjective_map():
-            yield x, f
+        forms = []
+        for lo, hi, a, c in shapes:
+            block = vec[lo:hi].reshape(a, c)
+            form = fld.rref(block) if a else (block, ())
+            if len(form[1]) < a:
+                break
+            forms.append(form)
+        else:
+            yield x, vec, forms
 
 
 def _top_kernels(m: Module, sset, budget: _Budget):
@@ -523,16 +554,22 @@ def _top_kernels(m: Module, sset, budget: _Budget):
     layer m / K.  spaces are the per-vertex echelon kernels of f's blocks:
     canonical, so they identify K.  Callers build K from them
     (`_sub_from_spaces`) only for the kernels they go on to test; the
-    enumeration first drops those failing its stable test."""
+    enumeration first drops those failing its stable test.
+
+    A candidate is known by the echelon forms `_surjections_onto` reduced
+    its blocks to: each block's row space is the annihilator of its kernel,
+    so equal forms are equal kernels, and the other way round.  Only for a
+    kernel not seen before are spaces read off those forms
+    (`Field.rref_kernel`) and the map f built."""
     fld = m.algebra.field
     seen = set()
     for mv in _mult_candidates(m, sset):
-        for x, f in _surjections_onto(m, sset, mv, budget):
-            spaces = [fld.kernel(b) for b in f.blocks]
-            key = tuple(sp.tobytes() for sp in spaces)
+        for x, vec, forms in _surjections_onto(m, sset, mv, budget):
+            key = tuple(r.tobytes() for r, _ in forms)
             if key not in seen:
                 seen.add(key)
-                yield mv, x, f, spaces
+                spaces = [fld.rref_kernel(r, piv) for r, piv in forms]
+                yield mv, x, flat_to_map(m, x, vec), spaces
 
 
 def _projective_splits(m: Module):

@@ -4,14 +4,28 @@ Field elements are plain Python ints (and numpy integer arrays) in the range
 0..q-1.  An element encodes the coefficient vector of a polynomial in the
 generator t, in base p: n = sum(c_i * p**i) represents sum(c_i * t**i); for a
 prime field (k = 1, modulus t) that is n itself.  Every field takes its
-arithmetic from dense q x q lookup tables built once per field.  A matrix
-product is a single product over GF(p): the left factor is written out in
-base-p digits and each entry of the right factor becomes the k x k
-GF(p)-matrix of multiplication by that entry.  That product is taken in
-float64, so that BLAS runs it; its entries are integers of at most
-n k (p-1)^2 <= 62,500 n for an inner dimension n, below 2^53 for any n up
-to 10^11, so it is exact in any summation order; it is reduced mod p in
-int64.
+arithmetic from dense q x q lookup tables built once per field.
+
+A matrix product a @ b (m x n times n x r) has two paths with the same
+result, chosen by its shape alone.  When it takes at most
+SMALL_MATMUL_PRODUCT scalar products m n r, as nearly all the calls the
+searches make do, every product a_ij b_jk is taken at once: over a prime
+field as an int64 product of the entries (sums of at most
+n (p-1)^2 < 2^25, exact), reduced mod p; over GF(2^k) from the
+multiplication table, summed by bitwise xor, since adding digit vectors
+mod 2 is xor; over any other extension field from the table too, with the
+products' base-p digits summed in int64 (at most n (p-1)) and reduced mod
+p digit by digit.  A larger product is a single product over GF(p): the
+left factor is written out in base-p digits and each entry of the right
+factor becomes the k x k GF(p)-matrix of multiplication by that entry.
+That product is taken in float64, so that BLAS runs it; its entries are
+integers of at most n k (p-1)^2 <= 62,500 n for an inner dimension n,
+below 2^53 for any n up to 10^11, so it is exact in any summation order;
+it is reduced mod p in int64.  The small path saves the blow-up's fixed
+cost, most of a few-entry product over GF(p) or GF(2^k) (over odd-p
+extension fields the two paths cost about the same); past the threshold
+the blow-up wins, by 2-2.5 times at 30 x 30 x 30 over GF(4) on a 2-vCPU
+Xeon.
 
 Row reduction has two paths with the same result (the RREF is unique and
 both use the same pivot rule).  Matrices of at most SMALL_RREF_ENTRIES
@@ -63,6 +77,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
 # matrices cross over near 18 x 18, and on the matrices the searches and
 # resolutions actually reduce, 256 was the cheapest cutoff tried.
 SMALL_RREF_ENTRIES = 256
+
+# matmul takes a product of at most this many scalar products m n r from the
+# tables and int64 sums, larger ones as one float64 product over GF(p)
+SMALL_MATMUL_PRODUCT = 512
 
 
 class FieldError(ValueError):
@@ -142,6 +160,9 @@ class Field:
         self._powers = powers
         self._krange = np.arange(k)[:, None]
 
+        # for the small-shape matmul over odd p, k > 1: the digits as int64
+        self._digits_i = digits
+
         # for the small-shape rref: the tables as nested Python lists
         self._mul_l = self._mul_t.tolist()
         self._add_l = self._add_t.tolist()
@@ -195,15 +216,18 @@ class Field:
         return np.eye(n, dtype=np.int16)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b as one product over GF(p): the base-p digits of a (m x nk)
-        times the blow-up of b into multiplication matrices (nk x rk),
-        reduced mod p and recombined digit by digit.
+        """a @ b.  With m, n or r zero the product is the zero matrix.  With
+        m n r at most SMALL_MATMUL_PRODUCT it is summed from the products of
+        the entries (`_matmul_small`); above that it is one product over
+        GF(p): the base-p digits of a (m x nk) times the blow-up of b into
+        multiplication matrices (nk x rk), reduced mod p and recombined
+        digit by digit.
 
-        The product is taken in float64, so BLAS runs it.  Its entries are
-        integers of at most n k (p-1)^2 < 2^53, exact whatever order the sum
-        is taken in; they are reduced as int64 (int32 would overflow for
-        GF(251) once n reaches 34,360).  With m, n or r zero the product is
-        the zero matrix, returned without the blow-up."""
+        The blow-up product is taken in float64, so BLAS runs it.  Its
+        entries are integers of at most n k (p-1)^2 < 2^53, exact whatever
+        order the sum is taken in; they are reduced as int64 (int32 would
+        overflow for GF(251) once n reaches 34,360).  Both paths give the
+        same int16 matrix."""
         a = np.asarray(a, dtype=np.int16)
         b = np.asarray(b, dtype=np.int16)
         if a.shape[1] != b.shape[0]:
@@ -211,11 +235,34 @@ class Field:
         (m, n), r, k = a.shape, b.shape[1], self.k
         if not (m and n and r):
             return np.zeros((m, r), dtype=np.int16)
+        if m * n * r <= SMALL_MATMUL_PRODUCT:
+            return self._matmul_small(a, b)
         digits = self._digits.take(a, axis=0).reshape(m, n * k)
         blown = self._blowup[self._krange, b[:, None, :]].reshape(n * k, r * k)
         out = (digits @ blown).astype(np.int64)
         out %= self.p
         return (out.reshape(m, r, k) @ self._powers).astype(np.int16)
+
+    def _matmul_small(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b from the products of the entries, for nonempty a and b with
+        at most SMALL_MATMUL_PRODUCT of them.  A prime field multiplies the
+        entries as int64 (each sum at most n (p-1)^2 < 2^25) and reduces
+        mod p.  An extension field takes each product a_ij b_jk from its
+        table, an m x n x r array, and sums over j in base-p digits: for
+        p = 2 the digitwise sum mod 2 is the bitwise xor of the encodings;
+        for odd p the products' digits are summed as int64 (at most
+        n (p-1)), reduced mod p and recombined."""
+        p = self.p
+        if self.k == 1:
+            out = a.astype(np.int64) @ b.astype(np.int64)
+            out %= p
+            return out.astype(np.int16)
+        prods = self._mul_t[a[:, :, None], b[None, :, :]]
+        if p == 2:
+            return np.bitwise_xor.reduce(prods, axis=1)
+        out = self._digits_i.take(prods, axis=0).sum(axis=1)
+        out %= p
+        return (out @ self._powers).astype(np.int16)
 
     def products(self, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Coordinate rows of every product x_a y_b of an algebra with
@@ -327,9 +374,17 @@ class Field:
 
     def kernel(self, a: np.ndarray) -> np.ndarray:
         """Canonical (RREF) basis of the right kernel {x : a x = 0}, as rows."""
-        a = np.asarray(a, dtype=np.int16)
-        nrows, ncols = a.shape
-        r, piv = self.rref(a)
+        return self.rref_kernel(*self.rref(a))
+
+    def rref_kernel(self, r: np.ndarray, piv: tuple[int, ...]) -> np.ndarray:
+        """`kernel` of a matrix from its rref r and pivots piv, as `rref`
+        returns them, so that a caller holding them does not reduce the
+        matrix again.  The basis read off r is reduced once more to make it
+        canonical, except with no pivots: then the kernel is everything, and
+        the identity is already its echelon basis."""
+        ncols = r.shape[1]
+        if not piv:
+            return self.eye(ncols)
         free = [c for c in range(ncols) if c not in piv]
         if not free:
             return np.zeros((0, ncols), dtype=np.int16)

@@ -22,7 +22,7 @@ import numpy as np
 from stabrec.errors import PresentationError
 
 
-# rows of coefficients per field product in combinations(); bounds the
+# rows of coefficients per field product in combination_flats(); bounds the
 # candidate maps held at once during exhaustive searches
 COMBINE_CHUNK = 256
 
@@ -214,18 +214,23 @@ def combine(maps: list[ModuleMap], coeffs) -> ModuleMap:
 def combinations(maps: list[ModuleMap], coeff_rows) -> Iterator[ModuleMap]:
     """combine(maps, row) for each coefficient row, in the order given.
 
-    The maps' flat vectors are stacked once, and each chunk of up to
-    COMBINE_CHUNK rows costs one field product; rows are read from
-    coeff_rows only a chunk at a time, so it may be a lazy iterator."""
+    The maps' flat vectors are stacked once (see combination_flats)."""
     if not maps:
         raise PresentationError("cannot combine an empty list of maps")
     src, tgt = maps[0].src, maps[0].tgt
-    fld = src.algebra.field
     stacked = np.stack([h.flat() for h in maps])
+    for vec in combination_flats(src.algebra.field, stacked, coeff_rows):
+        yield flat_to_map(src, tgt, vec)
+
+
+def combination_flats(fld, stacked: np.ndarray, coeff_rows) -> Iterator[np.ndarray]:
+    """The flat row c @ stacked for each coefficient row c, in the order
+    given.  Each chunk of up to COMBINE_CHUNK rows costs one field product;
+    rows are read from coeff_rows only a chunk at a time, so it may be a
+    lazy iterator."""
     rows = iter(coeff_rows)
     while chunk := list(itertools.islice(rows, COMBINE_CHUNK)):
-        for vec in fld.matmul(np.array(chunk, dtype=np.int16), stacked):
-            yield flat_to_map(src, tgt, vec)
+        yield from fld.matmul(np.array(chunk, dtype=np.int16), stacked)
 
 
 def lift_through_surjection(epi: ModuleMap, f: ModuleMap) -> ModuleMap:

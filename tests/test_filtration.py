@@ -39,6 +39,7 @@ from stabrec.errors import (
 from stabrec.filtration import (
     Filtration,
     _Budget,
+    _block_rows,
     _echelon_rows,
     _full_rows,
     _gaussian_binomial,
@@ -75,6 +76,7 @@ from stabrec.modules import (
     combinations,
     direct_sum,
     ext1,
+    flat_to_map,
     ModuleMap,
     hom_space,
     kernel,
@@ -360,7 +362,8 @@ def test_surjections_onto_visit_every_kernel_once_per_orbit():
         orbits = math.prod(_gaussian_binomial(h, r, q) for h, r in zip(hs, mv))
         budget, at = _Budget(big), []
         got = []
-        for xx, f in _surjections_onto(m, sset, mv, budget):
+        for xx, vec, _ in _surjections_onto(m, sset, mv, budget):
+            f = flat_to_map(m, xx, vec)
             assert xx.dims == x.dims and f.tgt is xx
             at.append(big - budget.maps)  # the orbit index of this candidate
             got.append(f)
@@ -393,7 +396,8 @@ def test_surjections_onto_visit_every_kernel_once_per_orbit():
                     else:
                         maps, want = maps - 40, want + 1
             budget = _Budget(start)
-            kept = [f for _, f in _surjections_onto(m, sset, mv, budget) if budget.spend(40)]
+            kept = [vec for _, vec, _ in _surjections_onto(m, sset, mv, budget)
+                    if budget.spend(40)]
             assert (len(kept), budget.maps, budget.hit) == (want, maps, hit)
     assert seen["absent"] and seen["orbits"] and seen["several kernels"]
 
@@ -439,9 +443,100 @@ def test_top_kernels_yield_each_reachable_kernel_once():
     assert not budget.hit and len(got) == len(set(got))
     budget = _Budget(500000)
     reached = [key for mv in _mult_candidates(rp, fam)
-               for key in kernel_keys(f for _, f in _surjections_onto(rp, fam, mv, budget))]
+               for key in kernel_keys(flat_to_map(rp, x, vec)
+                                      for x, vec, _ in _surjections_onto(rp, fam, mv, budget))]
     assert not budget.hit and len(reached) > len(got)
     assert got == list(dict.fromkeys(reached))
+
+
+def reference_surjections(m, sset, mv, budget):
+    """_surjections_onto built map by map: every candidate a ModuleMap from
+    `combinations`, tested with `is_surjective_map`; yields (X, f)."""
+    fld = m.algebra.field
+    homs = {si: hom_space(m, sset[si]) for si, r in enumerate(mv) if r}
+    if any(mv[si] > len(h) for si, h in homs.items()):
+        return
+    orbits = math.prod(_gaussian_binomial(len(h), mv[si], fld.q) for si, h in homs.items())
+    if orbits > budget.maps:
+        budget.hit = True
+        return
+    x, injs, _, layout = _sum_with_mults(sset, mv)
+    basis = [inj.compose(h) for inj, (si, _) in zip(injs, layout) for h in homs[si]]
+    rows = _block_rows([(mv[si], len(h)) for si, h in homs.items()], fld.q)
+    for f in combinations(basis, rows):
+        if not budget.spend():
+            return
+        if f.is_surjective_map():
+            yield x, f
+
+
+def reference_top_kernels(m, sset, budget):
+    """_top_kernels on reference_surjections, each kernel by Field.kernel."""
+    fld = m.algebra.field
+    seen = set()
+    for mv in _mult_candidates(m, sset):
+        for x, f in reference_surjections(m, sset, mv, budget):
+            spaces = [fld.kernel(b) for b in f.blocks]
+            key = tuple(sp.tobytes() for sp in spaces)
+            if key not in seen:
+                seen.add(key)
+                yield mv, x, f, spaces
+
+
+def spend_trace(run, maps, toll=0):
+    """The items run(budget) yields, each with the budget spent before it,
+    a consumer paying toll per yield while it can, and the budget spent and
+    hit at the end."""
+    budget, out = _Budget(maps), []
+    for item in run(budget):
+        out.append((maps - budget.maps, item))
+        if toll and not budget.spend(toll):
+            break
+    return out, (maps - budget.maps, budget.hit)
+
+
+def kernels_key(fld, blocks) -> tuple:
+    return tuple(fld.kernel(b).tobytes() for b in blocks)
+
+
+def test_surjections_onto_against_the_map_by_map_search():
+    # the candidate-row search yields the maps and kernels of the map-by-map
+    # one, in the same order, with the same budget spent at every yield, and
+    # leaves budget.hit as it does
+    cases = 0
+    for m, sset, mv in orbit_cases():
+        fld = m.algebra.field
+
+        def new(budget):
+            for x, vec, forms in _surjections_onto(m, sset, mv, budget):
+                yield x.key, vec.tobytes(), tuple(fld.rref_kernel(*fm).tobytes() for fm in forms)
+
+        def ref(budget):
+            for x, f in reference_surjections(m, sset, mv, budget):
+                yield x.key, f.flat().tobytes(), kernels_key(fld, f.blocks)
+
+        for maps, toll in ((10 ** 6, 0), (60, 0), (400, 3), (4000, 40)):
+            got = spend_trace(new, maps, toll)
+            assert got == spend_trace(ref, maps, toll), (m.dims, mv, maps, toll)
+            cases += len(got[0]) > 1
+    assert cases > 20
+    fam = fixtures.ka4_family()
+    mods = [fixtures.ka4_restricted_projective()]
+    mods += [_random_filtrable(fam[0].algebra, fam, s) for s in range(1, 17)]
+
+    def trace(top, m, cap):
+        def run(budget):
+            for mv, x, f, spaces in top(m, fam, budget):
+                yield mv, x.key, f.flat().tobytes(), tuple(sp.tobytes() for sp in spaces)
+        return spend_trace(run, cap)
+
+    hits = collections.Counter()
+    for cap in (500, 5000):
+        for m in mods:
+            got = trace(_top_kernels, m, cap)
+            assert got == trace(reference_top_kernels, m, cap), (cap, m.dims)
+            hits[cap, got[1][1]] += 1
+    assert all(hits[cap, hit] for cap in (500, 5000) for hit in (True, False))
 
 
 def stably_onto(cur, x, f, sset) -> bool:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from stabrec.gf import (
     DEFAULT_MODULI,
+    SMALL_MATMUL_PRODUCT,
     SMALL_RREF_ENTRIES,
     Field,
     FieldError,
@@ -293,6 +294,61 @@ def test_matmul_empty_shapes_match_the_digit_blowup(f):
         got, want = f.matmul(a, b), digit_blowup_matmul(f, a, b)
         assert got.shape == want.shape == (m, r) and got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+# m x n x r around SMALL_MATMUL_PRODUCT = 512: below, at and above it
+SMALL_MATMUL_SHAPES = [(7, 73, 1), (1, 511, 1), (3, 10, 17), (8, 8, 8), (2, 256, 1),
+                       (1, 1, 512), (3, 9, 19), (1, 513, 1), (9, 8, 8)]
+
+
+@pytest.mark.parametrize("f", [F2, Field(3), F4, F5, F8, F9, Field(5, 2), F251],
+                         ids=lambda f: f"GF({f.q})")
+def test_small_matmul_against_the_digit_blowup(f):
+    # the table path, called directly and through matmul on either side of
+    # its threshold, gives the blow-up's shape, dtype and bytes
+    assert SMALL_MATMUL_PRODUCT == 512
+    rng = np.random.default_rng(f.q)
+    for m, n, r in SMALL_MATMUL_SHAPES:
+        a = rng.integers(0, f.q, size=(m, n)).astype(np.int16)
+        b = rng.integers(0, f.q, size=(n, r)).astype(np.int16)
+        for x, y in [(a, b), (np.full_like(a, f.q - 1), np.full_like(b, f.q - 1))]:
+            want = digit_blowup_matmul(f, x, y)
+            for got in (f._matmul_small(x, y), f.matmul(x, y)):
+                assert got.shape == want.shape == (m, r) and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (m, n, r)
+
+
+def reference_kernel(f, a):
+    """The kernel as Field.kernel built it before rref_kernel: the basis
+    read off the rref, reduced again."""
+    ncols = a.shape[1]
+    r, piv = f.rref(a)
+    free = [c for c in range(ncols) if c not in piv]
+    if not free:
+        return np.zeros((0, ncols), dtype=np.int16)
+    basis = np.zeros((len(free), ncols), dtype=np.int16)
+    basis[range(len(free)), free] = 1
+    basis[:, piv] = f.neg(r[: len(piv), free].T)
+    return f.row_space(basis)
+
+
+@pytest.mark.parametrize("f", [F2, F4, F5], ids=lambda f: f"GF({f.q})")
+def test_kernel_without_pivots_is_the_identity(f):
+    # no pivot: the kernel is everything, and eye(ncols) is its echelon
+    # basis, with the bytes the second reduction gave
+    for shape in ((0, 0), (0, 5), (3, 0), (3, 5), (1, 1)):
+        a = np.zeros(shape, dtype=np.int16)
+        got = f.kernel(a)
+        assert got.dtype == np.int16 and got.shape == (shape[1], shape[1])
+        assert got.tobytes() == np.eye(shape[1], dtype=np.int16).tobytes()
+        assert got.tobytes() == reference_kernel(f, a).tobytes()
+        assert f.rref_kernel(a, ()).tobytes() == got.tobytes()
+    rng = np.random.default_rng(f.q)
+    for _ in range(200):
+        a = rng.integers(0, f.q, size=tuple(rng.integers(0, 6, size=2))).astype(np.int16)
+        a[:, rng.random(a.shape[1]) < 0.3] = 0
+        got, want = f.kernel(a), reference_kernel(f, a)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def reference_rref(f, a):
