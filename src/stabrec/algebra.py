@@ -150,8 +150,8 @@ class Algebra:
         cover, injective hull and stable core, whose names carry the
         module's; and per (simple set, multiplicity vector) the sum
         X = S_1^{m_1} + ... with its copy injections, onto which the
-        filtration searches try surjections.  Shared values are never
-        written into (see modules.read_only)."""
+        filtration searches try surjections and canonical_top maps.  Shared
+        values are never written into (see modules.read_only)."""
         memo = self._memo
         if key not in memo:
             memo[key] = build()

@@ -3,8 +3,9 @@
 A filtration is stored as a chain of global row spaces of the ambient module,
 each arrow-stable, strictly decreasing, ending at zero.  A filtration built
 by a search keeps the layer multiplicities its surjections certified; any
-other has each layer decomposed and matched against S.  Layer witnesses
-(isomorphisms onto direct sums of members of S) are built on demand.
+other has each layer decomposed and matched against S.  Elements of a Hom
+space cross function boundaries as flat rows (the `ModuleMap.flat` layout);
+a map is built only where blocks are composed, factored or inverted.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
 from .modules import (
     Module,
     ModuleMap,
-    Summand,
     _sub_from_spaces,
     cokernel,
     combination_flats,
@@ -38,7 +38,6 @@ from .modules import (
     injective_hull,
     is_projective,
     kernel,
-    match_summands,
     module_isomorphic,
     quotient,
     radical_submodule,
@@ -91,45 +90,21 @@ def _sset_sig(sset) -> tuple:
     return tuple(s.key for s in sset)
 
 
-def _sum_with_mults(sset, mults):
-    """Direct sum of S-copies grouped by member: (X, injs, projs, layout),
-    layout[c] = (member index, copy number)."""
-    algebra = sset[0].algebra
-    parts, layout = [], []
-    for si, s in enumerate(sset):
-        for c in range(mults[si]):
-            parts.append(s)
-            layout.append((si, c))
-    if not parts:
-        return zero_module(algebra), [], [], layout
-    x, injs, projs = direct_sum(parts, name="X")
-    return x, injs, projs, layout
-
-
 # -- filtration values -----------------------------------------------------------
 
 class _Level:
     """Level i of a filtration: the submodule M_i with its inclusion, the
     layer M_i / M_{i+1} with its quotient map, and the layer's multiplicity
-    vector over S.  `witness`, an isomorphism of the layer onto the grouped
-    sum of S-copies, is assembled on first access."""
+    vector over S."""
 
-    __slots__ = ("sub", "incl", "layer", "qmap", "mults", "_sset", "_witness")
+    __slots__ = ("sub", "incl", "layer", "qmap", "mults")
 
-    def __init__(self, sub, incl, layer, qmap, mults, sset):
+    def __init__(self, sub, incl, layer, qmap, mults):
         self.sub = sub
         self.incl = incl
         self.layer = layer
         self.qmap = qmap
         self.mults = mults
-        self._sset = sset
-        self._witness = None
-
-    @property
-    def witness(self) -> ModuleMap:
-        if self._witness is None:
-            self._witness = _layer_witness(self.layer, self._sset)[1]
-        return self._witness
 
 
 class Filtration:
@@ -146,7 +121,7 @@ class Filtration:
 
     __slots__ = ("module", "sset", "chain", "_mults", "_levels")
 
-    def __init__(self, module: Module, sset, chain, check: bool = True, mults=None):
+    def __init__(self, module: Module, sset, chain, mults=None):
         self.module = module
         self.sset = list(sset)
         fld = module.algebra.field
@@ -158,8 +133,7 @@ class Filtration:
             if len(self._mults) != len(self):
                 raise PresentationError("one multiplicity vector per layer expected")
         self._levels = None
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         m, fld = self.module, self.module.algebra.field
@@ -201,7 +175,7 @@ class Filtration:
             inner = _rows_in_sub(incl, self.chain[i + 1])
             layer, qmap = quotient(sub, inner, name=f"L_{i}")
             mults = known[i] if known is not None else _layer_mults(layer, self.sset)
-            out.append(_Level(sub, incl, layer, qmap, mults, self.sset))
+            out.append(_Level(sub, incl, layer, qmap, mults))
         self._levels = out
         return out
 
@@ -246,28 +220,22 @@ def _layer_mults(layer: Module, sset) -> tuple[int, ...]:
     return tuple(mults)
 
 
-def _layer_witness(layer: Module, sset):
-    """Multiplicities and an iso onto the grouped direct sum of S-copies."""
-    mults = _layer_mults(layer, sset)
-    x, injs, projs, layout = _sum_with_mults(sset, mults)
-    copies = [Summand(sset[si], i, q) for (si, _), i, q in zip(layout, injs, projs)]
-    witness = match_summands(layer, x, decompose(layer), copies)
-    if witness is None or not witness.is_iso():
-        raise PresentationError("layer witness failed to assemble")
-    return mults, witness
-
-
 # -- canonical top layer ---------------------------------------------------------
 
 def canonical_top(m: Module, sset):
-    """X = sum of S-copies sized by stable Hom, with the canonical map."""
-    mults = [stable_hom(m, s).dim for s in sset]
-    x, injs, _, layout = _sum_with_mults(sset, mults)
-    g = ModuleMap.zero(m, x)
-    for c, (si, j) in enumerate(layout):
-        rep = stable_hom(m, sset[si]).reps[j]
-        g = g.add(injs[c].compose(rep))
-    return x, g, tuple(mults)
+    """X = sum of S-copies sized by stable Hom (`_copies`), with the
+    canonical map g: its component onto copy j of S_i is rep j of stable
+    Hom(m, S_i), and g's flat row the sum of their composites with the copy
+    injections."""
+    shs = [stable_hom(m, s) for s in sset]
+    mults = tuple(sh.dim for sh in shs)
+    x, injs, layout = _copies(sset, mults)
+    if not layout:
+        return x, ModuleMap.zero(m, x), mults
+    parts = np.concatenate([compose_flats(shs[si].reps[j:j + 1], m, sset[si], left=inj)
+                            for inj, (si, j) in zip(injs, layout)])
+    ones = np.ones((1, len(parts)), dtype=np.int16)
+    return x, flat_to_map(m, x, m.algebra.field.matmul(ones, parts)[0]), mults
 
 
 def _complete_top(fld, phi, kv, nv):
@@ -294,9 +262,10 @@ def _complete_top(fld, phi, kv, nv):
     return psi
 
 
-def lift_to_surjection(g: ModuleMap, dirs: list[ModuleMap]) -> ModuleMap:
+def lift_to_surjection(g: ModuleMap, dirs: np.ndarray) -> ModuleMap:
     """A surjection in the coset g + span(dirs), g itself when g is onto;
-    else raise NoSurjectionInCoset, a certified negative.
+    else raise NoSurjectionInCoset, a certified negative.  dirs are flat
+    rows of Hom(g.src, g.tgt).
 
     By Nakayama a map onto Y is onto iff its top, into T = Y / rad Y, is.
     The directions' tops must be all maps that vanish on K_v and land in N_v
@@ -305,11 +274,11 @@ def lift_to_surjection(g: ModuleMap, dirs: list[ModuleMap]) -> ModuleMap:
     algebra, vertex by vertex (`_complete_top`)."""
     if g.is_surjective_map():
         return g
-    if not dirs:
+    if not len(dirs):
         raise NoSurjectionInCoset(f"no surjection onto {g.tgt.name} in the coset")
     fld = g.src.algebra.field
     top = cokernel(radical_submodule(g.tgt)[1])[1]
-    flats = compose_flats(np.stack([d.flat() for d in dirs]), g.src, g.tgt, left=top)
+    flats = compose_flats(dirs, g.src, g.tgt, left=top)
     psis, count, pos, n = [], 0, 0, len(dirs)
     for phi in top.compose(g).blocks:
         t, c = phi.shape
@@ -325,7 +294,7 @@ def lift_to_surjection(g: ModuleMap, dirs: list[ModuleMap]) -> ModuleMap:
     if any(p is None for p in psis):
         raise NoSurjectionInCoset(f"no surjection onto {g.tgt.name} in the coset")
     c = fld.solve(flats.T, np.concatenate([p.reshape(-1) for p in psis]))
-    f = None if c is None else g.add(combine(dirs, c))
+    f = None if c is None else g.add(flat_to_map(g.src, g.tgt, fld.matmul(c[None], dirs)[0]))
     if f is None or not f.is_surjective_map():
         raise PresentationError("top completion did not lift to a surjection")
     return f
@@ -485,12 +454,18 @@ def _block_rows(blocks, q: int):
 
 
 def _copies(sset, mv):
-    """(X, injections, layout) of `_sum_with_mults`, memoised per (S, mv),
-    with the arrays of X and its injections read-only."""
+    """(X, injections, layout): X = sum of S_i^{mv[i]}, copies grouped by
+    member, with injs[c] the injection of copy c and layout[c] = (member
+    index, copy number).  Memoised per (S, mv), with the arrays of X and its
+    injections read-only."""
     def build():
-        x, injs, _, layout = _sum_with_mults(sset, mv)
+        layout = tuple((si, c) for si, r in enumerate(mv) for c in range(r))
+        if layout:
+            x, injs, _ = direct_sum([sset[si] for si, _ in layout], name="X")
+        else:
+            x, injs = zero_module(sset[0].algebra), []
         read_only(x, *injs)
-        return x, tuple(injs), tuple(layout)
+        return x, tuple(injs), layout
     return sset[0].algebra.cached(("X", _sset_sig(sset), tuple(mv)), build)
 
 
@@ -548,10 +523,11 @@ def _surjections_onto(m: Module, sset, mv, budget: _Budget):
 
 
 def _top_kernels(m: Module, sset, budget: _Budget):
-    """(mv, X, f, spaces) for the top quotients f: m ->> X = sum of
+    """(mv, X, vec, spaces) for the top quotients f: m ->> X = sum of
     S_i^{mv[i]}, by `_mult_candidates` then `_surjections_onto`, once per
-    kernel K of m: both searches use f only through K, and keep mv as the
-    layer m / K.  spaces are the per-vertex echelon kernels of f's blocks:
+    kernel K of m, vec being f's flat row: both searches use f only through
+    K, and keep mv as the layer m / K; only the enumeration's stable test
+    builds f.  spaces are the per-vertex echelon kernels of f's blocks:
     canonical, so they identify K.  Callers build K from them
     (`_sub_from_spaces`) only for the kernels they go on to test; the
     enumeration first drops those failing its stable test.
@@ -560,7 +536,7 @@ def _top_kernels(m: Module, sset, budget: _Budget):
     its blocks to: each block's row space is the annihilator of its kernel,
     so equal forms are equal kernels, and the other way round.  Only for a
     kernel not seen before are spaces read off those forms
-    (`Field.rref_kernel`) and the map f built."""
+    (`Field.rref_kernel`)."""
     fld = m.algebra.field
     seen = set()
     for mv in _mult_candidates(m, sset):
@@ -569,7 +545,7 @@ def _top_kernels(m: Module, sset, budget: _Budget):
             if key not in seen:
                 seen.add(key)
                 spaces = [fld.rref_kernel(r, piv) for r, piv in forms]
-                yield mv, x, flat_to_map(m, x, vec), spaces
+                yield mv, x, vec, spaces
 
 
 def _projective_splits(m: Module):
@@ -631,12 +607,8 @@ def _split_and_filter(m, sset, rest, part, budget, cache):
     f_part = _filtrable(part_mod, sset, budget, cache)
     if f_part is None:
         return None
-    rest_to_m = ModuleMap.zero(rest_mod, m)
-    for p, pr in zip(rest, rest_prs):
-        rest_to_m = rest_to_m.add(p.incl.compose(pr))
-    part_to_m = ModuleMap.zero(part_mod, m)
-    for p, pr in zip(part, part_prs):
-        part_to_m = part_to_m.add(p.incl.compose(pr))
+    rest_to_m = combine([p.incl.compose(pr) for p, pr in zip(rest, rest_prs)], [1] * len(rest))
+    part_to_m = combine([p.incl.compose(pr) for p, pr in zip(part, part_prs)], [1] * len(part))
     fld = m.algebra.field
     chain = []
     part_full = _transport_rows(part_to_m, _full_rows(part_mod))
@@ -809,8 +781,8 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
         # distinct kernels of cur give distinct chains below it; an
         # undecided kernel leaves the enumeration undecided: it raises
         out = []
-        for mv, x, f, spaces in _top_kernels(cur, sset, budget):
-            if not stably_onto(cur, x, f):
+        for mv, x, vec, spaces in _top_kernels(cur, sset, budget):
+            if not stably_onto(cur, x, flat_to_map(cur, x, vec)):
                 continue
             k, incl = _sub_from_spaces(cur, spaces, "ker")
             if is_filtrable(k, sset) is not None and not has_projective_remainder(k, sset):
@@ -860,9 +832,9 @@ def align_surjections(f: ModuleMap, fp: ModuleMap) -> ModuleMap:
     if c is None:
         raise PresentationError("stable equality failed to lift")
     h0 = flat_to_map(m, m, fld.matmul(c[None, :], pend)[0])
-    dirs = [flat_to_map(m, m, d) for d in fld.matmul(fld.kernel(prods), pend)]
     try:
-        sigma = lift_to_surjection(ModuleMap.identity(m).add(h0), dirs)
+        sigma = lift_to_surjection(ModuleMap.identity(m).add(h0),
+                                   fld.matmul(fld.kernel(prods), pend))
     except NoSurjectionInCoset as e:
         raise PresentationError("no automorphism aligns the maps") from e
     if np.any(f.compose(sigma).sub(fp).flat()):
@@ -914,11 +886,10 @@ def align_filtrations(f1: Filtration, f2: Filtration) -> ModuleMap:
             raise PresentationError("layer quotients are not stably equal")
         psi0 = flat_to_map(lb, la, fld.matmul(sol[None, :h], homs)[0])
         ker = fld.kernel(mat)[:, :h]
-        dirs = [flat_to_map(lb, la, d) for d in fld.matmul(ker[ker.any(axis=1)], homs)]
         # level 0 is stably bijective, so the directions are projective
         # maps between add(S) modules: radical, with zero tops
         try:
-            psi = lift_to_surjection(psi0, dirs)
+            psi = lift_to_surjection(psi0, fld.matmul(ker[ker.any(axis=1)], homs))
         except NoSurjectionInCoset as e:
             raise PresentationError("no stable iso between top layers") from e
         sigma1 = align_surjections(qa, psi.compose(qb))

@@ -288,9 +288,9 @@ def generator_build(algebra, sset, *, padding_cap: int | None = None) -> Filtere
         inner = s_radical_filtration(inner_total, sset)
         top_parts = [cover] + parts[1:]
         total, einjs, _ = direct_sum(top_parts, name=f"P({s.name})+Q")
-        inc = einjs[0].compose(incl).compose(dprojs[0])
-        for t in range(1, len(parts)):
-            inc = inc.add(einjs[t].compose(dprojs[t]))
+        inc = combine([einjs[0].compose(incl).compose(dprojs[0])]
+                      + [einjs[t].compose(dprojs[t]) for t in range(1, len(parts))],
+                      [1] * len(parts))
         chain = [_full_rows(total)]
         chain += [_transport_rows(inc, c) for c in inner.chain]
         block = FilteredModule(Filtration(total, sset, chain))

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotSelfInjective, PresentationError
-from . import modules as _mod
 from .modules import (
     Module,
     ModuleMap,
@@ -58,42 +57,27 @@ def _projective_flats(m: Module, n: Module) -> np.ndarray:
 
 
 class StableHom:
-    """Hom(m, n) together with its projective subspace and a choice of coset
-    representatives completing it to a basis; hom, proj and reps are lists
-    of maps, each built from the flat rows on first access."""
+    """Hom(m, n) with its projective subspace and a choice of coset
+    representatives completing it to a basis, each as flat rows (the
+    `ModuleMap.flat` layout): hom the echelon basis of Hom(m, n), proj that
+    of the maps factoring through a projective, and reps the hom rows
+    outside the span of proj and of the rows kept before them."""
 
-    __slots__ = ("src", "tgt", "_hom", "_nproj", "_flats", "_maps")
+    __slots__ = ("src", "tgt", "hom", "proj", "reps", "_flats")
 
     def __init__(self, src: Module, tgt: Module, hom: np.ndarray, proj: np.ndarray,
                  reps: list[int]):
-        """hom and proj as flat rows, reps as indices into hom."""
+        """reps as indices into hom."""
         self.src = src
         self.tgt = tgt
-        self._hom = hom
-        self._nproj = len(proj)
+        self.hom = hom
         self._flats = np.concatenate([proj, hom[reps]])
-        self._maps = {}
-
-    def _built(self, name: str, rows: np.ndarray) -> list[ModuleMap]:
-        if name not in self._maps:
-            self._maps[name] = [flat_to_map(self.src, self.tgt, r) for r in rows]
-        return self._maps[name]
-
-    @property
-    def hom(self) -> list[ModuleMap]:
-        return self._built("hom", self._hom)
-
-    @property
-    def proj(self) -> list[ModuleMap]:
-        return self._built("proj", self._flats[:self._nproj])
-
-    @property
-    def reps(self) -> list[ModuleMap]:
-        return self._built("reps", self._flats[self._nproj:])
+        self.proj = self._flats[:len(proj)]
+        self.reps = self._flats[len(proj):]
 
     @property
     def dim(self) -> int:
-        return len(self._flats) - self._nproj
+        return len(self.reps)
 
     def coords(self, f: ModuleMap) -> np.ndarray:
         """Coordinates of the stable class of f in the representative basis."""
@@ -104,20 +88,19 @@ class StableHom:
         sol = self.src.algebra.field.solve_matrix(self._flats.T, rows.T)
         if sol is None:
             raise PresentationError("map outside the Hom space")
-        return sol[self._nproj:].T
+        return sol[len(self.proj):].T
 
     def precompose(self, f: ModuleMap) -> np.ndarray:
         """The flat rows of r f for every rep r, for f: S -> src."""
-        return compose_flats(self._flats[self._nproj:], self.src, self.tgt, right=f)
+        return compose_flats(self.reps, self.src, self.tgt, right=f)
 
     def is_projective_map(self, f: ModuleMap) -> bool:
         return not np.any(self.coords(f))
 
     def rep(self, coords) -> ModuleMap:
         """A module map whose stable class has the given coordinates."""
-        if self.dim == 0:
-            return ModuleMap.zero(self.src, self.tgt)
-        return _mod.combine(self.reps, np.asarray(coords, dtype=np.int16))
+        coords = np.asarray(coords, dtype=np.int16)[None, :]
+        return flat_to_map(self.src, self.tgt, self.src.algebra.field.matmul(coords, self.reps)[0])
 
 
 def stable_hom(m: Module, n: Module) -> StableHom:

@@ -43,14 +43,14 @@ from stabrec.filtration import (
     _echelon_rows,
     _full_rows,
     _gaussian_binomial,
-    _layer_witness,
+    _copies,
+    _layer_mults,
     _mult_candidates,
     _of_total,
     _projective_splits,
     _rows_in_sub,
     _search_filtration,
     _split_and_filter,
-    _sum_with_mults,
     _surjections_onto,
     _top_kernels,
     _transport_rows,
@@ -85,8 +85,9 @@ from stabrec.modules import (
     radical_series,
     submodule,
     submodule_closure,
+    zero_module,
 )
-from stabrec.stable import projective_maps, stable_hom
+from stabrec.stable import projective_maps, stable_hom, syzygy
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,38 @@ def test_canonical_top_needs_adjustment(n3):
     assert f.is_surjective_map()
     # the adjustment is by a projective map, so the class is unchanged
     assert not np.any(stable_hom(m, x).coords(f.sub(g)))
+
+
+def map_by_map_top(m, sset):
+    """canonical_top assembled one map at a time: X a fresh direct sum of
+    the copies, g the sum of inj_c r over the copies, r the map of a rep."""
+    shs = [stable_hom(m, s) for s in sset]
+    copies = [(s, sh, j) for s, sh in zip(sset, shs) for j in range(sh.dim)]
+    if not copies:
+        x = zero_module(m.algebra)
+        return x, ModuleMap.zero(m, x)
+    x, injs, _ = direct_sum([s for s, _, _ in copies], name="X")
+    g = ModuleMap.zero(m, x)
+    for inj, (s, sh, j) in zip(injs, copies):
+        g = g.add(inj.compose(flat_to_map(m, s, sh.reps[j])))
+    return x, g
+
+
+@pytest.mark.parametrize("name", fixtures.CORPUS)
+def test_canonical_top_bytes_equal_the_map_by_map_assembly(name):
+    # the simples, their first syzygies and three random filtrable modules:
+    # the same X (name and content) and the same bytes of g
+    alg = fixtures.load(name)
+    ss = fixtures.simples(alg)
+    mods = ss + [syzygy(s, 1) for s in ss]
+    mods += [_random_filtrable(alg, ss, seed) for seed in (1, 2, 3)]
+    for m in mods:
+        x, g, mults = canonical_top(m, ss)
+        want_x, want_g = map_by_map_top(m, ss)
+        assert (x.name, x.key) == (want_x.name, want_x.key)
+        assert g.src is m and g.tgt is x
+        assert g.flat().tobytes() == want_g.flat().tobytes()
+        assert mults == tuple(stable_hom(m, s).dim for s in ss)
 
 
 def test_top_layer_kernel(n3):
@@ -335,7 +368,7 @@ def orbit_cases():
     for m, sset in pairs:
         q = m.algebra.field.q
         for mv in itertools.product(range(3), repeat=len(sset)):
-            x = _sum_with_mults(sset, mv)[0]
+            x = _copies(sset, mv)[0]
             if any(mv) and q ** len(hom_space(m, x)) <= 4096:
                 yield m, sset, mv
 
@@ -348,7 +381,7 @@ def test_surjections_onto_visit_every_kernel_once_per_orbit():
     seen = collections.Counter()
     for m, sset, mv in orbit_cases():
         q = m.algebra.field.q
-        x = _sum_with_mults(sset, mv)[0]
+        x = _copies(sset, mv)[0]
         homs = hom_space(m, x)
         brute = [f for f in combinations(homs, itertools.product(range(q), repeat=len(homs)))
                  if f.is_surjective_map()] if homs else []
@@ -460,7 +493,7 @@ def reference_surjections(m, sset, mv, budget):
     if orbits > budget.maps:
         budget.hit = True
         return
-    x, injs, _, layout = _sum_with_mults(sset, mv)
+    x, injs, layout = _copies(sset, mv)
     basis = [inj.compose(h) for inj, (si, _) in zip(injs, layout) for h in homs[si]]
     rows = _block_rows([(mv[si], len(h)) for si, h in homs.items()], fld.q)
     for f in combinations(basis, rows):
@@ -524,17 +557,17 @@ def test_surjections_onto_against_the_map_by_map_search():
     mods = [fixtures.ka4_restricted_projective()]
     mods += [_random_filtrable(fam[0].algebra, fam, s) for s in range(1, 17)]
 
-    def trace(top, m, cap):
+    def trace(top, m, cap, flat):
         def run(budget):
             for mv, x, f, spaces in top(m, fam, budget):
-                yield mv, x.key, f.flat().tobytes(), tuple(sp.tobytes() for sp in spaces)
+                yield mv, x.key, flat(f).tobytes(), tuple(sp.tobytes() for sp in spaces)
         return spend_trace(run, cap)
 
     hits = collections.Counter()
     for cap in (500, 5000):
         for m in mods:
-            got = trace(_top_kernels, m, cap)
-            assert got == trace(reference_top_kernels, m, cap), (cap, m.dims)
+            got = trace(_top_kernels, m, cap, lambda vec: vec)
+            assert got == trace(reference_top_kernels, m, cap, ModuleMap.flat), (cap, m.dims)
             hits[cap, got[1][1]] += 1
     assert all(hits[cap, hit] for cap in (500, 5000) for hit in (True, False))
 
@@ -544,7 +577,7 @@ def stably_onto(cur, x, f, sset) -> bool:
     every S in sset, one representative at a time."""
     for s in sset:
         sh_c, sh_x = stable_hom(cur, s), stable_hom(x, s)
-        imgs = [sh_c.coords(r.compose(f)) for r in sh_x.reps]
+        imgs = [sh_c.coords(flat_to_map(x, s, r).compose(f)) for r in sh_x.reps]
         rank = cur.algebra.field.rank(np.stack(imgs)) if imgs else 0
         if rank < sh_c.dim:
             return False
@@ -562,10 +595,11 @@ def test_enumeration_searches_only_stably_onto_kernels(monkeypatch):
     real_remainder = filtration.has_projective_remainder
 
     def top_kernels(m, sset, budget):
-        for mv, x, f, spaces in real_top(m, sset, budget):
+        for mv, x, vec, spaces in real_top(m, sset, budget):
             if not depth[0]:
+                f = flat_to_map(m, x, vec)
                 events.append(("top", stably_onto(m, x, f, sset), kernel(f)[0].key))
-            yield mv, x, f, spaces
+            yield mv, x, vec, spaces
 
     def nested(real, record):
         def call(k, sset, *args, **kwargs):
@@ -662,13 +696,13 @@ def test_enumeration_output_is_pinned():
 
 
 def layer_witness_mults(filt) -> tuple:
-    """The multiplicities _layer_witness finds on levels built afresh from
+    """The multiplicities _layer_mults finds on levels built afresh from
     the chain."""
     out = []
     for i in range(len(filt)):
         sub, incl = submodule(filt.module, filt.chain[i])
         layer, _ = quotient(sub, _rows_in_sub(incl, filt.chain[i + 1]))
-        out.append(_layer_witness(layer, filt.sset)[0])
+        out.append(_layer_mults(layer, filt.sset))
     return tuple(out)
 
 
@@ -727,31 +761,6 @@ def test_search_multiplicities_equal_the_layer_witnesses():
         alg = fixtures.load(name)
         with pytest.raises(NotSelfInjective):
             is_filtrable(direct_sum(fixtures.simples(alg))[0], fixtures.simples(alg))
-
-
-def test_level_witnesses_are_isomorphisms():
-    # built on first access: the greedy filtrations of criterion 6's modules,
-    # then a filtration read back from its filtration.v1 document
-    filts = []
-    for name in fixtures.CORPUS:
-        alg = fixtures.load(name)
-        sset = fixtures.simples(alg)
-        done, seed = 0, 0
-        while done < 200:
-            seed += 1
-            n = _random_filtrable(alg, sset, seed)
-            if n.dim:
-                filts.append(s_radical_filtration(n, sset, seed=1000 + seed))
-                done += 1
-    lam = fixtures.load("lambda4")
-    filts.append(io.load_filtration(io.dump_filtration(filts[0]), lam))
-    assert filts[-1]._mults is None
-    for f in filts:
-        for lv in f.levels():
-            w = lv.witness
-            assert w is lv.witness and w.src is lv.layer and w.is_iso()
-            x = _sum_with_mults(f.sset, lv.mults)[0]
-            assert w.tgt.key == x.key
 
 
 def _fresh_lambda4():
@@ -922,11 +931,13 @@ def test_stable_iso_lifts(n3):
 
 
 def coset_has_surjection(g, dirs) -> bool:
+    """Brute force over g + span(dirs), dirs flat rows of Hom(g.src, g.tgt)."""
     if g.is_surjective_map():
         return True
     rows = itertools.product(range(g.src.algebra.field.q), repeat=len(dirs))
-    return bool(dirs) and any(g.add(d).is_surjective_map()
-                              for d in combinations(dirs, rows))
+    maps = [flat_to_map(g.src, g.tgt, d) for d in dirs]
+    return bool(maps) and any(g.add(d).is_surjective_map()
+                              for d in combinations(maps, rows))
 
 
 def check_lift(g, dirs, in_span) -> bool:
@@ -954,7 +965,7 @@ def test_lift_every_map_onto_j2(n3):
         sh = stable_hom(m, j2)
         rows = itertools.product(range(5), repeat=len(sh.hom))
         found = {check_lift(g, sh.proj, sh.is_projective_map)
-                 for g in combinations(sh.hom, rows)}
+                 for g in combinations([flat_to_map(m, j2, h) for h in sh.hom], rows)}
         assert found == want
 
 
@@ -967,7 +978,7 @@ def test_lift_with_unmet_premise_is_undecided(n3):
     top = hom_space(j3, j1)[0]
     d = injs[0].compose(top).compose(projs[0]).add(injs[1].compose(top).compose(projs[1]))
     with pytest.raises(Inconclusive):
-        lift_to_surjection(ModuleMap.zero(m, x), [d])
+        lift_to_surjection(ModuleMap.zero(m, x), d.flat()[None])
 
 
 @settings(max_examples=40, deadline=None)
@@ -985,11 +996,11 @@ def test_surjective_representative_against_the_whole_coset(name, data):
     x = direct_sum(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)))[0]
     sh = stable_hom(m, x)
     q = alg.field.q
-    if not sh.hom or q ** len(sh.proj) > 4096:
+    if not len(sh.hom) or q ** len(sh.proj) > 4096:
         return
     coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=len(sh.hom),
                                 max_size=len(sh.hom)))
-    g = next(combinations(sh.hom, [coeffs]))
+    g = next(combinations([flat_to_map(m, x, h) for h in sh.hom], [coeffs]))
     exists = check_lift(g, sh.proj, sh.is_projective_map)
     try:
         assert surjective_representative(g).is_surjective_map() and exists
@@ -1014,14 +1025,14 @@ def test_lift_with_directions_in_a_kernel(name, data):
     if not pend:
         return
     ker = fld.kernel(np.stack([f.compose(p).flat() for p in pend]).T)
-    dirs = [next(combinations(pend, [row])) for row in ker]
+    dirs = fld.matmul(ker, np.stack([p.flat() for p in pend]))
     if fld.q ** len(dirs) > 4096:
         return
     ends = hom_space(m, m)
     coeffs = data.draw(st.lists(st.integers(0, fld.q - 1), min_size=len(ends),
                                 max_size=len(ends)))
     g = next(combinations(ends, [coeffs]))
-    span = fld.row_space(np.stack([d.flat() for d in dirs])) if dirs else None
+    span = fld.row_space(dirs) if len(dirs) else None
 
     def in_span(h):
         if span is None:

@@ -154,7 +154,7 @@ def test_stable_end_j2(n3):
     comps = [g.compose(f) for f in hom_space(j2, j3) for g in hom_space(j3, j2)]
     fld = n3.field
     rows = fld.row_space(np.stack([c.flat() for c in comps]))
-    prows = fld.row_space(np.stack([p.flat() for p in sh.proj]))
+    prows = fld.row_space(sh.proj)
     assert np.array_equal(rows, prows)
 
 
@@ -190,8 +190,8 @@ def test_stable_hom_reps_are_the_greedy_choice(name):
         for n in mods:
             sh = _stable_hom(m, n)
             want = greedy_reps(m, n)
-            assert [r.flat().tobytes() for r in sh.reps] == [r.flat().tobytes() for r in want]
-            assert [p.flat().tobytes() for p in sh.proj] == \
+            assert [r.tobytes() for r in sh.reps] == [r.flat().tobytes() for r in want]
+            assert [p.tobytes() for p in sh.proj] == \
                 [p.flat().tobytes() for p in projective_maps(m, n)]
 
 
@@ -204,6 +204,29 @@ def test_stable_coords_reduction(n3):
     # subtracting the representative leaves a projective map
     residue = ident.sub(sh.rep(c))
     assert sh.is_projective_map(residue)
+
+
+@pytest.mark.parametrize("name", fixtures.CORPUS)
+def test_stable_rep_is_the_combination_of_the_rep_maps(name):
+    # rep(c) against combine of the maps built from the rep rows, for the
+    # unit vectors and one dense coordinate vector, on ordered pairs of
+    # simples and their syzygies
+    alg = fixtures.load(name)
+    q = alg.field.q
+    simples = fixtures.simples(alg)
+    mods = simples + [syzygy(s, 1) for s in simples]
+    for m in mods:
+        for n in mods:
+            sh = stable_hom(m, n)
+            maps = [modules.flat_to_map(sh.src, sh.tgt, r) for r in sh.reps]
+            coords = list(np.eye(sh.dim, dtype=np.int16))
+            coords.append(np.arange(1, sh.dim + 1, dtype=np.int16) % q)
+            for c in coords:
+                got = sh.rep(c)
+                assert got.src is sh.src and got.tgt is sh.tgt
+                want = modules.combine(maps, c) if maps else ModuleMap.zero(m, n)
+                assert got.flat().tobytes() == want.flat().tobytes()
+                assert np.array_equal(sh.coords(got), c)
 
 
 def test_stable_core_and_iso(n3, lam):
