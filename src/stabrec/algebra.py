@@ -364,8 +364,6 @@ class Algebra:
                     continue
                 nf = self.normal_form(wj + wi)
                 self.mult[i, j] = self._vec_of_poly(nf)
-        # left multiplication matrices of the regular representation
-        self.left_mult = np.ascontiguousarray(np.transpose(self.mult, (0, 2, 1)))
 
     def _unit_vec(self, i: int) -> np.ndarray:
         v = np.zeros(self.dim, dtype=np.int16)
@@ -379,10 +377,9 @@ class Algebra:
         powers = [np.eye(self.dim, dtype=np.int16), f.row_space(arrow_rad)]
         while powers[-1].shape[0]:
             cur = powers[-1]
-            rows = []
-            for a in range(len(self.arrows)):
-                idx = self.word_index[(a,)]
-                rows.append(f.matmul(self.left_mult[idx], cur.T).T)
+            # row x of cur goes to a * x: row j of mult[a] is a * b_j
+            rows = [f.matmul(cur, self.mult[self.word_index[(a,)]])
+                    for a in range(len(self.arrows))]
             nxt = f.row_space(np.concatenate(rows, axis=0)) if rows else \
                 np.zeros((0, self.dim), dtype=np.int16)
             if nxt.shape[0] == cur.shape[0]:
@@ -426,65 +423,37 @@ class Algebra:
                 if self.basis_src[i] == w and self.basis_tgt[i] == v]
 
     def projective(self, v: int) -> "_mod.Module":
-        """The indecomposable projective A e_v as a representation."""
-        return self.cached(("projective", v), lambda: self._build_projective(v))
-
-    def _build_projective(self, v: int) -> "_mod.Module":
-        comps = [self.projective_basis_words(v, w) for w in range(self.nvertices)]
-        pos = {b: j for w in range(self.nvertices) for j, b in enumerate(comps[w])}
-        dims = [len(c) for c in comps]
-        mats = []
-        for a, (_, u, w) in enumerate(self.arrows):
-            m = np.zeros((dims[w], dims[u]), dtype=np.int16)
-            for j, b in enumerate(comps[u]):
-                word = self.basis_words[b]
-                # arrow action appends a to the path, then reduces
-                nf = self._reduce({word + (a,): 1})
-                for nw, c in nf.items():
-                    m[pos[self.word_index[nw]], j] = c
-            mats.append(m)
-        return _mod.Module(self, dims, mats, name=f"P({self.vertices[v]})", check=False)
+        """The indecomposable projective A e_v as a representation: its
+        vertex-w basis is the paths v -> w, and arrow a sends b to a * b,
+        read off the product table as mult[a, b]."""
+        def build():
+            comps = [self.projective_basis_words(v, w) for w in range(self.nvertices)]
+            mats = [self.mult[self.word_index[(a,)], comps[u]][:, comps[w]].T
+                    for a, (_, u, w) in enumerate(self.arrows)]
+            return _mod.Module(self, [len(c) for c in comps], mats,
+                               name=f"P({self.vertices[v]})", check=False)
+        return self.cached(("projective", v), build)
 
     def injective(self, v: int) -> "_mod.Module":
-        """The indecomposable injective D(e_v A) as a representation."""
-        return self.cached(("injective", v), lambda: self._build_injective(v))
-
-    def _build_injective(self, v: int) -> "_mod.Module":
-        comps = [self.injective_basis_words(v, w) for w in range(self.nvertices)]
-        pos = {b: j for w in range(self.nvertices) for j, b in enumerate(comps[w])}
-        dims = [len(c) for c in comps]
-        mats = []
-        for a, (_, u, w) in enumerate(self.arrows):
-            # (alpha . f)(path b from w to v) = f(b composed after alpha)
-            m = np.zeros((dims[w], dims[u]), dtype=np.int16)
-            for r, b in enumerate(comps[w]):
-                word = self.basis_words[b]
-                nf = self._reduce({(a,) + word: 1})
-                for nw, c in nf.items():
-                    m[r, pos[self.word_index[nw]]] = c
-            mats.append(m)
-        return _mod.Module(self, dims, mats, name=f"I({self.vertices[v]})", check=False)
+        """The indecomposable injective D(e_v A) as a representation: its
+        vertex-w basis is dual to the paths w -> v, and arrow a sends the
+        functional dual to c to the one taking b to the coefficient of c in
+        b * a, the row mult[b, a] of the product table."""
+        def build():
+            comps = [self.injective_basis_words(v, w) for w in range(self.nvertices)]
+            mats = [self.mult[comps[w], self.word_index[(a,)]][:, comps[u]]
+                    for a, (_, u, w) in enumerate(self.arrows)]
+            return _mod.Module(self, [len(c) for c in comps], mats,
+                               name=f"I({self.vertices[v]})", check=False)
+        return self.cached(("injective", v), build)
 
     def right_mult(self, i: int) -> "_mod.ModuleMap":
-        """Right multiplication by basis element i, P_{tgt(i)} -> P_{src(i)}."""
-        wi = self.basis_words[i]
-        if not wi:
-            return _mod.ModuleMap.identity(self.projective(i))
-        src_mod = self.projective(self.basis_tgt[i])
-        tgt_mod = self.projective(self.basis_src[i])
-        blocks = []
-        for w in range(self.nvertices):
-            rows = self.projective_basis_words(self.basis_src[i], w)
-            cols = self.projective_basis_words(self.basis_tgt[i], w)
-            rpos = {b: r for r, b in enumerate(rows)}
-            m = np.zeros((len(rows), len(cols)), dtype=np.int16)
-            for j, b in enumerate(cols):
-                word = self.basis_words[b]
-                nf = self._reduce({wi + word: 1})
-                for nw, c in nf.items():
-                    m[rpos[self.word_index[nw]], j] = c
-            blocks.append(m)
-        return _mod.ModuleMap(src_mod, tgt_mod, blocks)
+        """Right multiplication by basis element i, P_{tgt(i)} -> P_{src(i)}:
+        the path x goes to x * b_i, the row mult[x, i] of the product table
+        (the identity when i is a vertex)."""
+        src, tgt, words = self.basis_tgt[i], self.basis_src[i], self.projective_basis_words
+        return _mod.ModuleMap(self.projective(src), self.projective(tgt), [
+            self.mult[words(src, w), i][:, words(tgt, w)].T for w in range(self.nvertices)])
 
     # -- structure tests -------------------------------------------------------
 

@@ -771,7 +771,7 @@ def _pair_analysis(upper: TowerStep, lower: TowerStep):
     tower data contradicts the hypotheses.
     """
     g = upper.sub.compose(lower.sub)              # A_low -> E_up
-    t_mid, proj_t = quotient(upper.sub.tgt, _map_image_rows(g), name="mid")
+    t_mid, proj_t = cokernel(g, name="mid")
     m = factor_through_surjection(lower.quot, proj_t.compose(upper.sub))
     b = factor_through_surjection(proj_t, upper.quot)
     if not is_exact_pair(m, b):
@@ -900,8 +900,7 @@ def tower_truncate(tower: Tower) -> Truncation:
         kappa[j] = steps[j].sub.compose(kappa[j + 1])
     quots = {}
     for j in range(split):
-        quots[j] = quotient(steps[j].sub.tgt, _map_image_rows(kappa[j]),
-                            name=f"upper{j}")
+        quots[j] = cokernel(kappa[j], name=f"upper{j}")
     zmod = zero_module(algebra)
     quots[split] = (zmod, ModuleMap.zero(m_mod, zmod))
     upper_steps = []

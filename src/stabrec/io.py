@@ -78,6 +78,14 @@ def _dim(value, vertex: str) -> int:
     return value
 
 
+def _name(data: dict, default: str) -> str:
+    """The object's "name": a JSON string, as it reaches labels and memo keys."""
+    name = data.get("name", default)
+    if not isinstance(name, str):
+        raise PresentationError(f"name must be a string, got {type(name).__name__}")
+    return name
+
+
 # -- algebra.v1 --------------------------------------------------------------
 
 
@@ -89,7 +97,7 @@ def load_algebra(src) -> Algebra:
     relations = [[(int(c), list(path)) for c, path in rel] for rel in data.get("relations", [])]
     return Algebra(field, list(data["vertices"]),
                    [tuple(a) for a in data["arrows"]],
-                   relations, name=data.get("name", "A"))
+                   relations, name=_name(data, "A"))
 
 
 def dump_algebra(a: Algebra) -> dict:
@@ -130,7 +138,7 @@ def load_module(src, algebra: Algebra) -> Module:
     mats = [_matrix(arrs[name], (dims[t], dims[s]), q, f"arrow {name!r}") if name in arrs
             else np.zeros((dims[t], dims[s]), dtype=np.int16)
             for name, s, t in algebra.arrows]
-    return Module(algebra, dims, mats, name=data.get("name", "M"))
+    return Module(algebra, dims, mats, name=_name(data, "M"))
 
 
 def dump_module(m: Module) -> dict:
@@ -184,7 +192,7 @@ def load_graded(src, field: Field | None = None) -> GradedAlgebra:
     i, j, l = _in_range(entries[:, :3], n, "structure constant index").T
     table = np.zeros((n, n, n), dtype=np.int16)
     table[i, j, l] = _in_range(entries[:, 3], field.q, "structure constant")
-    g = GradedAlgebra(field, degrees, labels, table, name=data.get("name", "G"))
+    g = GradedAlgebra(field, degrees, labels, table, name=_name(data, "G"))
     g.verify()
     return g
 
@@ -227,7 +235,7 @@ def load_complex(src, algebra: Algebra) -> Complex:
     for entry in data["diffs"]:
         n = int(entry["degree"])
         diffs[n] = _load_map(terms[n], terms[n + 1], entry["blocks"])
-    return Complex(algebra, terms, diffs, name=data.get("name", "C"))
+    return Complex(algebra, terms, diffs, name=_name(data, "C"))
 
 
 # -- filtration.v1 -------------------------------------------------------------

@@ -5,10 +5,14 @@ vertex plus one matrix per arrow, acting on column vectors, satisfying the
 relations of the algebra.  A path (a_1, ..., a_l), written first-applied
 first, acts by the composite A_{a_l} ... A_{a_1}.
 
-Submodules and subspaces are passed around as row matrices in the global
-coordinates of the ambient module (vertex components concatenated in vertex
-order).  All computations are exact: `decompose` certifies each summand by a
-local-ring test and `module_isomorphic` matches summands by Krull-Schmidt.
+Subspaces are per-vertex echelon row bases; the builders of submodules
+and quotients take them as they are and check arrow-invariance, never
+closing them.  Global rows (vertex components concatenated in vertex
+order), each supported at one vertex, are split into them once, in
+`submodule` and `quotient`; only `submodule_closure` generates a submodule
+from arbitrary rows.  All computations are exact: `decompose` certifies
+each summand by a local-ring test and `module_isomorphic` matches summands
+by Krull-Schmidt.
 """
 
 from __future__ import annotations
@@ -459,7 +463,8 @@ def zero_module(algebra, name: str = "0") -> Module:
 
 def submodule_closure(m: Module, rows: np.ndarray) -> np.ndarray:
     """Global row basis (canonical per-vertex echelon) of the submodule
-    generated by the given global row vectors."""
+    generated by the given global row vectors: the one place a submodule is
+    generated, read by Filtration to check that each level is one."""
     f = m.algebra.field
     nv = len(m.dims)
     per_vertex = [m.slice_of(np.atleast_2d(rows), v) if rows.size else
@@ -484,45 +489,37 @@ def submodule_closure(m: Module, rows: np.ndarray) -> np.ndarray:
     return np.concatenate(out, axis=0) if out else np.zeros((0, m.dim), dtype=np.int16)
 
 
-def _per_vertex_rows(m: Module, global_rows: np.ndarray) -> list[np.ndarray]:
-    """Split a vertex-homogeneous global row basis into per-vertex bases.
-
-    Requires every row to be supported at a single vertex (always true for
-    the canonical bases produced by submodule_closure and kernel/image)."""
-    f = m.algebra.field
-    nv = len(m.dims)
-    spaces = [[] for _ in range(nv)]
-    for row in np.atleast_2d(global_rows):
-        support = [v for v in range(nv) if np.any(m.slice_of(row[None, :], v))]
-        if len(support) > 1:
-            raise PresentationError("row basis is not vertex-homogeneous")
-        if support:
-            spaces[support[0]].append(m.slice_of(row[None, :], v=support[0])[0])
-    return [f.row_space(np.array(s, dtype=np.int16).reshape(len(s), m.dims[v]))
-            if s else np.zeros((0, m.dims[v]), dtype=np.int16)
-            for v, s in enumerate(spaces)]
+def _split(m: Module, rows: np.ndarray) -> list[np.ndarray]:
+    """Per-vertex echelon bases of the span of global rows that are each
+    supported at one vertex at most, else PresentationError."""
+    rows = np.asarray(rows, dtype=np.int16)
+    rows = rows.reshape(-1, m.dim) if rows.size else np.zeros((0, m.dim), dtype=np.int16)
+    at = [np.any(m.slice_of(rows, v), axis=1) for v in range(len(m.dims))]
+    if np.any(np.sum(at, axis=0) > 1):
+        raise PresentationError("row basis is not vertex-homogeneous")
+    blocks = [m.slice_of(rows[hit], v) for v, hit in enumerate(at)]
+    return [m.algebra.field.row_space(x) if len(x) else x for x in blocks]
 
 
 def submodule(m: Module, rows: np.ndarray, name: str = "sub") -> tuple[Module, ModuleMap]:
-    """The submodule generated by global row vectors, with its inclusion."""
-    closed = submodule_closure(m, np.atleast_2d(rows)) if np.atleast_2d(rows).size else \
-        np.zeros((0, m.dim), dtype=np.int16)
-    spaces = _per_vertex_rows(m, closed) if closed.size else \
-        [np.zeros((0, m.dims[v]), dtype=np.int16) for v in range(len(m.dims))]
-    return _sub_from_spaces(m, spaces, name)
+    """The submodule spanned by global rows, each supported at one vertex,
+    with its inclusion; PresentationError unless the span is arrow-invariant.
+    Rows that only generate a submodule go through submodule_closure first."""
+    return _sub_from_spaces(m, _split(m, rows), name)
 
 
 def _sub_from_spaces(m: Module, spaces: list[np.ndarray], name: str) -> tuple[Module, ModuleMap]:
-    """Build the submodule on given per-vertex row bases (assumed invariant)."""
+    """Build the submodule on given per-vertex row bases, or raise
+    PresentationError if they are not arrow-invariant."""
     f = m.algebra.field
     dims = tuple(s.shape[0] for s in spaces)
     mats = []
     for a, (_, u, v) in enumerate(m.algebra.arrows):
-        if dims[u] == 0 or dims[v] == 0:
+        if dims[u] == 0 or m.dims[v] == 0:
             mats.append(np.zeros((dims[v], dims[u]), dtype=np.int16))
             continue
         img = f.matmul(m.mats[a], spaces[u].T)  # columns: images of basis vectors
-        coords = f.solve_matrix(spaces[v].T, img)
+        coords = f.solve_matrix(spaces[v].T, img) if dims[v] else None if img.any() else img[:0]
         if coords is None:
             raise PresentationError("row spaces are not arrow-invariant")
         mats.append(coords)
@@ -532,34 +529,35 @@ def _sub_from_spaces(m: Module, spaces: list[np.ndarray], name: str) -> tuple[Mo
 
 
 def quotient(m: Module, rows: np.ndarray, name: str = "quot") -> tuple[Module, ModuleMap]:
-    """The quotient by the submodule generated by the rows, with projection."""
+    """The quotient by the submodule spanned by global rows, each supported
+    at one vertex, with its projection; PresentationError unless the span is
+    arrow-invariant (as for submodule)."""
+    return _quot_from_spaces(m, _split(m, rows), name)
+
+
+def _quot_from_spaces(m: Module, spaces: list[np.ndarray], name: str) -> tuple[Module, ModuleMap]:
+    """The quotient by the submodule with the given per-vertex echelon
+    bases, or PresentationError if an arrow maps a basis out of the span at
+    its target.  The quotient keeps the free (non-pivot) coordinates: the
+    projection reduces a vector by the basis, and an arrow acts through the
+    section that puts them back with the pivot coordinates zero."""
     f = m.algebra.field
-    closed = submodule_closure(m, np.atleast_2d(rows)) if np.atleast_2d(rows).size else \
-        np.zeros((0, m.dim), dtype=np.int16)
-    spaces = _per_vertex_rows(m, closed) if closed.size else \
-        [np.zeros((0, m.dims[v]), dtype=np.int16) for v in range(len(m.dims))]
-    # quotient actions go through an explicit section: free coordinates
-    # embedded with pivot coordinates zero
-    projs, sections, dims = [], [], []
-    for v in range(len(m.dims)):
-        r, piv = f.rref(spaces[v])
-        r = r[: len(piv)]
-        free = [c for c in range(m.dims[v]) if c not in piv]
-        sel = np.zeros((len(piv), m.dims[v]), dtype=np.int16)
-        for i, p in enumerate(piv):
-            sel[i, p] = 1
-        reducer = f.sub_mat(np.eye(m.dims[v], dtype=np.int16), f.matmul(r.T, sel))
-        projs.append(reducer[free, :] if free else np.zeros((0, m.dims[v]), dtype=np.int16))
-        sec = np.zeros((m.dims[v], len(free)), dtype=np.int16)
-        sec[free, range(len(free))] = 1
-        sections.append(sec)
-        dims.append(len(free))
+    projs, frees = [], []
+    for d, s in zip(m.dims, spaces):
+        piv = [int(np.flatnonzero(row)[0]) for row in s]
+        free = [c for c in range(d) if c not in piv]
+        proj = np.eye(d, dtype=np.int16)[free]
+        proj[:, piv] = f.neg(s[:, free].T)
+        projs.append(proj)
+        frees.append(free)
     mats = []
     for a, (_, u, v) in enumerate(m.algebra.arrows):
-        mats.append(f.matmul(projs[v], f.matmul(m.mats[a], sections[u])))
-    quot = Module(m.algebra, dims, mats, name=name, check=False)
-    proj = ModuleMap(m, quot, projs)
-    return quot, proj
+        t = f.matmul(projs[v], m.mats[a])
+        if t.size and spaces[u].size and f.matmul(t, spaces[u].T).any():
+            raise PresentationError("row spaces are not arrow-invariant")
+        mats.append(t[:, frees[u]])
+    quot = Module(m.algebra, [len(x) for x in frees], mats, name=name, check=False)
+    return quot, ModuleMap(m, quot, projs)
 
 
 def kernel(fmap: ModuleMap, name: str = "ker") -> tuple[Module, ModuleMap]:
@@ -577,8 +575,10 @@ def image(fmap: ModuleMap, name: str = "im") -> tuple[Module, ModuleMap]:
 
 
 def cokernel(fmap: ModuleMap, name: str = "coker") -> tuple[Module, ModuleMap]:
-    """Cokernel with projection from the target."""
-    return quotient(fmap.tgt, _map_image_rows(fmap), name=name)
+    """Cokernel with projection from the target: the quotient by the
+    image's vertex spaces, as image takes them."""
+    f = fmap.src.algebra.field
+    return _quot_from_spaces(fmap.tgt, [f.row_space(b.T) for b in fmap.blocks], name)
 
 
 def radical(m: Module) -> list[np.ndarray]:
@@ -823,17 +823,15 @@ def is_injective_module(m: Module) -> bool:
 
 
 def pushout(f: ModuleMap, g: ModuleMap):
-    """Pushout of f: X -> Y and g: X -> Z.
+    """Pushout of f: X -> Y and g: X -> Z, the cokernel of (f, -g): X -> Y + Z.
 
     Returns:
         (W, py, pz) with py: Y -> W, pz: Z -> W and py f = pz g.
     """
     if f.src.key != g.src.key:
         raise PresentationError("pushout legs must share their source")
-    yz, (iy, iz), _ = _sum2(f.tgt, g.tgt)
-    diff = iy.compose(f).sub(iz.compose(g))
-    im_rows = _map_image_rows(diff)
-    w, proj = quotient(yz, im_rows, name="pushout")
+    _, (iy, iz), _ = _sum2(f.tgt, g.tgt)
+    w, proj = cokernel(iy.compose(f).sub(iz.compose(g)), name="pushout")
     return w, proj.compose(iy), proj.compose(iz)
 
 

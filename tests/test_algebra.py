@@ -15,7 +15,7 @@ from stabrec import fixtures, io
 from stabrec.algebra import Algebra, _has_unit_point
 from stabrec.errors import Inconclusive, PresentationError
 from stabrec.gf import Field
-from stabrec.modules import socle
+from stabrec.modules import Module, ModuleMap, socle
 
 
 @pytest.fixture(scope="module")
@@ -347,3 +347,68 @@ def test_right_mult_is_module_map(lam):
     a = fixtures.load("ka4")
     for i in range(a.dim):
         assert a.right_mult(i).is_map()
+
+
+# -- A's modules read off the product table, against word reduction --------------
+
+
+def reduced_projective(a: Algebra, v: int) -> Module:
+    """P(v) with arrow a sending the path b to the normal form of b then a."""
+    comps = [a.projective_basis_words(v, w) for w in range(a.nvertices)]
+    pos = {b: j for w in range(a.nvertices) for j, b in enumerate(comps[w])}
+    mats = []
+    for x, (_, u, w) in enumerate(a.arrows):
+        m = np.zeros((len(comps[w]), len(comps[u])), dtype=np.int16)
+        for j, b in enumerate(comps[u]):
+            for nw, c in a.normal_form(a.basis_words[b] + (x,)).items():
+                m[pos[a.word_index[nw]], j] = c
+        mats.append(m)
+    return Module(a, [len(c) for c in comps], mats, name=f"P({a.vertices[v]})", check=False)
+
+
+def reduced_injective(a: Algebra, v: int) -> Module:
+    """I(v) with arrow a sending the functional dual to c to the one taking
+    the path b to the coefficient of c in the normal form of a then b."""
+    comps = [a.injective_basis_words(v, w) for w in range(a.nvertices)]
+    pos = {b: j for w in range(a.nvertices) for j, b in enumerate(comps[w])}
+    mats = []
+    for x, (_, u, w) in enumerate(a.arrows):
+        m = np.zeros((len(comps[w]), len(comps[u])), dtype=np.int16)
+        for r, b in enumerate(comps[w]):
+            for nw, c in a.normal_form((x,) + a.basis_words[b]).items():
+                m[r, pos[a.word_index[nw]]] = c
+        mats.append(m)
+    return Module(a, [len(c) for c in comps], mats, name=f"I({a.vertices[v]})", check=False)
+
+
+def reduced_right_mult(a: Algebra, i: int) -> ModuleMap:
+    """Right multiplication by b_i with the path x going to the normal form
+    of b_i then x, the identity on P(i) for a vertex i."""
+    wi = a.basis_words[i]
+    if not wi:
+        return ModuleMap.identity(a.projective(i))
+    blocks = []
+    for w in range(a.nvertices):
+        rows = a.projective_basis_words(a.basis_src[i], w)
+        cols = a.projective_basis_words(a.basis_tgt[i], w)
+        rpos = {b: r for r, b in enumerate(rows)}
+        m = np.zeros((len(rows), len(cols)), dtype=np.int16)
+        for j, b in enumerate(cols):
+            for nw, c in a.normal_form(wi + a.basis_words[b]).items():
+                m[rpos[a.word_index[nw]], j] = c
+        blocks.append(m)
+    return ModuleMap(a.projective(a.basis_tgt[i]), a.projective(a.basis_src[i]), blocks)
+
+
+@pytest.mark.parametrize("name", fixtures.CORPUS + fixtures.EXTRAS)
+def test_table_modules_equal_the_word_reduction(name):
+    a = fixtures.load(name)
+    for v in range(a.nvertices):
+        for got, want in ((a.projective(v), reduced_projective(a, v)),
+                          (a.injective(v), reduced_injective(a, v))):
+            assert (got.key, got.name) == (want.key, want.name)
+    for i in range(a.dim):
+        got, want = a.right_mult(i), reduced_right_mult(a, i)
+        assert (got.src.key, got.tgt.key) == (want.src.key, want.tgt.key)
+        assert [(b.shape, b.tobytes()) for b in got.blocks] == \
+            [(b.shape, b.tobytes()) for b in want.blocks]

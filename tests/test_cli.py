@@ -360,6 +360,39 @@ def test_malformed_input_exits_3(capsys, tmp_path, case):
     assert capsys.readouterr().out == ""
 
 
+# a "name" that is no string, one per subcommand: (input edited, where in
+# it, the value); every loader refuses it, so none reaches a memo key or a
+# " + ".join of names
+BAD_NAMES = {
+    "validate": ("algebra", None, ["x"]),
+    "hypcheck": ("set", 0, ["x"]),
+    "filtrate": ("module", None, {"x": 1}),
+    "reconstruct": ("oracle", None, 1.5),
+    "derived": ("candidates", 0, 7),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(BAD_NAMES))
+def test_non_string_name_exits_3(capsys, lam_files, cmd):
+    lam = fixtures.load("lambda4")
+    docs = {"algebra": json.loads((DATA / "lambda4.json").read_text(encoding="utf-8")),
+            "set": [io.dump_module(s) for s in fixtures.simples(lam)],
+            "module": io.dump_module(lam.simple(0)),
+            "oracle": io.dump_graded(lam.gr_oracle()),
+            "candidates": [io.dump_module(lam.injective(v)) for v in range(lam.nvertices)]}
+    target, at, value = BAD_NAMES[cmd]
+    (docs[target] if at is None else docs[target][at])["name"] = value
+    paths = {key: write(lam_files["tmp"] / f"{key}.json", doc) for key, doc in docs.items()}
+    argv = {"validate": ["validate", paths["algebra"]],
+            "hypcheck": ["hypcheck", paths["algebra"], paths["set"]],
+            "filtrate": ["filtrate", paths["algebra"], paths["set"], paths["module"]],
+            "reconstruct": ["reconstruct", paths["algebra"], paths["set"],
+                            "--oracle", paths["oracle"]],
+            "derived": ["derived", paths["algebra"], paths["set"], paths["candidates"]]}[cmd]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
 # each case edits lambda4's valid oracle (graded_algebra.v1) for reconstruct
 ORACLE_MALFORMED = {
     "float_degrees": lambda g: {**g, "degrees": [0, 0, 1.7, 1]},

@@ -77,6 +77,17 @@ def test_complex_load_checks_differential(lam):
         io.load_complex(flat, lam)
 
 
+@pytest.mark.parametrize("value", [["x"], {"x": 1}, 7, None])
+def test_non_string_names_rejected(lam, value):
+    docs = {"algebra": io.dump_algebra(lam), "module": io.dump_module(lam.simple(0)),
+            "graded": io.dump_graded(lam.gr_oracle()), "complex": io.dump_complex(two_term(lam))}
+    loaders = {"algebra": io.load_algebra, "module": lambda d: io.load_module(d, lam),
+               "graded": io.load_graded, "complex": lambda d: io.load_complex(d, lam)}
+    for kind, doc in docs.items():
+        with pytest.raises(PresentationError, match="name must be a string"):
+            loaders[kind]({**doc, "name": value})
+
+
 def test_entries_outside_the_field_rejected(lam):
     # lambda4 is over GF(5); loaders check entries before any table lookup
     mod = io.dump_module(lam.projective(0))

@@ -588,3 +588,108 @@ def test_compose_flats_against_the_per_map_loop(name, side, data):
             want = np.concatenate([want, h.flat()[None, :]])
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert np.array_equal(got, want)
+
+
+# -- submodules and quotients on their spaces, against closing first -------------
+
+
+def closing_spaces(m: Module, rows: np.ndarray) -> list[np.ndarray]:
+    """The per-vertex bases that submodule and quotient once took: the rows
+    closed under the arrows, then split row by row."""
+    fld = m.algebra.field
+    closed = modules.submodule_closure(m, rows) if rows.size else np.zeros((0, m.dim), np.int16)
+    spaces = [[] for _ in m.dims]
+    for row in closed:
+        v = next(v for v in range(len(m.dims)) if np.any(m.slice_of(row[None, :], v)))
+        spaces[v].append(m.slice_of(row[None, :], v)[0])
+    return [fld.row_space(np.array(s, dtype=np.int16).reshape(len(s), d)) if s
+            else np.zeros((0, d), dtype=np.int16) for s, d in zip(spaces, m.dims)]
+
+
+def closing_submodule(m: Module, rows: np.ndarray, name: str = "sub"):
+    fld = m.algebra.field
+    spaces = closing_spaces(m, rows)
+    dims = tuple(s.shape[0] for s in spaces)
+    mats = [np.zeros((dims[v], dims[u]), dtype=np.int16) if dims[u] == 0 or dims[v] == 0
+            else fld.solve_matrix(spaces[v].T, fld.matmul(m.mats[a], spaces[u].T))
+            for a, (_, u, v) in enumerate(m.algebra.arrows)]
+    sub = Module(m.algebra, dims, mats, name=name, check=False)
+    return sub, ModuleMap(sub, m, [s.T for s in spaces])
+
+
+def closing_quotient(m: Module, rows: np.ndarray, name: str = "quot"):
+    fld = m.algebra.field
+    projs, sections = [], []
+    for v, s in enumerate(closing_spaces(m, rows)):
+        r, piv = fld.rref(s)
+        r = r[: len(piv)]
+        free = [c for c in range(m.dims[v]) if c not in piv]
+        sel = np.zeros((len(piv), m.dims[v]), dtype=np.int16)
+        for i, p in enumerate(piv):
+            sel[i, p] = 1
+        reducer = fld.sub_mat(np.eye(m.dims[v], dtype=np.int16), fld.matmul(r.T, sel))
+        projs.append(reducer[free, :] if free else np.zeros((0, m.dims[v]), dtype=np.int16))
+        sec = np.zeros((m.dims[v], len(free)), dtype=np.int16)
+        sec[free, range(len(free))] = 1
+        sections.append(sec)
+    mats = [fld.matmul(projs[v], fld.matmul(m.mats[a], sections[u]))
+            for a, (_, u, v) in enumerate(m.algebra.arrows)]
+    quot = Module(m.algebra, [p.shape[0] for p in projs], mats, name=name, check=False)
+    return quot, ModuleMap(m, quot, projs)
+
+
+def closing_cokernel(fmap: ModuleMap, name: str = "coker"):
+    fld, m = fmap.src.algebra.field, fmap.tgt
+    rows = []
+    for v in range(len(m.dims)):
+        space = fld.row_space(fmap.blocks[v].T)
+        block = np.zeros((space.shape[0], m.dim), dtype=np.int16)
+        block[:, m.offsets[v]: m.offsets[v + 1]] = space
+        rows.append(block)
+    return closing_quotient(m, np.concatenate(rows), name=name)
+
+
+def closing_pushout(f: ModuleMap, g: ModuleMap):
+    _, (iy, iz), _ = direct_sum([f.tgt, g.tgt])
+    w, proj = closing_cokernel(iy.compose(f).sub(iz.compose(g)), name="pushout")
+    return w, proj.compose(iy), proj.compose(iz)
+
+
+def built_bytes(mod: Module, *maps: ModuleMap) -> tuple:
+    return (mod.key, mod.name) + tuple(
+        (h.src.key, h.tgt.key, tuple((b.shape, b.tobytes()) for b in h.blocks)) for h in maps)
+
+
+@pytest.mark.parametrize("name", fixtures.CORPUS + fixtures.EXTRAS)
+def test_spaces_builders_equal_closing_first(name):
+    alg = fixtures.load(name)
+    fld, pool = alg.field, known_indecomposables(alg)
+    rng = np.random.default_rng(len(name))
+    for seed in range(9):
+        parts = [pool[i] for i in rng.integers(0, len(pool), size=2)]
+        m = scrambled(direct_sum(parts)[0], seed)
+        rows = rng.integers(0, fld.q, size=(seed % 3, m.dim)).astype(np.int16)
+        sub_rows = modules.submodule_closure(m, rows)
+        sub, incl = submodule(m, sub_rows)
+        assert built_bytes(sub, incl) == built_bytes(*closing_submodule(m, sub_rows))
+        assert built_bytes(*quotient(m, sub_rows)) == built_bytes(*closing_quotient(m, sub_rows))
+        assert built_bytes(*cokernel(incl)) == built_bytes(*closing_cokernel(incl))
+        homs = hom_space(sub, parts[0])
+        g = modules.combine(homs, rng.integers(0, fld.q, size=len(homs)).tolist()) if homs \
+            else ModuleMap.zero(sub, parts[0])
+        assert built_bytes(*pushout(incl, g)) == built_bytes(*closing_pushout(incl, g))
+
+
+@pytest.mark.parametrize("build", [submodule, quotient])
+def test_spaces_builders_refuse_what_is_no_submodule_basis(lam, build):
+    pu = lam.projective(0)
+    top = np.zeros((1, pu.dim), dtype=np.int16)
+    top[0, pu.offsets[0]] = 1  # e_u generates all of P(u), not a line
+    with pytest.raises(PresentationError, match="arrow-invariant"):
+        build(pu, top)
+    both = np.ones((1, pu.dim), dtype=np.int16)  # supported at u and at v
+    with pytest.raises(PresentationError, match="vertex-homogeneous"):
+        build(pu, both)
+    # the submodule they span once split by vertex is the whole module
+    assert build(pu, modules.submodule_closure(pu, both))[0].dims == ((1, 1) if build is submodule
+                                                                     else (0, 0))
