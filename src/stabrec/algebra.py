@@ -417,11 +417,6 @@ class Algebra:
         return [i for i in range(self.dim)
                 if self.basis_src[i] == v and self.basis_tgt[i] == w]
 
-    def injective_basis_words(self, v: int, w: int) -> list[int]:
-        """Basis indices dual to e_v (A e_w): paths from w to v."""
-        return [i for i in range(self.dim)
-                if self.basis_src[i] == w and self.basis_tgt[i] == v]
-
     def projective(self, v: int) -> "_mod.Module":
         """The indecomposable projective A e_v as a representation: its
         vertex-w basis is the paths v -> w, and arrow a sends b to a * b,
@@ -436,11 +431,11 @@ class Algebra:
 
     def injective(self, v: int) -> "_mod.Module":
         """The indecomposable injective D(e_v A) as a representation: its
-        vertex-w basis is dual to the paths w -> v, and arrow a sends the
-        functional dual to c to the one taking b to the coefficient of c in
-        b * a, the row mult[b, a] of the product table."""
+        vertex-w basis is dual to the paths w -> v, those of P(w) at v, and
+        arrow a sends the functional dual to c to the one taking b to the
+        coefficient of c in b * a, the row mult[b, a] of the product table."""
         def build():
-            comps = [self.injective_basis_words(v, w) for w in range(self.nvertices)]
+            comps = [self.projective_basis_words(w, v) for w in range(self.nvertices)]
             mats = [self.mult[comps[w], self.word_index[(a,)]][:, comps[u]]
                     for a, (_, u, w) in enumerate(self.arrows)]
             return _mod.Module(self, [len(c) for c in comps], mats,

@@ -29,12 +29,12 @@ import numpy as np
 
 from .errors import PresentationError, Undecided
 from .modules import (Module, ModuleMap, zero_module, hom_flats, compose_flats,
-                      direct_sum, kernel, quotient, submodule, cokernel, pullback,
+                      direct_sum, kernel, cokernel, pullback,
                       projective_cover, injective_hull, ext1, ses_class,
                       is_exact_pair, is_projective, is_injective_module,
                       match_summands, module_isomorphic, lift_through_surjection,
                       factor_through_surjection, factor_through_injection,
-                      combine, _map_image_rows, _sum2)
+                      combine, _sum2)
 from .stable import _gate, stable_core, stably_isomorphic, syzygy, \
     nakayama_module
 
@@ -713,19 +713,6 @@ def random_tower(algebra, members, length: int, seed: int = 0,
     return Tower(algebra, members, steps, cur)
 
 
-def _preimage_rows(fmap: ModuleMap, w_rows: np.ndarray) -> np.ndarray:
-    """Global row basis of the preimage of the row space under the map."""
-    fld = fmap.src.algebra.field
-    qmat = fmap.global_matrix()
-    w_rows = np.atleast_2d(w_rows)
-    if w_rows.size == 0:
-        w_rows = np.zeros((0, fmap.tgt.dim), dtype=np.int16)
-    ann = fld.kernel(w_rows) if w_rows.shape[0] else fld.eye(fmap.tgt.dim)
-    if ann.shape[0] == 0:
-        return fld.eye(fmap.src.dim)
-    return fld.kernel(fld.matmul(ann, qmat))
-
-
 def _stable_transfer(src: Module, tgt: Module) -> ModuleMap:
     """A module map src -> tgt that is an isomorphism in the stable category:
     the kept summands of both stable cores matched, zero on projective ones."""
@@ -784,11 +771,11 @@ def _pair_analysis(upper: TowerStep, lower: TowerStep):
             raise PresentationError(
                 "tower extension class violates the stable Hom hypotheses")
         return "cancel", None
-    # split: a section of b, then pull the complementary submodule back
+    # split: a section of b, then pull the complementary submodule back,
+    # the kernel of E_up -> T_mid -> T_mid / im(section)
     section = lift_through_surjection(b, ModuleMap.identity(b.tgt))
-    pre = _preimage_rows(proj_t, _map_image_rows(section))
-    a_new, incl = submodule(upper.sub.tgt, pre, name="swap-sub")
-    c_new, proj_new = quotient(upper.sub.tgt, pre, name="swap-layer")
+    _, incl = kernel(cokernel(section)[1].compose(proj_t), name="swap-sub")
+    _, proj_new = cokernel(incl, name="swap-layer")
     new_upper = TowerStep(incl, proj_new, lower.member, lower.d)
     sub2 = factor_through_injection(incl, g)
     quot2 = upper.quot.compose(incl)

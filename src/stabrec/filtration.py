@@ -2,10 +2,12 @@
 
 A filtration is stored as a chain of global row spaces of the ambient module,
 each arrow-stable, strictly decreasing, ending at zero.  A filtration built
-by a search keeps the layer multiplicities its surjections certified; any
-other has each layer decomposed and matched against S.  Elements of a Hom
-space cross function boundaries as flat rows (the `ModuleMap.flat` layout);
-a map is built only where blocks are composed, factored or inverted.
+by a search is a chain of kernels by construction and is not checked again;
+it keeps the layer multiplicities its surjections certified.  Any other
+chain is checked by building its levels when it is made, and has each layer
+decomposed and matched against S.  Elements of a Hom space cross function
+boundaries as flat rows (the `ModuleMap.flat` layout); a map is built only
+where blocks are composed, factored or inverted.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .modules import (
     radical_submodule,
     read_only,
     submodule,
-    submodule_closure,
     zero_module,
 )
 from .stable import _projective_flats, stable_hom, stably_isomorphic
@@ -79,13 +80,6 @@ def _rows_in_sub(incl: ModuleMap, rows: np.ndarray) -> np.ndarray:
     return fld.row_space(sol.T)
 
 
-def _contains(fld, big: np.ndarray, small: np.ndarray) -> bool:
-    if small.shape[0] == 0:
-        return True
-    stacked = np.concatenate([big, small], axis=0)
-    return fld.row_space(stacked).shape[0] == big.shape[0]
-
-
 def _sset_sig(sset) -> tuple:
     return tuple(s.key for s in sset)
 
@@ -110,16 +104,23 @@ class _Level:
 class Filtration:
     """Chain of arrow-stable subspaces of module with add(S) layers.
 
-    `mults`, when given, is the multiplicity vector of each layer as the
-    search that built the chain found it: each step of a search takes a
-    surjection f: M_i ->> X = sum of S_j^{m_j} with kernel M_{i+1}, so f
-    itself shows the layer M_i / M_{i+1} isomorphic to X.  They are used
-    only when S is a basic set (`_is_basic`), where Krull-Schmidt makes
-    them the counts that decomposing the layer finds; otherwise, and for a
-    chain given without them (a loaded file, reconstruct), each layer is
-    decomposed and its summands matched against S."""
+    Each chain is checked once, where it enters.  Every chain must start at
+    the module, end at zero and strictly drop.  A chain given without
+    `mults` (a loaded file, reconstruct) builds each level's submodule M_i
+    and M_{i+1} inside it at once, which refuses a level that is not a
+    submodule or not nested in the one above; `levels` reuses that build.
 
-    __slots__ = ("module", "sset", "chain", "_mults", "_levels")
+    `mults`, given only by the searches, is the multiplicity vector of each
+    layer as the search found it: each step takes a surjection f: M_i ->>
+    X = sum of S_j^{m_j} with kernel M_{i+1}.  So each level is the image
+    of a composite kernel inclusion, a submodule by construction, built
+    only when `levels` asks for it; and f shows the layer M_i / M_{i+1}
+    isomorphic to X.  The vectors are used only when S is a basic set
+    (`_is_basic`), where Krull-Schmidt makes them the counts that
+    decomposing the layer finds; otherwise, and for a chain given without
+    them, each layer is decomposed and its summands matched against S."""
+
+    __slots__ = ("module", "sset", "chain", "_mults", "_levels", "_subs")
 
     def __init__(self, module: Module, sset, chain, mults=None):
         self.module = module
@@ -127,33 +128,31 @@ class Filtration:
         fld = module.algebra.field
         self.chain = [fld.row_space(np.asarray(r, dtype=np.int16))
                       for r in chain]
+        if not self.chain or self.chain[0].shape[0] != module.dim:
+            raise PresentationError("filtration must start at the full module")
+        if self.chain[-1].shape[0] != 0:
+            raise PresentationError("filtration must end at zero")
+        if any(lo.shape[0] >= hi.shape[0] for hi, lo in zip(self.chain, self.chain[1:])):
+            raise PresentationError("filtration steps must strictly drop")
+        self._levels = None
         self._mults = None
         if mults is not None:
             self._mults = tuple(tuple(int(c) for c in mv) for mv in mults)
             if len(self._mults) != len(self):
                 raise PresentationError("one multiplicity vector per layer expected")
-        self._levels = None
-        self._validate()
-
-    def _validate(self):
-        m, fld = self.module, self.module.algebra.field
-        if self.chain[0].shape[0] != m.dim:
-            raise PresentationError("filtration must start at the full module")
-        if self.chain[-1].shape[0] != 0:
-            raise PresentationError("filtration must end at zero")
-        for i in range(len(self.chain) - 1):
-            hi, lo = self.chain[i], self.chain[i + 1]
-            if lo.shape[0] >= hi.shape[0]:
-                raise PresentationError("filtration steps must strictly drop")
-            if not _contains(fld, hi, lo):
-                raise PresentationError("filtration chain is not nested")
-        for rows in self.chain:
-            closed = submodule_closure(m, rows)
-            if closed.shape[0] != rows.shape[0]:
-                raise PresentationError("filtration level is not a submodule")
+        self._subs = self._build_subs() if mults is None else None
 
     def __len__(self) -> int:
         return len(self.chain) - 1
+
+    def _build_subs(self):
+        """Per level, (M_i, its inclusion, M_{i+1} in M_i's coordinates);
+        PresentationError where a level is not a submodule or not nested."""
+        out = []
+        for i in range(len(self)):
+            sub, incl = submodule(self.module, self.chain[i], name=f"M_{i}")
+            out.append((sub, incl, _rows_in_sub(incl, self.chain[i + 1])))
+        return out
 
     def _certified_mults(self):
         """The search's multiplicities, or None where they may differ from
@@ -170,13 +169,11 @@ class Filtration:
             return self._levels
         known = self._certified_mults()
         out = []
-        for i in range(len(self)):
-            sub, incl = submodule(self.module, self.chain[i], name=f"M_{i}")
-            inner = _rows_in_sub(incl, self.chain[i + 1])
+        for i, (sub, incl, inner) in enumerate(self._subs or self._build_subs()):
             layer, qmap = quotient(sub, inner, name=f"L_{i}")
             mults = known[i] if known is not None else _layer_mults(layer, self.sset)
             out.append(_Level(sub, incl, layer, qmap, mults))
-        self._levels = out
+        self._levels, self._subs = out, None
         return out
 
     def mult_sequence(self) -> tuple[tuple[int, ...], ...]:
@@ -618,10 +615,7 @@ def _split_and_filter(m, sset, rest, part, budget, cache):
     for rows in f_part.chain[1:]:
         chain.append(_transport_rows(part_to_m, rows))
     # the layers of rest, each plus all of part, then those of part
-    mults = None
-    if f_rest._mults is not None and f_part._mults is not None:
-        mults = f_rest._mults + f_part._mults
-    return Filtration(m, sset, chain, mults=mults)
+    return Filtration(m, sset, chain, mults=f_rest._mults + f_part._mults)
 
 
 def _search_filtration(m, sset, budget, cache) -> Filtration | None:
@@ -631,8 +625,7 @@ def _search_filtration(m, sset, budget, cache) -> Filtration | None:
         sub = _filtrable(k, sset, budget, cache)
         if sub is not None:
             chain = [_full_rows(m)] + [_transport_rows(incl, r) for r in sub.chain]
-            mults = None if sub._mults is None else (mv, *sub._mults)
-            return Filtration(m, sset, chain, mults=mults)
+            return Filtration(m, sset, chain, mults=(mv, *sub._mults))
     return None
 
 

@@ -9,10 +9,9 @@ Subspaces are per-vertex echelon row bases; the builders of submodules
 and quotients take them as they are and check arrow-invariance, never
 closing them.  Global rows (vertex components concatenated in vertex
 order), each supported at one vertex, are split into them once, in
-`submodule` and `quotient`; only `submodule_closure` generates a submodule
-from arbitrary rows.  All computations are exact: `decompose` certifies
-each summand by a local-ring test and `module_isomorphic` matches summands
-by Krull-Schmidt.
+`submodule` and `quotient`; nothing generates a submodule from arbitrary
+rows.  All computations are exact: `decompose` certifies each summand by a
+local-ring test and `module_isomorphic` matches summands by Krull-Schmidt.
 """
 
 from __future__ import annotations
@@ -461,34 +460,6 @@ def zero_module(algebra, name: str = "0") -> Module:
                   name=name, check=False)
 
 
-def submodule_closure(m: Module, rows: np.ndarray) -> np.ndarray:
-    """Global row basis (canonical per-vertex echelon) of the submodule
-    generated by the given global row vectors: the one place a submodule is
-    generated, read by Filtration to check that each level is one."""
-    f = m.algebra.field
-    nv = len(m.dims)
-    per_vertex = [m.slice_of(np.atleast_2d(rows), v) if rows.size else
-                  np.zeros((0, m.dims[v]), dtype=np.int16) for v in range(nv)]
-    spaces = [f.row_space(p) for p in per_vertex]
-    changed = True
-    while changed:
-        changed = False
-        for a, (_, u, v) in enumerate(m.algebra.arrows):
-            if spaces[u].shape[0] == 0 or m.dims[v] == 0:
-                continue
-            img = f.matmul(m.mats[a], spaces[u].T).T
-            combined = f.row_space(np.concatenate([spaces[v], img], axis=0))
-            if combined.shape[0] != spaces[v].shape[0]:
-                spaces[v] = combined
-                changed = True
-    out = []
-    for v in range(nv):
-        block = np.zeros((spaces[v].shape[0], m.dim), dtype=np.int16)
-        block[:, m.offsets[v]: m.offsets[v + 1]] = spaces[v]
-        out.append(block)
-    return np.concatenate(out, axis=0) if out else np.zeros((0, m.dim), dtype=np.int16)
-
-
 def _split(m: Module, rows: np.ndarray) -> list[np.ndarray]:
     """Per-vertex echelon bases of the span of global rows that are each
     supported at one vertex at most, else PresentationError."""
@@ -503,8 +474,8 @@ def _split(m: Module, rows: np.ndarray) -> list[np.ndarray]:
 
 def submodule(m: Module, rows: np.ndarray, name: str = "sub") -> tuple[Module, ModuleMap]:
     """The submodule spanned by global rows, each supported at one vertex,
-    with its inclusion; PresentationError unless the span is arrow-invariant.
-    Rows that only generate a submodule go through submodule_closure first."""
+    with its inclusion; PresentationError unless the span is arrow-invariant
+    (this is the check that a given subspace is a submodule)."""
     return _sub_from_spaces(m, _split(m, rows), name)
 
 
@@ -796,7 +767,7 @@ def _functional_images(m: Module, v: int, xi: np.ndarray) -> list[np.ndarray]:
 
     out = []
     for w in range(len(m.dims)):
-        stack = [image(A.basis_words[b]) for b in A.injective_basis_words(v, w)]
+        stack = [image(A.basis_words[b]) for b in A.projective_basis_words(w, v)]
         out.append(np.stack(stack) if stack else
                    np.zeros((0, len(xi), m.dims[w]), dtype=np.int16))
     return out
@@ -854,18 +825,6 @@ def _sum2(a: Module, b: Module):
     return s, tuple(injs), tuple(projs)
 
 
-def _map_image_rows(fmap: ModuleMap) -> np.ndarray:
-    """Global row basis of the image of a map."""
-    m = fmap.tgt
-    rows = []
-    for v in range(len(m.dims)):
-        space = fmap.src.algebra.field.row_space(fmap.blocks[v].T)
-        block = np.zeros((space.shape[0], m.dim), dtype=np.int16)
-        block[:, m.offsets[v]: m.offsets[v + 1]] = space
-        rows.append(block)
-    return np.concatenate(rows, axis=0) if rows else np.zeros((0, m.dim), dtype=np.int16)
-
-
 class Ext1:
     """Ext^1(M, N) presented off the minimal cover of M.
 
@@ -886,9 +845,8 @@ class Ext1:
         coords = f.solve_matrix(flat.T, compose_flats(hom_flats(p, n), p, n, right=incl).T)
         if coords is None:
             raise PresentationError("restriction image escaped Hom(K, N)")
-        self._img = f.row_space(coords.T)
-        self._basis_flat = flat
-        piv = f.rref(self._img)[1]
+        img, piv = f.rref(coords.T)
+        self._img, self._piv, self._basis_flat = img[:len(piv)], list(piv), flat
         self._free = [c for c in range(len(flat)) if c not in piv]
         self.dim = len(self._free)
         self.reps = [flat_to_map(k, n, flat[c]) for c in self._free]
@@ -899,12 +857,10 @@ class Ext1:
         c = f.solve(self._basis_flat.T, g.flat())
         if c is None:
             raise PresentationError("map is not in Hom(K, N)")
-        r, piv = f.rref(self._img)
-        vec = c.astype(np.int16)
-        for i, p in enumerate(piv):
-            if vec[p]:
-                vec = f.sub_mat(vec[None, :], f.scale(int(vec[p]), r[i][None, :]))[0]
-        return vec[self._free] if self._free else np.zeros(0, dtype=np.int16)
+        # c less its pivot entries times the (reduced) echelon rows of the image
+        vec = c.astype(np.int16)[None, :]
+        red = f.matmul(vec[:, self._piv], self._img[:, self._free])
+        return f.sub_mat(vec[:, self._free], red)[0]
 
     def realize(self, g: ModuleMap):
         """Short exact sequence 0 -> N -> E -> M -> 0 with class [g].

@@ -369,7 +369,7 @@ def reduced_projective(a: Algebra, v: int) -> Module:
 def reduced_injective(a: Algebra, v: int) -> Module:
     """I(v) with arrow a sending the functional dual to c to the one taking
     the path b to the coefficient of c in the normal form of a then b."""
-    comps = [a.injective_basis_words(v, w) for w in range(a.nvertices)]
+    comps = [a.projective_basis_words(w, v) for w in range(a.nvertices)]
     pos = {b: j for w in range(a.nvertices) for j, b in enumerate(comps[w])}
     mats = []
     for x, (_, u, w) in enumerate(a.arrows):

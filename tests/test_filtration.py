@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _random_filtrable
-from test_modules import known_indecomposables, scrambled
+from test_modules import built_bytes, known_indecomposables, scrambled, submodule_closure
 
 import stabrec
 from stabrec import filtration, fixtures, io
@@ -84,7 +84,6 @@ from stabrec.modules import (
     quotient,
     radical_series,
     submodule,
-    submodule_closure,
     zero_module,
 )
 from stabrec.stable import projective_maps, stable_hom, syzygy
@@ -240,6 +239,25 @@ def test_rejects_non_strict_chain(n3):
     empty = np.zeros((0, m.dim), dtype=np.int16)
     with pytest.raises(PresentationError):
         Filtration(m, [j2], [eye, eye, empty])
+
+
+def test_rejects_empty_chain(n3):
+    j2 = jordan(n3, 2)
+    with pytest.raises(PresentationError, match="start at the full module"):
+        Filtration(j2, [j2], [])
+
+
+def test_rejects_non_nested_chain(lam):
+    # M = S + S + S: the levels S_1 + S_2 and then S_3 are submodules that
+    # strictly drop, but S_3 does not lie in S_1 + S_2
+    su = lam.simple(0)
+    m, injs, _ = direct_sum([su, su, su])
+    eye = np.eye(m.dim, dtype=np.int16)
+    empty = np.zeros((0, m.dim), dtype=np.int16)
+    s12 = np.concatenate([injs[0].global_matrix().T, injs[1].global_matrix().T])
+    s3 = injs[2].global_matrix().T
+    with pytest.raises(PresentationError, match="do not lie in the submodule"):
+        Filtration(m, [su], [eye, s12, s3, empty])
 
 
 def test_rejects_layer_outside_add_s(n3):
@@ -729,6 +747,11 @@ def search_filtrations(m, sset, cap):
     return [(route, f) for route, f in out if f is not None]
 
 
+def _levels_bytes(f: Filtration) -> list:
+    return [built_bytes(lv.sub, lv.incl) + built_bytes(lv.layer, lv.qmap) + (lv.mults,)
+            for lv in f.levels()]
+
+
 def test_search_multiplicities_equal_the_layer_witnesses():
     # every filtration a search builds keeps the multiplicities of its top
     # quotients, and they are the ones decomposing its layers finds: over
@@ -752,6 +775,10 @@ def test_search_multiplicities_equal_the_layer_witnesses():
             assert f._mults is not None, route
             assert f.mult_sequence() == layer_witness_mults(f), route
             assert tuple(lv.mults for lv in f.levels()) == f.mult_sequence()
+            # a search's chain is not checked when it is made: the same
+            # chain given without multiplicities is, and builds the same levels
+            rebuilt = Filtration(f.module, f.sset, f.chain)
+            assert _levels_bytes(rebuilt) == _levels_bytes(f), route
             routes[route] += 1
     assert set(routes) == {"greedy", "split", "search", "is_filtrable", "enumeration"}
     assert routes["enumeration"] > 24

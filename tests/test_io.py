@@ -138,6 +138,14 @@ def test_filtration_round_trip(lam):
         io.load_filtration(d, lam)
 
 
+def test_filtration_load_refuses_an_empty_chain(lam):
+    sset = fixtures.simples(lam)
+    d = io.dump_filtration(s_radical_filtration(direct_sum(sset)[0], sset))
+    d["chain"] = []
+    with pytest.raises(PresentationError, match="start at the full module"):
+        io.load_filtration(d, lam)
+
+
 def test_tower_round_trip(lam):
     tw = random_tower(lam, fixtures.simples(lam), 3, seed=5, split_only=True)
     d = io.dump_tower(tw)

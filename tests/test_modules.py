@@ -183,7 +183,7 @@ def reference_hull(m: Module):
     row_off = [0] * len(m.dims)
     for v, xi in pieces:
         for w in range(len(m.dims)):
-            for j, b in enumerate(A.injective_basis_words(v, w)):
+            for j, b in enumerate(A.projective_basis_words(w, v)):
                 word = A.basis_words[b]
                 row = f.matmul(xi[None, :], m.word_action(word))[0] if word else xi
                 blocks[w][row_off[w] + j] = row
@@ -593,11 +593,39 @@ def test_compose_flats_against_the_per_map_loop(name, side, data):
 # -- submodules and quotients on their spaces, against closing first -------------
 
 
+def submodule_closure(m: Module, rows: np.ndarray) -> np.ndarray:
+    """Global row basis (canonical per-vertex echelon) of the submodule
+    generated by the given global row vectors, closed arrow by arrow until
+    nothing grows: the reference the space builders are checked against."""
+    f = m.algebra.field
+    nv = len(m.dims)
+    per_vertex = [m.slice_of(np.atleast_2d(rows), v) if rows.size else
+                  np.zeros((0, m.dims[v]), dtype=np.int16) for v in range(nv)]
+    spaces = [f.row_space(p) for p in per_vertex]
+    changed = True
+    while changed:
+        changed = False
+        for a, (_, u, v) in enumerate(m.algebra.arrows):
+            if spaces[u].shape[0] == 0 or m.dims[v] == 0:
+                continue
+            img = f.matmul(m.mats[a], spaces[u].T).T
+            combined = f.row_space(np.concatenate([spaces[v], img], axis=0))
+            if combined.shape[0] != spaces[v].shape[0]:
+                spaces[v] = combined
+                changed = True
+    out = []
+    for v in range(nv):
+        block = np.zeros((spaces[v].shape[0], m.dim), dtype=np.int16)
+        block[:, m.offsets[v]: m.offsets[v + 1]] = spaces[v]
+        out.append(block)
+    return np.concatenate(out, axis=0) if out else np.zeros((0, m.dim), dtype=np.int16)
+
+
 def closing_spaces(m: Module, rows: np.ndarray) -> list[np.ndarray]:
     """The per-vertex bases that submodule and quotient once took: the rows
     closed under the arrows, then split row by row."""
     fld = m.algebra.field
-    closed = modules.submodule_closure(m, rows) if rows.size else np.zeros((0, m.dim), np.int16)
+    closed = submodule_closure(m, rows) if rows.size else np.zeros((0, m.dim), np.int16)
     spaces = [[] for _ in m.dims]
     for row in closed:
         v = next(v for v in range(len(m.dims)) if np.any(m.slice_of(row[None, :], v)))
@@ -669,7 +697,7 @@ def test_spaces_builders_equal_closing_first(name):
         parts = [pool[i] for i in rng.integers(0, len(pool), size=2)]
         m = scrambled(direct_sum(parts)[0], seed)
         rows = rng.integers(0, fld.q, size=(seed % 3, m.dim)).astype(np.int16)
-        sub_rows = modules.submodule_closure(m, rows)
+        sub_rows = submodule_closure(m, rows)
         sub, incl = submodule(m, sub_rows)
         assert built_bytes(sub, incl) == built_bytes(*closing_submodule(m, sub_rows))
         assert built_bytes(*quotient(m, sub_rows)) == built_bytes(*closing_quotient(m, sub_rows))
@@ -691,5 +719,5 @@ def test_spaces_builders_refuse_what_is_no_submodule_basis(lam, build):
     with pytest.raises(PresentationError, match="vertex-homogeneous"):
         build(pu, both)
     # the submodule they span once split by vertex is the whole module
-    assert build(pu, modules.submodule_closure(pu, both))[0].dims == ((1, 1) if build is submodule
+    assert build(pu, submodule_closure(pu, both))[0].dims == ((1, 1) if build is submodule
                                                                      else (0, 0))
