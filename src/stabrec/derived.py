@@ -7,10 +7,11 @@ are cohomology dimensions of the total Hom complex
     Hom^n(X, Y) = sum_p Hom_A(X^p, Y^{p+n}),
     (D g)_q = d_Y g_q - (-1)^n g_{q+1} d_X,
 
-computed either directly (exact whenever X is termwise projective or Y is
-termwise injective, which coincide over a self-injective algebra) or after
-replacing X by a truncated projective resolution deep enough that the
-truncation cannot leak into the requested window.
+computed with X termwise projective, where Hom(X^p, Y^{p+n}) is the sum of
+the e_v Y^{p+n} over the top generators of X^p at the vertices v: X as it
+is when it is termwise projective, otherwise a truncated projective
+resolution of X deep enough that the truncation cannot leak into the
+requested window.
 
 Finite windows.  For complexes with cohomological support in [x1, x2] and
 [y1, y2], Hom_{D^b}(X, Y[i]) vanishes once i < y1 - x2: the shifted target
@@ -24,17 +25,19 @@ records it in the returned report.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from functools import cache
 
 import numpy as np
 
 from .errors import PresentationError, Undecided
-from .modules import (Module, ModuleMap, zero_module, hom_flats, compose_flats,
-                      direct_sum, kernel, cokernel, pullback,
-                      projective_cover, injective_hull, ext1, ses_class,
+from .modules import (Module, ModuleMap, zero_module, direct_sum, kernel, cokernel,
+                      pullback, projective_cover, injective_hull, ext1, ses_class,
                       is_exact_pair, is_projective, is_injective_module,
                       match_summands, module_isomorphic, lift_through_surjection,
                       factor_through_surjection, factor_through_injection,
-                      combine, _sum2)
+                      combine, _sum2, _generator_inverses, _path_images,
+                      _top_generators)
 from .stable import _gate, stable_core, stably_isomorphic, syzygy, \
     nakayama_module
 
@@ -179,61 +182,95 @@ def complex_sum(parts: list[Complex], name: str | None = None) -> Complex:
 # -- total Hom complex --------------------------------------------------------
 
 
-def _layout(x: Complex, y: Complex, n: int):
-    """Flat Hom^n(X, Y) rows, ModuleMap.flat after ModuleMap.flat: source
-    degree p -> its column slice, for each p with X^p and Y^{p+n} nonzero;
-    and the row width."""
+def _groups(x: Complex, y: Complex, n: int):
+    """Hom^n(X, Y) in generator coordinates, X termwise projective: a map is
+    its images of the top generators of each X^p, so group (p, v) holds the
+    m_v generators of X^p at v, each with the coordinates of e_v Y^{p+n}.
+    Returns (p, v) -> (first row, m_v), rows in order (p, v, generator,
+    coordinate), and dim Hom^n."""
     out, pos = {}, 0
-    for p in [p for p in x.degrees() if p + n in y.terms]:
-        size = sum(a * c for a, c in zip(y.terms[p + n].dims, x.terms[p].dims))
-        out[p] = slice(pos, pos + size)
-        pos += size
+    for p in x.degrees():
+        yt = y.terms.get(p + n)
+        if yt is None:
+            continue
+        for v, m_v in sorted(Counter(v for v, _ in _top_generators(x.terms[p])).items()):
+            if yt.dims[v]:
+                out[p, v] = (pos, m_v)
+                pos += m_v * yt.dims[v]
     return out, pos
-
-
-def _total_d(x: Complex, y: Complex, n: int, rows: np.ndarray) -> np.ndarray:
-    """D on every row of a matrix of flat Hom^n(X, Y) coordinates, as flat
-    Hom^{n+1} rows: one compose_flats per position and side."""
-    fld = x.algebra.field
-    (src, _), (dst, width) = _layout(x, y, n), _layout(x, y, n + 1)
-    out = np.zeros((len(rows), width), dtype=np.int16)
-    tail = fld.sub_mat if n % 2 == 0 else fld.add_mat   # -(-1)^n g d_X
-    for q, cut in dst.items():
-        dy, dx = y.diffs.get(q + n), x.diffs.get(q)
-        if dy is not None:
-            out[:, cut] = compose_flats(rows[:, src[q]], x.terms[q], y.terms[q + n], left=dy)
-        if dx is not None:
-            img = compose_flats(rows[:, src[q + 1]], x.terms[q + 1], y.terms[q + n + 1], right=dx)
-            out[:, cut] = tail(out[:, cut], img)
-    return out
 
 
 def total_hom_dims(x: Complex, y: Complex, window: tuple[int, int]) -> tuple[int, ...]:
     """dim H^n of the total Hom complex for n in the closed window.
 
-    These are homotopy-category Hom dimensions Hom_{K^b}(X, Y[n]); they
-    agree with derived Homs when X is termwise projective or Y termwise
-    injective.  The basis of Hom^n is one matrix (the hom_flats of its
-    positions, block-diagonally), and D maps it, then its image, at once.
-    Out of a projective term X^p, as in a projective resolution, hom_flats
-    takes its basis from the generators of X^p with no linear system.
+    X must be termwise projective (`derived_hom_dims` resolves any other
+    source), so these are the derived Hom dimensions Hom_{D^b}(X, Y[n]).
+    With X^p the sum of the P(v_g) over its top generators g, Hom^n(X, Y)
+    is the sum of the e_{v_g} Y^{p+n} (see `_groups`): the identity is its
+    basis, and nothing is solved or echelonised.  D_n is one matrix,
+    dim Hom^n x dim Hom^{n+1}, assembled from d_Y's vertex blocks and the
+    path coefficients of d_X; dim H^n = dim Hom^n - rank D_n - rank D_{n-1}.
     """
     a, b = window
     if a > b:
         raise PresentationError("empty window")
-    sizes, ranks = {}, {}
+    if not x.is_termwise_projective():
+        raise PresentationError("the total Hom complex needs a termwise projective "
+                                "source; derived_hom_dims resolves any other")
+    fld = x.algebra.field
+    groups = {n: _groups(x, y, n) for n in range(a - 1, b + 3)}
+
+    @cache
+    def coef(q, v, w):
+        # rows (h, g), columns b: the coefficient of b h in d_X(g), for the
+        # generators h of X^{q+1} at v and g of X^q at w and the paths b
+        # from v to w, read off the column d_X(g) by E_w^-1 (rights[w])
+        rights = next(r for u, _, r in _generator_inverses(x.terms[q + 1]) if u == v)[w]
+        gens = [c for u, c in _top_generators(x.terms[q]) if u == w]
+        dx = x.diffs[q].blocks[w][:, gens]
+        paths = len(rights)
+        got = fld.matmul(rights.reshape(-1, len(dx)), dx)
+        return got.reshape(paths, -1, len(gens)).transpose(1, 2, 0).reshape(-1, paths)
+
+    @cache
+    def images(p, v):
+        return _path_images(y.terms[p], v, slice(None))
+
+    def differential(n):
+        # (D f)_q = d_Y f_q - (-1)^n f_{q+1} d_X: d_Y sends group (p, v) to
+        # group (p, v) of Hom^{n+1} by its vertex-v block, and f_p d_X sends
+        # it to each group (p - 1, w), with f_p(b h) = Y_b f_p(h)
+        (src, rows), (dst, cols) = groups[n], groups[n + 1]
+        out = np.zeros((rows, cols), dtype=np.int16)
+        for (p, v), (r0, m_v) in src.items():
+            yt = y.terms[p + n]
+            r1 = r0 + m_v * yt.dims[v]
+            dy = y.diffs.get(p + n)
+            if dy is not None and (p, v) in dst:
+                c0 = dst[p, v][0]
+                out[r0: r1, c0: c0 + m_v * dy.tgt.dims[v]] = fld.kron(
+                    np.eye(m_v, dtype=np.int16), dy.blocks[v].T)
+            if p - 1 not in x.diffs:
+                continue
+            for w, y_b in enumerate(images(p + n, v)):     # Y_w x Y_v x paths
+                (yw, yv, paths) = y_b.shape
+                if (p - 1, w) not in dst or not paths:
+                    continue
+                c0, m_w = dst[p - 1, w]
+                prod = fld.matmul(coef(p - 1, v, w),
+                                  y_b.transpose(2, 0, 1).reshape(paths, yw * yv))
+                block = prod.reshape(m_v, m_w, yw, yv).transpose(0, 3, 1, 2) \
+                            .reshape(m_v * yv, m_w * yw)
+                out[r0: r1, c0: c0 + m_w * yw] = block if n % 2 else fld.scale(fld.neg(1), block)
+        return out
+
+    ds = {n: differential(n) for n in range(a - 1, b + 2)}
     for n in range(a - 1, b + 1):
-        layout, width = _layout(x, y, n)
-        basis = np.concatenate([np.zeros((0, width), dtype=np.int16)] + [
-            np.pad(hom_flats(x.terms[p], y.terms[p + n]), ((0, 0), (cut.start, width - cut.stop)))
-            for p, cut in layout.items()])
-        image = _total_d(x, y, n, basis)
-        if np.any(_total_d(x, y, n + 1, image)):
+        if np.any(fld.matmul(ds[n], ds[n + 1])):
             raise PresentationError(
                 f"total differential does not square to zero at degree {n}")
-        sizes[n] = len(basis)
-        ranks[n] = x.algebra.field.rank(image) if image.size else 0
-    return tuple(sizes[n] - ranks[n] - ranks[n - 1] for n in range(a, b + 1))
+    ranks = {n: fld.rank(ds[n]) if ds[n].size else 0 for n in range(a - 1, b + 1)}
+    return tuple(len(ds[n]) - ranks[n] - ranks[n - 1] for n in range(a, b + 1))
 
 
 # -- projective resolutions ---------------------------------------------------
@@ -333,11 +370,12 @@ def derived_hom_dims(x, y, window: tuple[int, int],
                      depth: int | None = None) -> tuple[int, ...]:
     """dim Hom_{D^b(A)}(X, Y[i]) for i in the closed window.
 
-    Modules are accepted and placed in degree 0.  When X is termwise
-    projective or Y is termwise injective the answer is computed directly;
-    otherwise X is replaced by a projective resolution truncated at a safe
-    depth (see `_safe_depth`; passing `depth` overrides it, which is only
-    useful for the stability assertions in the tests).
+    Modules are accepted and placed in degree 0.  A termwise projective X
+    goes to `total_hom_dims` as it is; any other X, whatever Y is, is
+    replaced by a projective resolution truncated at a safe depth (see
+    `_safe_depth`; passing `depth` overrides it, which is only useful for
+    the stability assertions in the tests), so the total Hom complex is
+    always read in generator coordinates.
     """
     x = as_complex(x)
     y = as_complex(y)
@@ -346,7 +384,7 @@ def derived_hom_dims(x, y, window: tuple[int, int],
         raise PresentationError("empty window")
     if x.is_zero or y.is_zero:
         return (0,) * (b - a + 1)
-    if x.is_termwise_projective() or y.is_termwise_injective():
+    if x.is_termwise_projective():
         return total_hom_dims(x, y, window)
     use = depth if depth is not None else _safe_depth(x, y, window)
     res = projective_resolution(x, use)
@@ -474,10 +512,12 @@ def verify_family_pattern(members, candidates, kind: str) -> HomPatternReport:
     For kind "I" the candidates play the role of I_S(S): the pattern is
     Hom(T_j, C_i[n]) = k exactly when i = j and n = 0.  For kind "P" the
     orientation flips to Hom(C_i, T_j[n]).  Candidates must be termwise
-    injective (kind I) or termwise projective (kind P) so that the Homs
-    are exact without resolving; over a self-injective algebra the two
-    conditions agree.  The shift window outside which all Homs vanish for
-    degree reasons is [min C - max T, max C - min T] in term degrees.
+    injective (kind I) or termwise projective (kind P); over a
+    self-injective algebra the two conditions agree.  Kind P reads the
+    Homs out of the projective candidates directly, kind I through
+    `derived_hom_dims`, which resolves every member that is not termwise
+    projective.  The shift window outside which all Homs vanish for degree
+    reasons is [min C - max T, max C - min T] in term degrees.
     """
     if kind not in ("P", "I"):
         raise PresentationError("kind must be 'P' or 'I'")
@@ -503,7 +543,7 @@ def verify_family_pattern(members, candidates, kind: str) -> HomPatternReport:
             if kind == "I":
                 lo = c.min_degree() - t.max_degree()
                 hi = c.max_degree() - t.min_degree()
-                got = total_hom_dims(t, c, (lo, hi))
+                got = derived_hom_dims(t, c, (lo, hi))
             else:
                 lo = t.min_degree() - c.max_degree()
                 hi = t.max_degree() - c.min_degree()
@@ -526,9 +566,10 @@ def endo_dg_cohomology(candidates,
     With C the direct sum of the candidate complexes, returns degree ->
     dim H^n(Hom(C, C)) over the requested window, defaulting to the forced
     one [min C - max C, max C - min C] outside which everything vanishes.
-    The family must be termwise projective (equivalently injective here),
-    otherwise the homotopy-category answer would not be the derived one
-    and no finite window is forced.
+    The family must be termwise projective or termwise injective: then the
+    homotopy-category answer is the derived one and that window is forced.
+    The dims are `derived_hom_dims(C, C)`, which resolves C when it is
+    not termwise projective.
     """
     cands = [as_complex(c) for c in candidates]
     total = complex_sum(cands, name="End-source")
@@ -540,7 +581,7 @@ def endo_dg_cohomology(candidates,
                         "(= injective) family")
     spread = total.max_degree() - total.min_degree()
     win = window if window is not None else (-spread, spread)
-    dims = total_hom_dims(total, total, win)
+    dims = derived_hom_dims(total, total, win)
     return {n: d for n, d in zip(range(win[0], win[1] + 1), dims)}
 
 

@@ -656,8 +656,8 @@ def read_only(*objs):
 def _top_generators(m: Module) -> tuple[tuple[int, int], ...]:
     """(vertex, coordinate) of each unit vector in the echelon complement of
     rad m: a basis of m modulo its radical, in vertex order.  Kept in the
-    algebra memo: top_dims, is_projective, projective_cover and hom_flats
-    all read it."""
+    algebra memo: top_dims, is_projective, projective_cover, hom_flats and
+    derived.total_hom_dims all read it."""
     def build():
         f = m.algebra.field
         gens = []

@@ -160,7 +160,10 @@ def test_total_hom_matches_per_map_reference(name):
     # two-term complexes: P(0) -> P(1) in degrees -1, 0, the hull
     # S(0) -> I(S(0)) in degrees 0, 1 and the contractible P(0) = P(0),
     # against each other and shifted; d_Y g d_X != 0 for the last, so a
-    # sign of D that ignores n fails the D o D = 0 guard outside char 2
+    # sign of D that ignores n fails the D o D = 0 guard outside char 2.
+    # b is not termwise projective: out of it the Homs are derived ones
+    # (the source resolved), which the homotopy Homs of the reference equal
+    # only into a termwise injective target, and total_hom_dims refuses it
     alg = fixtures.load(name)
     p0, p1 = alg.projective(0), alg.projective(1)
     a = Complex(alg, {-1: p0, 0: p1}, {-1: hom_space(p0, p1)[0]}, name="a")
@@ -168,11 +171,28 @@ def test_total_hom_matches_per_map_reference(name):
     b = Complex(alg, {0: alg.simple(0), 1: hull}, {0: iota}, name="b")
     c = Complex(alg, {-1: p0, 0: p0}, {-1: ModuleMap.identity(p0)}, name="c")
     seen = set()
-    for x, y in [*itertools.product((a, b, c), repeat=2), (a.shift(1), b), (b, a.shift(-1))]:
-        got = total_hom_dims(x, y, (-3, 3))
+    pairs = [*itertools.product((a, c), (a, b, c)), (a.shift(1), b),
+             (b, a), (b, c), (b, a.shift(-1))]
+    for x, y in pairs:
+        dims = total_hom_dims if x is not b else derived_hom_dims
+        got = dims(x, y, (-3, 3))
         assert got == _reference_total_hom_dims(x, y, (-3, 3))
         seen.update(n % 2 for n, d in zip(range(-3, 4), got) if d)
     assert seen == {0, 1}
+    with pytest.raises(PresentationError, match="termwise projective"):
+        total_hom_dims(b, b, (-3, 3))
+
+
+@pytest.mark.parametrize("name", ["lambda4", "nak3", "ka4"])
+def test_total_hom_out_of_resolutions_matches_per_map_reference(name):
+    # generator coordinates against per-map global matrices: the depth-3
+    # resolution of each simple into each simple, projective and resolution
+    alg = fixtures.load(name)
+    simples = fixtures.simples(alg)
+    res = [projective_resolution(as_complex(s), 3).complex for s in simples]
+    for x, j in itertools.product(res, range(len(simples))):
+        for y in (as_complex(simples[j]), as_complex(alg.projective(j)), res[j]):
+            assert total_hom_dims(x, y, (-2, 2)) == _reference_total_hom_dims(x, y, (-2, 2))
 
 
 def test_derived_hom_frozen_lambda4(lam):
@@ -196,21 +216,23 @@ def test_derived_hom_projective_fast_path(lam):
 
 def test_derived_and_endo_dims_of_a_cube_are_nine_times():
     # ka4 with X the sum of the syzygies of its simples: Hom is additive in
-    # each variable, so X^3 has 9 times the derived Hom and endomorphism
-    # cohomology dims of X (Hom out of resolution terms up to (60, 60, 60))
+    # each variable, so X^3 has 9 times and X^4 16 times the derived Hom and
+    # endomorphism cohomology dims of X (for X^4, Hom out of resolution
+    # terms up to (80, 80, 80))
     alg = fixtures.load("ka4")
     x = direct_sum([syzygy(s, 1) for s in fixtures.simples(alg)], name="X")[0]
-    x3 = direct_sum([x] * 3, name="X^3")[0]
 
     def dims(m):
         res = projective_resolution(as_complex(m), 2)
         endo = endo_dg_cohomology([res.complex])
         return derived_hom_dims(m, m, (-3, 3)), tuple(endo[n] for n in sorted(endo))
 
-    (hom1, endo1), (hom3, endo3) = dims(x), dims(x3)
+    hom1, endo1 = dims(x)
     assert hom1 == (0, 0, 0, 9, 6, 9, 12) and endo1 == (18, 48, 18)
-    assert hom3 == tuple(9 * d for d in hom1)
-    assert endo3 == tuple(9 * d for d in endo1)
+    for k in (3, 4):
+        hom, endo = dims(direct_sum([x] * k, name=f"X^{k}")[0])
+        assert hom == tuple(k * k * d for d in hom1)
+        assert endo == tuple(k * k * d for d in endo1)
 
 
 def test_safe_depth_is_the_cut_bound():
@@ -375,6 +397,24 @@ def test_endo_two_term_family(lam):
     assert dims[-1] == 2
     assert dims[0] == 3
     assert all(v == 0 for n, v in dims.items() if n not in (-1, 0))
+
+
+@pytest.mark.parametrize("name", fixtures.CORPUS + fixtures.EXTRAS)
+def test_injective_families_keep_their_answers(name):
+    # kind I resolves each simple member; the injectives sum to D(A), so
+    # their endomorphism cohomology is End(D(A)) = A^op in degree 0 (a2 and
+    # staircase, not self-injective, resolved first)
+    alg = fixtures.load(name)
+    simples = fixtures.simples(alg)
+    injectives = [as_complex(alg.injective(v)) for v in range(alg.nvertices)]
+    hulls = [as_complex(injective_hull(s)[0]) for s in simples]
+    delta = {(j, i, 0): int(i == j) for i, j in itertools.product(range(len(simples)), repeat=2)}
+    for cands in (injectives, hulls):
+        rep = verify_family_pattern(simples, cands, "I")
+        assert rep.ok and rep.dims == delta
+    assert endo_dg_cohomology(injectives, window=(0, 0)) == {0: alg.dim}
+    assert endo_dg_cohomology(injectives, window=(-2, 2)) == {-2: 0, -1: 0, 0: alg.dim,
+                                                              1: 0, 2: 0}
 
 
 def test_endo_symmetric_covers_vanish():
