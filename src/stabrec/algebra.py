@@ -148,10 +148,12 @@ class Algebra:
         generators, generator inverses and decomposition; per pair of keys
         the Hom basis and stable Hom; per (key, name) the projective
         cover, injective hull and stable core, whose names carry the
-        module's; and per (simple set, multiplicity vector) the sum
-        X = S_1^{m_1} + ... with its copy injections, onto which the
-        filtration searches try surjections and canonical_top maps.  Shared
-        values are never written into (see modules.read_only)."""
+        module's; per complex content key the deepest projective
+        resolution built so far, which a deeper call extends downward in
+        place by adding degrees; and per (simple set, multiplicity vector)
+        the sum X = S_1^{m_1} + ... with its copy injections, onto which
+        the filtration searches try surjections and canonical_top maps.
+        No shared array is ever written into (see modules.read_only)."""
         memo = self._memo
         if key not in memo:
             memo[key] = build()

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import PresentationError, Undecided
 from .modules import (Module, ModuleMap, zero_module, direct_sum, kernel, cokernel,
-                      pullback, projective_cover, injective_hull, ext1, ses_class,
+                      projective_cover, injective_hull, ext1, ses_class, read_only,
                       is_exact_pair, is_projective, is_injective_module,
                       match_summands, module_isomorphic, lift_through_surjection,
                       factor_through_surjection, factor_through_injection,
@@ -73,8 +73,12 @@ class Complex:
         if check:
             self._check()
 
-    def _check(self):
-        for n, d in self.diffs.items():
+    def _check(self, degrees=None):
+        """Endpoints and d o d = 0 at the given degrees (default: all)."""
+        for n in (self.diffs if degrees is None else degrees):
+            d = self.diffs.get(n)
+            if d is None:
+                continue
             if d.src.key != self.terms[n].key or d.tgt.key != self.terms[n + 1].key:
                 raise PresentationError(
                     f"differential endpoints disagree with the terms at degree {n}")
@@ -121,11 +125,14 @@ class Complex:
         """Degree -> dim H^n, over the support of the terms."""
         if not self.terms:
             return {}
-        out = {}
-        for n in range(self.min_degree(), self.max_degree() + 1):
-            out[n] = (self.term(n).dim - self.diff(n).rank()
-                      - self.diff(n - 1).rank())
-        return out
+        return {n: self.cohomology_dim(n)
+                for n in range(self.min_degree(), self.max_degree() + 1)}
+
+    def cohomology_dim(self, n: int) -> int:
+        """dim H^n = dim X^n - rank d^n - rank d^{n-1}."""
+        def rank(k):
+            return self.diffs[k].rank() if k in self.diffs else 0
+        return self.term(n).dim - rank(n) - rank(n - 1)
 
     def cohomology_support(self) -> list[int]:
         return [n for n, d in sorted(self.cohomology_dims().items()) if d]
@@ -281,7 +288,11 @@ class Resolution:
 
     `complex` is termwise projective with support in [cut, top]; `maps`
     holds the comparison maps eps_n: P^n -> X^n, a degreewise surjective
-    chain map that is a quasi-isomorphism in all degrees above `cut`.
+    chain map that is a quasi-isomorphism in all degrees above `cut`; `of`
+    is the complex resolved.  The one `projective_resolution` keeps per
+    complex grows downward in place (its `cut` drops); every one it returns
+    is a truncation with dicts of its own, sharing the kept terms and maps,
+    whose arrays are read-only.
     """
 
     __slots__ = ("complex", "maps", "cut", "of")
@@ -296,46 +307,130 @@ class Resolution:
 def projective_resolution(x: Complex, depth: int) -> Resolution:
     """Resolve X by projectives, keeping `depth` terms at or below min X.
 
-    The construction is the usual one by pullbacks: on top of the cover of
-    the highest term, each next term covers the pullback of d_X against the
-    restriction of the comparison map to the cycles of P.  The truncation
-    degree is cut = min_degree(X) - depth + 1.
+    The truncation degree is cut = min_degree(X) - depth + 1.  The top term
+    is the projective cover of the highest term of X; each next term P^n
+    covers V = {(x, p) in X^n + P^{n+1} : d_X x = eps p, d_P p = 0}, built
+    in generator coordinates (see `_build_degree`), so no module is built
+    for V.
+
+    Each degree is built once per complex: the deepest resolution built so
+    far is kept in the algebra memo under ("resolution", content key of X)
+    (see `_content_key`).  A call whose cut is at or above its lowest
+    degree gets its truncation at cut; a deeper call first extends it
+    downward from its lowest degree, checking each new degree once (see
+    `_extend`).  The result is named P(X) and resolves X itself.
     """
     if depth < 1:
         raise PresentationError("resolution depth must be at least 1")
     algebra = x.algebra
+    name = f"P({x.name})"
     if x.is_zero:
-        return Resolution(Complex(algebra, {}, {}, name=f"P({x.name})"),
-                          {}, 0, x)
-    top = x.max_degree()
+        return Resolution(Complex(algebra, {}, {}, name=name), {}, 0, x)
     cut = x.min_degree() - depth + 1
-    pterms: dict[int, Module] = {}
-    pdiffs: dict[int, ModuleMap] = {}
-    eps: dict[int, ModuleMap] = {}
-    p, e = projective_cover(x.term(top))
-    pterms[top] = p
-    eps[top] = e
-    for n in range(top - 1, cut - 1, -1):
-        d_up = pdiffs.get(n + 1)
-        if d_up is None:
-            d_up = ModuleMap.zero(pterms[n + 1],
-                                  pterms.get(n + 2, zero_module(algebra)))
-        z, zincl = kernel(d_up)
-        ez = eps[n + 1].compose(zincl)
-        v, px, pz = pullback(x.diff(n), ez)
-        p, cover = projective_cover(v)
-        pterms[n] = p
-        eps[n] = px.compose(cover)
-        pdiffs[n] = zincl.compose(pz).compose(cover)
-    cx = Complex(algebra, pterms, pdiffs, name=f"P({x.name})")
-    res = Resolution(cx, eps, cut, x)
-    _check_resolution(res)
-    return res
+    kept = algebra.cached(("resolution", _content_key(x)), lambda: Resolution(
+        Complex(algebra, {}, {}, name=name), {}, x.max_degree() + 1, x))
+    if cut < kept.cut:
+        _extend(kept, cut)
+    cx = Complex(algebra, {n: m for n, m in kept.complex.terms.items() if n >= cut},
+                 {n: d for n, d in kept.complex.diffs.items() if n >= cut},
+                 name=name, check=False)
+    return Resolution(cx, {n: e for n, e in kept.maps.items() if n >= cut}, cut, x)
 
 
-def _check_resolution(res: Resolution):
+def _content_key(x: Complex):
+    """Equal keys, equal complexes: the degrees with their terms' keys and
+    differentials' blocks; a module in degree 0 keys as the module."""
+    if list(x.terms) == [0]:
+        return x.terms[0].key
+    return tuple((n, m.key, b"|".join(b.tobytes() for b in x.diffs[n].blocks)
+                  if n in x.diffs else b"") for n, m in sorted(x.terms.items()))
+
+
+def _extend(kept: Resolution, cut: int):
+    """Build the degrees of the kept resolution below its lowest one down to
+    cut, in place, with read-only arrays.  Each new degree n is checked
+    once, when it is built: d o d = 0 at n (`Complex._check`), and
+    `_check_resolution` at n, which also reads the quasi-isomorphism at
+    n + 1, where it holds from now on.  The lowest degree moves only past
+    a degree that passed."""
+    p = kept.complex
+    for n in range(kept.cut - 1, cut - 1, -1):
+        pn, eps, d = read_only(*_build_degree(kept, n))
+        p.terms.pop(n, None)
+        p.diffs.pop(n, None)
+        if pn.dim:
+            p.terms[n] = pn
+        if not d.is_zero():
+            p.diffs[n] = d
+        kept.maps[n] = eps
+        p._check([n])
+        _check_resolution(kept, [n])
+        kept.cut = n
+
+
+def _build_degree(res: Resolution, n: int):
+    """(P^n, eps^n, d_P^n) for the degree n just below the lowest one res
+    holds: at the top of X the projective cover of X^n, else the
+    generator-list step (Green-Solberg-Zacharia, "Minimal projective
+    resolutions", Trans. AMS 353, 2001).  Per vertex v, V_v is the kernel
+    of [d_X^n | -eps^{n+1}; 0 | d_P^{n+1}] on X^n_v + P^{n+1}_v, an
+    echelon basis; rad V is the span of the arrow images of V, read in
+    those echelon coordinates at the basis's pivot columns.  The top
+    generators are the echelon complement of rad V (as `_top_generators`
+    takes them), P^n is the sum of the P(v_g), and eps^n and d_P^n are
+    the path images of the generator vectors, ordered as in
+    `_generator_images`, split at the X^n / P^{n+1} row boundary."""
     x, p = res.of, res.complex
-    for n, e in res.maps.items():
+    if n == x.max_degree():
+        pn, eps = projective_cover(x.term(n))
+        return pn, eps, ModuleMap.zero(pn, p.term(n + 1))
+    algebra = x.algebra
+    fld = algebra.field
+    xt, pt = x.term(n), p.term(n + 1)
+    dx, up, dp = x.diff(n), res.maps[n + 1], p.diff(n + 1)
+    spaces = [fld.kernel(np.block([
+        [dx.blocks[v], fld.neg(up.blocks[v])],
+        [np.zeros((dp.tgt.dims[v], xt.dims[v]), dtype=np.int16), dp.blocks[v]]]))
+        for v in range(algebra.nvertices)]
+    rad = [[np.zeros((0, len(s)), dtype=np.int16)] for s in spaces]
+    for a, (_, u, v) in enumerate(algebra.arrows):
+        ku, kv = spaces[u], spaces[v]
+        if len(ku) and len(kv):
+            img = np.concatenate([fld.matmul(ku[:, : xt.dims[u]], xt.mats[a].T),
+                                  fld.matmul(ku[:, xt.dims[u]:], pt.mats[a].T)], axis=1)
+            rad[v].append(img[:, np.argmax(kv != 0, axis=1)])
+    gens = []
+    eps = [[np.zeros((d, 0), dtype=np.int16)] for d in xt.dims]
+    dps = [[np.zeros((d, 0), dtype=np.int16)] for d in pt.dims]
+    for v, (s, r) in enumerate(zip(spaces, rad)):
+        rows = np.concatenate(r)
+        piv = fld.rref(rows)[1] if len(rows) else ()
+        g = s[[c for c in range(len(s)) if c not in piv]]
+        if not len(g):
+            continue
+        gens.extend([v] * len(g))
+        # b g = sum_c g_c (b e_c) in X^n and in P^{n+1}: the path images of
+        # the unit vectors times the generators' coordinates
+        for m, cols, out in ((xt, g[:, : xt.dims[v]], eps), (pt, g[:, xt.dims[v]:], dps)):
+            for w, y in enumerate(_path_images(m, v, slice(None))):
+                (mw, mv, paths) = y.shape
+                prod = fld.matmul(y.transpose(0, 2, 1).reshape(mw * paths, mv), cols.T)
+                out[w].append(prod.reshape(mw, paths, len(g)).transpose(0, 2, 1)
+                              .reshape(mw, len(g) * paths))
+    pn = (direct_sum([algebra.projective(v) for v in gens], name=f"P^{n}")[0] if gens
+          else zero_module(algebra))
+    return (pn, ModuleMap(pn, xt, [np.concatenate(b, axis=1) for b in eps]),
+            ModuleMap(pn, pt, [np.concatenate(b, axis=1) for b in dps]))
+
+
+def _check_resolution(res: Resolution, degrees=None):
+    """Check the comparison maps at the given degrees (default: all):
+    eps^n surjective and d_X eps^n = eps^{n+1} d_P^n, and, as degree n is
+    built, H^{n+1} of P equal to that of X up to the top of X; over all
+    degrees, the quasi-isomorphism at cut + 1 ... max X."""
+    x, p = res.of, res.complex
+    for n in (res.maps if degrees is None else degrees):
+        e = res.maps[n]
         if x.term(n).dim and not e.is_surjective_map():
             raise PresentationError(f"comparison map not surjective at degree {n}")
         lhs = x.diff(n).compose(e)
@@ -346,12 +441,9 @@ def _check_resolution(res: Resolution):
                 raise PresentationError(f"comparison fails to chain at degree {n}")
         elif not lhs.sub(rhs).is_zero():
             raise PresentationError(f"comparison fails to chain at degree {n}")
-    hx = x.cohomology_dims()
-    hp = p.cohomology_dims()
-    for n in range(res.cut + 1, x.max_degree() + 1):
-        if hx.get(n, 0) != hp.get(n, 0):
+        if n < x.max_degree() and x.cohomology_dim(n + 1) != p.cohomology_dim(n + 1):
             raise PresentationError(
-                f"resolution is not a quasi-isomorphism at degree {n}")
+                f"resolution is not a quasi-isomorphism at degree {n + 1}")
 
 
 def _safe_depth(x: Complex, y: Complex, window: tuple[int, int]) -> int:

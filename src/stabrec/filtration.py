@@ -106,9 +106,11 @@ class Filtration:
 
     Each chain is checked once, where it enters.  Every chain must start at
     the module, end at zero and strictly drop.  A chain given without
-    `mults` (a loaded file, reconstruct) builds each level's submodule M_i
-    and M_{i+1} inside it at once, which refuses a level that is not a
-    submodule or not nested in the one above; `levels` reuses that build.
+    `mults` (a loaded file, reconstruct) is reduced to echelon row bases
+    and builds each level's submodule M_i and M_{i+1} inside it at once,
+    which refuses a level that is not a submodule or not nested in the one
+    above; `levels` reuses that build.  A search's chain is taken as it
+    is: the searches build every level as an echelon row basis already.
 
     `mults`, given only by the searches, is the multiplicity vector of each
     layer as the search found it: each step takes a surjection f: M_i ->>
@@ -125,9 +127,9 @@ class Filtration:
     def __init__(self, module: Module, sset, chain, mults=None):
         self.module = module
         self.sset = list(sset)
-        fld = module.algebra.field
-        self.chain = [fld.row_space(np.asarray(r, dtype=np.int16))
-                      for r in chain]
+        rows = [np.asarray(r, dtype=np.int16) for r in chain]
+        self.chain = rows if mults is not None else \
+            [module.algebra.field.row_space(r) for r in rows]
         if not self.chain or self.chain[0].shape[0] != module.dim:
             raise PresentationError("filtration must start at the full module")
         if self.chain[-1].shape[0] != 0:

@@ -790,7 +790,7 @@ def is_injective_module(m: Module) -> bool:
     return m.dim == sum(s * m.algebra.injective(v).dim for v, s in enumerate(socle_dims(m)))
 
 
-# -- pullback / pushout / extensions ---------------------------------------
+# -- pushout / extensions --------------------------------------------------
 
 
 def pushout(f: ModuleMap, g: ModuleMap):
@@ -804,20 +804,6 @@ def pushout(f: ModuleMap, g: ModuleMap):
     _, (iy, iz), _ = _sum2(f.tgt, g.tgt)
     w, proj = cokernel(iy.compose(f).sub(iz.compose(g)), name="pushout")
     return w, proj.compose(iy), proj.compose(iz)
-
-
-def pullback(f: ModuleMap, g: ModuleMap):
-    """Pullback of f: Y -> X and g: Z -> X.
-
-    Returns:
-        (W, py, pz) with py: W -> Y, pz: W -> Z and f py = g pz.
-    """
-    if f.tgt.key != g.tgt.key:
-        raise PresentationError("pullback legs must share their target")
-    yz, (iy, iz), (py, pz) = _sum2(f.src, g.src)
-    diff = f.compose(py).sub(g.compose(pz))
-    w, incl = kernel(diff, name="pullback")
-    return w, py.compose(incl), pz.compose(incl)
 
 
 def _sum2(a: Module, b: Module):

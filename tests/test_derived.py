@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
+from test_modules import pullback
 
-from stabrec import fixtures
+from stabrec import derived, fixtures, io
 from stabrec.errors import PresentationError, Undecided
 from stabrec.modules import (
     ModuleMap,
+    _projective_cover,
     direct_sum,
     ext1,
     hom_space,
     injective_hull,
     is_exact_pair,
+    kernel,
     projective_cover,
     quotient,
     radical_series,
@@ -23,8 +27,10 @@ from stabrec.modules import (
 )
 from stabrec.stable import stable_core, stable_hom, stably_isomorphic, syzygy
 from stabrec.derived import (
+    _check_resolution,
     _safe_depth,
     Complex,
+    Resolution,
     Tower,
     TowerStep,
     as_complex,
@@ -279,6 +285,117 @@ def test_resolution_quasi_iso_above_cut(lam):
     got = res.complex.cohomology_dims()
     for n in range(res.cut + 1, iu.max_degree() + 1):
         assert got.get(n, 0) == want.get(n, 0)
+
+
+def _reference_resolution(x, depth):
+    """The resolution as pullbacks build it: on top of the cover of the
+    highest term, each next term covers the pullback of d_X against the
+    comparison map restricted to the cycles of P (covers built afresh,
+    not taken from the memo)."""
+    algebra = x.algebra
+    top, cut = x.max_degree(), x.min_degree() - depth + 1
+    pterms, pdiffs, eps = {}, {}, {}
+    pterms[top], eps[top] = _projective_cover(x.term(top))
+    for n in range(top - 1, cut - 1, -1):
+        d_up = pdiffs.get(n + 1) or ModuleMap.zero(
+            pterms[n + 1], pterms.get(n + 2, zero_module(algebra)))
+        _, zincl = kernel(d_up)
+        v, px, pz = pullback(x.diff(n), eps[n + 1].compose(zincl))
+        pterms[n], cover = _projective_cover(v)
+        eps[n] = px.compose(cover)
+        pdiffs[n] = zincl.compose(pz).compose(cover)
+    return Resolution(Complex(algebra, pterms, pdiffs, name=f"P({x.name})"), eps, cut, x)
+
+
+def _fresh(name):
+    """A fixture loaded anew, so that its memo holds no resolution yet."""
+    return io.load_algebra(json.loads(fixtures.fixture_text(name)))
+
+
+def _count_builds(monkeypatch):
+    """(content key of the complex, degree) of every degree built from now on."""
+    built = []
+    build = derived._build_degree
+
+    def counted(res, n):
+        built.append((derived._content_key(res.of), n))
+        return build(res, n)
+    monkeypatch.setattr(derived, "_build_degree", counted)
+    return built
+
+
+@pytest.mark.parametrize("name", fixtures.CORPUS + fixtures.EXTRAS)
+def test_resolutions_match_the_pullback_reference(name, monkeypatch):
+    # every simple, and ka4's X (the sum of the syzygies of its simples)
+    # and lambda4's two-term complex, at depths 8, 3 and 11 in that order:
+    # the second call truncates the kept resolution and builds nothing,
+    # the third extends it by 3 degrees; each answer has the reference's
+    # term dims and Hom dims into every simple and projective, and passes
+    # every resolution check
+    alg = _fresh(name)
+    sources = [as_complex(s) for s in fixtures.simples(alg)]
+    if name == "ka4":
+        x = direct_sum([syzygy(s, 1) for s in fixtures.simples(alg)], name="X")[0]
+        sources.append(as_complex(x))
+    if name == "lambda4":
+        sources.append(two_term(alg))
+    targets = [as_complex(m) for v in range(alg.nvertices)
+               for m in (alg.simple(v), alg.projective(v))]
+    built = _count_builds(monkeypatch)
+    for x in sources:
+        top, bottom = x.max_degree(), x.min_degree()
+        for depth, new in ((8, top - bottom + 8), (3, 0), (11, 3)):
+            before = len(built)
+            res = projective_resolution(x, depth)
+            assert len(built) - before == new
+            ref = _reference_resolution(x, depth)
+            assert res.cut == ref.cut == bottom - depth + 1
+            assert res.of is x and res.complex.name == f"P({x.name})"
+            assert sorted(res.maps) == list(range(res.cut, top + 1))
+            assert [res.complex.term(n).dims for n in res.maps] \
+                == [ref.complex.term(n).dims for n in res.maps]
+            _check_resolution(res)
+            w = (-top - 1, -res.cut + 1)
+            for y in targets:
+                assert total_hom_dims(res.complex, y, w) == total_hom_dims(ref.complex, y, w)
+
+
+def test_kind_i_pattern_builds_each_member_once(monkeypatch):
+    # nak3's simples against its injectives: each simple is resolved at
+    # depth 3 once, and the other two candidates read its kept resolution
+    alg = _fresh("nak3")
+    simples = fixtures.simples(alg)
+    injectives = [as_complex(alg.injective(v)) for v in range(alg.nvertices)]
+    built = _count_builds(monkeypatch)
+    assert verify_family_pattern(simples, injectives, "I").ok
+    assert sorted(built) == sorted((s.key, n) for s in simples for n in (0, -1, -2))
+
+
+def test_deeper_derived_hom_extends_the_kept_resolution(monkeypatch):
+    alg = _fresh("lambda4")
+    s = alg.simple(0)
+    built = _count_builds(monkeypatch)
+    w = (-3, 3)
+    base = derived_hom_dims(s, s, w, depth=8)
+    assert len(built) == 8
+    assert derived_hom_dims(s, s, w, depth=11) == base
+    assert [n for _, n in built[8:]] == [-8, -9, -10]
+
+
+def test_kept_resolutions_are_read_only():
+    alg = _fresh("lambda4")
+    res = projective_resolution(two_term(alg), 4)
+    p = res.complex
+    arrays = [b for d in p.diffs.values() for b in d.blocks if b.size]
+    arrays += [b for e in res.maps.values() for b in e.blocks if b.size]
+    arrays += [a for m in p.terms.values() for a in m.mats if a.size]
+    assert arrays
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
+    # a later call shares them
+    again = projective_resolution(two_term(alg), 2)
+    assert again.maps[0] is res.maps[0]
 
 
 def test_derived_depth_stability(lam):

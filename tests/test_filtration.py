@@ -790,6 +790,54 @@ def test_search_multiplicities_equal_the_layer_witnesses():
             is_filtrable(direct_sum(fixtures.simples(alg))[0], fixtures.simples(alg))
 
 
+def test_search_chains_are_their_own_echelon_bases():
+    # Filtration takes a search's chain as it is, without reducing it: so
+    # every route must build each level as its echelon row basis already
+    # (corpus fixtures with their simples, criterion 5's module and the
+    # first enumeration stream modules with the ka4 family)
+    cases = []
+    for name in fixtures.CORPUS:
+        alg = fixtures.load(name)
+        ss = fixtures.simples(alg)
+        last = alg.projective(alg.nvertices - 1)
+        mods = [direct_sum(ss)[0], alg.projective(0), direct_sum([ss[0], last])[0]]
+        mods += [_random_filtrable(alg, ss, seed) for seed in (1, 2, 3)]
+        cases += [(m, ss) for m in mods if m.dim]
+    fam = fixtures.ka4_family()
+    cases += [(fixtures.ka4_restricted_projective(), fam)]
+    cases += [(_random_filtrable(fam[0].algebra, fam, s), fam) for s in (1, 2, 3)]
+    routes = collections.Counter()
+    for m, sset in cases:
+        fld = m.algebra.field
+        for route, f in search_filtrations(m, sset, 500):
+            for rows in f.chain:
+                assert np.array_equal(rows, fld.row_space(rows)), route
+            routes[route] += 1
+    assert set(routes) == {"greedy", "split", "search", "is_filtrable", "enumeration"}
+
+
+def test_loaded_chain_in_another_basis_is_reduced(n3):
+    # a chain given without multiplicities (here a file) may list each
+    # level in any basis; Filtration reduces it to the echelon one
+    sset = fixtures.simples(n3)
+    filt = s_radical_filtration(_random_filtrable(n3, sset, 5), sset)
+    assert [len(level) for level in filt.chain] == [4, 1, 0]
+    d = io.dump_filtration(filt)
+    fld = n3.field
+    mixed = []
+    for level in filt.chain:
+        n = len(level)
+        # reversed rows, each plus the next: invertible, and not echelon
+        # once a level has two rows
+        mix = np.eye(n, dtype=np.int16)[::-1] + np.eye(n, k=-1, dtype=np.int16)[::-1]
+        mixed.append(fld.matmul(mix % fld.q, level) if n else level)
+    assert any(not np.array_equal(a, b) for a, b in zip(mixed, filt.chain))
+    d["chain"] = [[[int(x) for x in row] for row in level] for level in mixed]
+    back = io.load_filtration(d, n3)
+    assert all(np.array_equal(a, b) for a, b in zip(back.chain, filt.chain))
+    assert back.mult_sequence() == filt.mult_sequence()
+
+
 def _fresh_lambda4():
     """lambda4 loaded anew, so that no earlier test's memo shapes a search."""
     return io.load_algebra(json.loads(fixtures.fixture_text("lambda4")))

@@ -42,7 +42,6 @@ from stabrec.modules import (
     lift_through_surjection,
     module_isomorphic,
     projective_cover,
-    pullback,
     pushout,
     quotient,
     radical_series,
@@ -333,6 +332,17 @@ def test_ext_realize_round_trip(lam):
     tot0, mono0, epi0 = e.realize(zero_rep)
     assert is_exact_pair(mono0, epi0)
     assert ses_class(e, mono0, epi0).tolist() == [0]
+
+
+def pullback(f: ModuleMap, g: ModuleMap):
+    """Pullback of f: Y -> X and g: Z -> X, the kernel of (f, -g) on Y + Z:
+    (W, py, pz) with py: W -> Y, pz: W -> Z and f py = g pz.  The reference
+    the generator-coordinate resolution step is checked against."""
+    if f.tgt.key != g.tgt.key:
+        raise PresentationError("pullback legs must share their target")
+    _, _, (py, pz) = direct_sum([f.src, g.src])
+    w, incl = kernel(f.compose(py).sub(g.compose(pz)), name="pullback")
+    return w, py.compose(incl), pz.compose(incl)
 
 
 def test_pushout_pullback(n3):
