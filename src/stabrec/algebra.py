@@ -150,9 +150,11 @@ class Algebra:
         cover, injective hull and stable core, whose names carry the
         module's; per complex content key the deepest projective
         resolution built so far, which a deeper call extends downward in
-        place by adding degrees; and per (simple set, multiplicity vector)
+        place by adding degrees; per (simple set, multiplicity vector)
         the sum X = S_1^{m_1} + ... with its copy injections, onto which
-        the filtration searches try surjections and canonical_top maps.
+        the filtration searches try surjections and canonical_top maps;
+        and per (simple set, module key) the greedy S-radical filtration
+        (or the message of its stall) and the projective-remainder answer.
         No shared array is ever written into (see modules.read_only)."""
         memo = self._memo
         if key not in memo:

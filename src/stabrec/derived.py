@@ -31,8 +31,8 @@ from functools import cache
 import numpy as np
 
 from .errors import PresentationError, Undecided
-from .modules import (Module, ModuleMap, zero_module, direct_sum, kernel, cokernel,
-                      projective_cover, injective_hull, ext1, ses_class, read_only,
+from .modules import (Module, ModuleMap, zero_module, direct_sum, sum_module, kernel,
+                      cokernel, projective_cover, injective_hull, ext1, ses_class, read_only,
                       is_exact_pair, is_projective, is_injective_module,
                       match_summands, module_isomorphic, lift_through_surjection,
                       factor_through_surjection, factor_through_injection,
@@ -417,7 +417,7 @@ def _build_degree(res: Resolution, n: int):
                 prod = fld.matmul(y.transpose(0, 2, 1).reshape(mw * paths, mv), cols.T)
                 out[w].append(prod.reshape(mw, paths, len(g)).transpose(0, 2, 1)
                               .reshape(mw, len(g) * paths))
-    pn = (direct_sum([algebra.projective(v) for v in gens], name=f"P^{n}")[0] if gens
+    pn = (sum_module([algebra.projective(v) for v in gens], name=f"P^{n}") if gens
           else zero_module(algebra))
     return (pn, ModuleMap(pn, xt, [np.concatenate(b, axis=1) for b in eps]),
             ModuleMap(pn, pt, [np.concatenate(b, axis=1) for b in dps]))

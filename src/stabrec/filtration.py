@@ -45,6 +45,7 @@ from .modules import (
     radical_submodule,
     read_only,
     submodule,
+    sum_module,
     zero_module,
 )
 from .stable import _projective_flats, stable_hom, stably_isomorphic
@@ -120,9 +121,14 @@ class Filtration:
     isomorphic to X.  The vectors are used only when S is a basic set
     (`_is_basic`), where Krull-Schmidt makes them the counts that
     decomposing the layer finds; otherwise, and for a chain given without
-    them, each layer is decomposed and its summands matched against S."""
+    them, each layer is decomposed and its summands matched against S.
 
-    __slots__ = ("module", "sset", "chain", "_mults", "_levels", "_subs")
+    A filtration also keeps its S-radical certificate once
+    `verify_s_radical` has computed it.  The greedy filtrations are
+    memoised (`s_radical_filtration`), so a filtration may share read-only
+    chain arrays with the kept one."""
+
+    __slots__ = ("module", "sset", "chain", "_mults", "_levels", "_subs", "_cert")
 
     def __init__(self, module: Module, sset, chain, mults=None):
         self.module = module
@@ -137,6 +143,7 @@ class Filtration:
         if any(lo.shape[0] >= hi.shape[0] for hi, lo in zip(self.chain, self.chain[1:])):
             raise PresentationError("filtration steps must strictly drop")
         self._levels = None
+        self._cert = None
         self._mults = None
         if mults is not None:
             self._mults = tuple(tuple(int(c) for c in mv) for mv in mults)
@@ -330,18 +337,39 @@ def top_layer(m: Module, sset):
 def s_radical_filtration(m: Module, sset, seed: int = 0) -> Filtration:
     """Greedy S-radical filtration; complete for filtrable modules with no
     projective remainder.  `seed` is ignored; it is kept because the
-    benchmark workloads pass it."""
+    benchmark workloads pass it.
+
+    The filtration depends on (m.key, S) alone, so it is built once per
+    pair and kept in the algebra memo with read-only chain arrays: a call
+    with the kept module gets the kept Filtration, a call with an
+    equal-key module a Filtration bound to it over the kept chain and
+    multiplicities.  A stall is kept as its message and raised again as
+    NotFiltrable; any other error is raised and not kept."""
+    kept = m.algebra.cached(("s-radical", _sset_sig(sset), m.key),
+                            lambda: _greedy(m, sset))
+    if isinstance(kept, str):
+        raise NotFiltrable(kept)
+    if kept.module is m:
+        return kept
+    return Filtration(m, sset, kept.chain, mults=kept._mults)
+
+
+def _greedy(m: Module, sset) -> Filtration | str:
+    """The greedy filtration of m, its chain read-only, or the message of
+    the level where it stalls."""
     chain, mults = [_full_rows(m)], []
     cur, to_m = m, ModuleMap.identity(m)
     while cur.dim:
         try:
             _, _, k, incl, mv = top_layer(cur, sset)
         except NoSurjectionInCoset as e:
-            raise NotFiltrable(f"greedy filtration stalled: {e}") from e
+            return f"greedy filtration stalled: {e}"
         to_m = to_m.compose(incl)
         chain.append(_transport_rows(to_m, _full_rows(k)))
         mults.append(mv)
         cur = k
+    for rows in chain:
+        rows.flags.writeable = False
     return Filtration(m, sset, chain, mults=mults)
 
 
@@ -560,7 +588,7 @@ def _projective_splits(m: Module):
 
 
 def _sum_of(mods, algebra) -> Module:
-    return direct_sum(mods)[0] if mods else zero_module(algebra)
+    return sum_module(mods) if mods else zero_module(algebra)
 
 
 def _filtrable(m: Module, sset, budget, cache) -> Filtration | None:
@@ -652,9 +680,12 @@ def is_filtrable(m: Module, sset, search_cap: int = 200000) -> Filtration | None
 
 def has_projective_remainder(m: Module, sset) -> bool:
     """Whether m = N + P with P a nonzero projective summand group and N
-    filtrable."""
-    return any(is_filtrable(_sum_of([p.module for p in rest], m.algebra), sset) is not None
-               for rest, _ in _projective_splits(m))
+    filtrable.  Kept in the algebra memo per (S, m.key); an Undecided from
+    a search is raised and not kept."""
+    def build():
+        return any(is_filtrable(_sum_of([p.module for p in rest], m.algebra), sset) is not None
+                   for rest, _ in _projective_splits(m))
+    return m.algebra.cached(("remainder", _sset_sig(sset), m.key), build)
 
 
 def strip_remainder(m: Module, sset, seed: int = 0):
@@ -703,6 +734,14 @@ def _canonical_stable_matrix(layer, qmap, sub, s):
 
 
 def verify_s_radical(filt: Filtration) -> RadicalCertificate:
+    """The S-radical certificate of filt, computed once per Filtration and
+    kept on it; callers share it and must not change it."""
+    if filt._cert is None:
+        filt._cert = _verify_s_radical(filt)
+    return filt._cert
+
+
+def _verify_s_radical(filt: Filtration) -> RadicalCertificate:
     fld = filt.module.algebra.field
     levels = []
     reasons = []
@@ -959,7 +998,7 @@ def padding_search(m: Module, sset, cap: int | None = None):
     for total in range(cap + 1):
         for mv in _of_total(pdims, [cap] * len(pdims), total):
             parts = _padded_parts(m, mv)
-            padded = direct_sum(parts)[0] if len(parts) > 1 else m
+            padded = sum_module(parts) if len(parts) > 1 else m
             try:
                 filt = is_filtrable(padded, sset)
             except Undecided:

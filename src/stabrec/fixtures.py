@@ -13,7 +13,7 @@ from importlib.resources import files
 
 from stabrec import io as _io
 from stabrec.algebra import Algebra
-from stabrec.modules import Module, direct_sum, ext1
+from stabrec.modules import Module, ext1, sum_module
 
 CORPUS = ("lambda4", "n3", "kx2", "nak3", "ka4")
 EXTRAS = ("a2", "staircase")
@@ -46,8 +46,7 @@ def ka4_restricted_projective() -> Module:
     a = load("ka4")
     pw = a.projective(a.vindex["w"])
     pwb = a.projective(a.vindex["wb"])
-    total, _, _ = direct_sum([pw, pwb], name="resP")
-    return total
+    return sum_module([pw, pwb], name="resP")
 
 
 def ka4_family() -> list[Module]:

@@ -412,17 +412,13 @@ def end_space(m: Module) -> list[ModuleMap]:
     return hom_space(m, m)
 
 
-def direct_sum(mods: list[Module], name: str | None = None):
-    """Direct sum with canonical injections and projections.
-
-    Returns:
-        (sum module, [injections], [projections]).
-    """
+def sum_module(mods: list[Module], name: str | None = None) -> Module:
+    """The direct sum of mods alone, block diagonal in the order given, for
+    callers that use no injection or projection."""
     if not mods:
         raise PresentationError("direct_sum of an empty list; pass the algebra's zero module instead")
     A = mods[0].algebra
-    nv = A.nvertices
-    dims = tuple(sum(m.dims[v] for m in mods) for v in range(nv))
+    dims = tuple(sum(m.dims[v] for m in mods) for v in range(A.nvertices))
     mats = []
     for a in range(len(A.arrows)):
         _, src, tgt = A.arrows[a]
@@ -433,13 +429,23 @@ def direct_sum(mods: list[Module], name: str | None = None):
             r += m.dims[tgt]
             c += m.dims[src]
         mats.append(big)
-    total = Module(A, dims, mats, name=name or "(" + " + ".join(m.name for m in mods) + ")",
-                   check=False)
+    return Module(A, dims, mats, name=name or "(" + " + ".join(m.name for m in mods) + ")",
+                  check=False)
+
+
+def direct_sum(mods: list[Module], name: str | None = None):
+    """Direct sum with canonical injections and projections.
+
+    Returns:
+        (sum module, [injections], [projections]).
+    """
+    total = sum_module(mods, name)
+    dims = total.dims
     injs, projs = [], []
-    row_off = [0] * nv
+    row_off = [0] * len(dims)
     for m in mods:
         iblocks, pblocks = [], []
-        for v in range(nv):
+        for v in range(len(dims)):
             i = np.zeros((dims[v], m.dims[v]), dtype=np.int16)
             p = np.zeros((m.dims[v], dims[v]), dtype=np.int16)
             o = row_off[v]
@@ -636,7 +642,7 @@ def _projective_cover(m: Module):
         p = zero_module(A)
         return p, ModuleMap(p, m, [np.zeros((m.dims[v], 0), dtype=np.int16)
                                    for v in range(len(m.dims))])
-    p = direct_sum([A.projective(v) for v, _ in gens], name=f"P({m.name})")[0]
+    p = sum_module([A.projective(v) for v, _ in gens], name=f"P({m.name})")
     epi = ModuleMap(p, m, _generator_images(m, gens))
     if not epi.is_surjective_map():
         raise PresentationError("projective cover construction failed to surject")
@@ -740,7 +746,7 @@ def _injective_hull(m: Module):
         i0 = zero_module(A)
         return i0, ModuleMap(m, i0, [np.zeros((0, m.dims[v]), dtype=np.int16)
                                      for v in range(len(m.dims))])
-    big = direct_sum([A.injective(v) for v, xi in duals for _ in xi], name=f"I({m.name})")[0]
+    big = sum_module([A.injective(v) for v, xi in duals for _ in xi], name=f"I({m.name})")
     blocks = [[np.zeros((0, d), dtype=np.int16)] for d in m.dims]
     for v, xi in duals:
         for w, x in enumerate(_functional_images(m, v, xi)):

@@ -25,7 +25,7 @@ from stabrec.graded import GradedAlgebra, graded_iso_check  # noqa: F401
 from stabrec.modules import (Module, ModuleMap, combine, combinations, cover_kernel,
                              direct_sum, factor_through_injection,
                              factor_through_surjection, flat_to_map, hom_flats,
-                             module_isomorphic, submodule)
+                             module_isomorphic, submodule, sum_module)
 from stabrec.stable import check_simple_set, stable_hom
 
 
@@ -250,7 +250,7 @@ def _same_dim_alternatives(core: Module, sset, mv):
         if cand == tuple(mv):
             continue
         parts = _padded_parts(core, cand)
-        padded = direct_sum(parts)[0] if len(parts) > 1 else core
+        padded = sum_module(parts) if len(parts) > 1 else core
         try:
             if is_filtrable(padded, sset) is not None:
                 out.append(cand)

@@ -838,9 +838,138 @@ def test_loaded_chain_in_another_basis_is_reduced(n3):
     assert back.mult_sequence() == filt.mult_sequence()
 
 
-def _fresh_lambda4():
-    """lambda4 loaded anew, so that no earlier test's memo shapes a search."""
-    return io.load_algebra(json.loads(fixtures.fixture_text("lambda4")))
+# -- the greedy filtration, its certificate and the remainder test, once each --------
+
+
+def _fresh(name: str):
+    """A bundled algebra loaded anew, so that no earlier test's memo
+    shapes a search."""
+    return io.load_algebra(json.loads(fixtures.fixture_text(name)))
+
+
+def _moved(m, alg):
+    """m's representation as a module over alg (equal key, own object)."""
+    return io.load_module(io.dump_module(m), alg)
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Patch filtration.name to record each call; returns the record."""
+    calls, real = [], getattr(filtration, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(filtration, name, counted)
+    return calls
+
+
+def test_c6_sequence_builds_the_greedy_and_its_certificate_once(monkeypatch):
+    # criterion 6's calls on one module: two greedy filtrations, is_filtrable,
+    # the lift to a copy with the same key, and the alignment of the two;
+    # no level of n has a projective summand, so every canonical top is
+    # one of the greedy's levels
+    built = fixtures.load("ka4")
+    alg = _fresh("ka4")
+    ss = fixtures.simples(alg)
+    n = _moved(_random_filtrable(built, fixtures.simples(built), 1), alg)
+    copy = _moved(n, alg)
+    tops = _counting(monkeypatch, "canonical_top")
+    certs = _counting(monkeypatch, "_verify_s_radical")
+    f1 = s_radical_filtration(n, ss)
+    f2 = s_radical_filtration(n, ss)
+    assert is_filtrable(n, ss) is f1 and f2 is f1
+    assert stable_iso_lifts(n, copy, ss).is_iso()
+    assert align_filtrations(f1, f2).is_iso()
+    assert len(f1) == 2 and len(tops) == len(f1)
+    assert len(certs) == 1 and verify_s_radical(f2).ok
+
+
+def test_equal_key_module_gets_the_kept_chain_read_only():
+    built = fixtures.load("nak3")
+    alg = _fresh("nak3")
+    ss = fixtures.simples(alg)
+    n = _moved(_random_filtrable(built, fixtures.simples(built), 1), alg)
+    kept = s_radical_filtration(n, ss)
+    assert s_radical_filtration(n, ss) is kept
+    copy = _moved(n, alg)
+    other = s_radical_filtration(copy, ss)
+    assert other is not kept and other.module is copy and kept.module is n
+    assert len(other.chain) == len(kept.chain) == 3
+    assert all(a is b for a, b in zip(other.chain, kept.chain))
+    assert other.mult_sequence() == kept.mult_sequence()
+    for rows in kept.chain:
+        with pytest.raises(ValueError):
+            rows[...] = 0
+
+
+def test_stalled_greedy_is_kept_as_its_message(monkeypatch):
+    # Hom(J1, J2) is the socle embedding, not stably zero and never onto
+    alg = _fresh("n3")
+    j1, j2 = jordan(alg, 1), jordan(alg, 2)
+    with pytest.raises(NotFiltrable, match="greedy filtration stalled") as first:
+        s_radical_filtration(j1, [j2])
+    tops = _counting(monkeypatch, "canonical_top")
+    for m in (j1, _moved(j1, alg)):
+        with pytest.raises(NotFiltrable) as again:
+            s_radical_filtration(m, [j2])
+        assert str(again.value) == str(first.value)
+    assert tops == []
+
+
+def _greedy_answers(m, sset) -> tuple:
+    """The greedy filtration's chain bytes, multiplicities and certificate
+    (or its stall message), and has_projective_remainder."""
+    try:
+        f = s_radical_filtration(m, sset)
+    except NotFiltrable as e:
+        greedy = str(e)
+    else:
+        c = verify_s_radical(f)
+        greedy = ([(r.shape, r.tobytes()) for r in f.chain], f.mult_sequence(),
+                  c.ok, c.levels, c.reasons, c.level0_bijective)
+    return greedy, has_projective_remainder(m, sset)
+
+
+def _differential_cases():
+    """(fixture, module, member sets) with every module built on the cached
+    fixture: random filtrable modules and their sums with a simple or a
+    projective over each corpus algebra; the ka4 modules, criterion 5's
+    and the enumeration stream with the ka4 family, against both the
+    simples and the family."""
+    fam = fixtures.ka4_family()
+    stream = [fixtures.ka4_restricted_projective()]
+    stream += [_random_filtrable(fam[0].algebra, fam, s) for s in range(1, 17)]
+    out = []
+    for name in fixtures.CORPUS:
+        alg = fixtures.load(name)
+        ss = fixtures.simples(alg)
+        last = alg.projective(alg.nvertices - 1)
+        for seed in (1, 2, 3):
+            m = _random_filtrable(alg, ss, seed)
+            mods = [m, direct_sum([m, ss[0]])[0], direct_sum([m, last])[0]]
+            out += [(name, x, [ss] + [fam] * (name == "ka4")) for x in mods if x.dim]
+    return out + [("ka4", m, [fam, fixtures.simples(m.algebra)]) for m in stream]
+
+
+def test_memoised_greedy_answers_equal_fresh_ones():
+    # each answer on one algebra per fixture, asked twice and for an
+    # equal-key copy, against the same question on an algebra loaded
+    # anew; the ka4 modules ask both member sets in turn, so an answer
+    # kept for the wrong set shows
+    memo = {name: _fresh(name) for name in fixtures.CORPUS}
+    kinds = set()
+    for name, m, ssets in _differential_cases():
+        alg = memo[name]
+        mine = _moved(m, alg)
+        for sset in ssets:
+            fresh = _fresh(name)
+            want = _greedy_answers(_moved(m, fresh), [_moved(s, fresh) for s in sset])
+            on = [_moved(s, alg) for s in sset]
+            for x in (mine, mine, _moved(m, alg)):
+                assert _greedy_answers(x, on) == want, (name, m.dims)
+            kinds.add((isinstance(want[0], str), want[1]))
+    # filtered and stalled greedies, with and without a projective remainder
+    assert {(False, False), (True, False), (True, True)} <= kinds
 
 
 def hostile_sets(lam):
@@ -904,7 +1033,7 @@ def _mults_or_error(run):
 
 
 def test_hostile_member_sets_answer_as_before():
-    lam = _fresh_lambda4()
+    lam = _fresh("lambda4")
     sets, mods = hostile_sets(lam)
     got = {}
     for sn, sset in sets.items():
@@ -916,7 +1045,7 @@ def test_hostile_member_sets_answer_as_before():
 
 
 def test_hostile_member_sets_filtrate_as_before(capsys, tmp_path):
-    sets, mods = hostile_sets(_fresh_lambda4())
+    sets, mods = hostile_sets(_fresh("lambda4"))
     alg = str(Path(stabrec.__file__).parent / "data" / "lambda4.json")
 
     def write(name, doc):
