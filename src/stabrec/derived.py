@@ -292,16 +292,18 @@ class Resolution:
     is the complex resolved.  The one `projective_resolution` keeps per
     complex grows downward in place (its `cut` drops); every one it returns
     is a truncation with dicts of its own, sharing the kept terms and maps,
-    whose arrays are read-only.
+    whose arrays are read-only.  `ranks` holds rank d_P^n for the degrees
+    `_check_resolution` has read, so each differential is ranked once.
     """
 
-    __slots__ = ("complex", "maps", "cut", "of")
+    __slots__ = ("complex", "maps", "cut", "of", "ranks")
 
     def __init__(self, cx, maps, cut, of):
         self.complex = cx
         self.maps = maps
         self.cut = cut
         self.of = of
+        self.ranks = {}
 
 
 def projective_resolution(x: Complex, depth: int) -> Resolution:
@@ -427,8 +429,9 @@ def _check_resolution(res: Resolution, degrees=None):
     """Check the comparison maps at the given degrees (default: all):
     eps^n surjective and d_X eps^n = eps^{n+1} d_P^n, and, as degree n is
     built, H^{n+1} of P equal to that of X up to the top of X; over all
-    degrees, the quasi-isomorphism at cut + 1 ... max X."""
-    x, p = res.of, res.complex
+    degrees, the quasi-isomorphism at cut + 1 ... max X, which ranks each
+    d_P^n once (`Resolution.ranks`)."""
+    x, p, ranks = res.of, res.complex, res.ranks
     for n in (res.maps if degrees is None else degrees):
         e = res.maps[n]
         if x.term(n).dim and not e.is_surjective_map():
@@ -441,7 +444,12 @@ def _check_resolution(res: Resolution, degrees=None):
                 raise PresentationError(f"comparison fails to chain at degree {n}")
         elif not lhs.sub(rhs).is_zero():
             raise PresentationError(f"comparison fails to chain at degree {n}")
-        if n < x.max_degree() and x.cohomology_dim(n + 1) != p.cohomology_dim(n + 1):
+        if n >= x.max_degree():
+            continue
+        for k in (n, n + 1):
+            if k not in ranks:
+                ranks[k] = p.diffs[k].rank() if k in p.diffs else 0
+        if x.cohomology_dim(n + 1) != p.term(n + 1).dim - ranks[n + 1] - ranks[n]:
             raise PresentationError(
                 f"resolution is not a quasi-isomorphism at degree {n + 1}")
 

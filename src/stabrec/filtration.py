@@ -2,16 +2,18 @@
 
 A filtration is stored as a chain of global row spaces of the ambient module,
 each arrow-stable, strictly decreasing, ending at zero.  A filtration built
-by a search is a chain of kernels by construction and is not checked again;
-it keeps the layer multiplicities its surjections certified.  Any other
-chain is checked by building its levels when it is made, and has each layer
-decomposed and matched against S.  Elements of a Hom space cross function
+by a search is its levels: per level the submodule M_i, its inclusion, the
+sum X of S-copies and the surjection f: M_i ->> X with kernel M_{i+1} that
+the search found; its chain is read off them and is not checked again.  Any
+other chain is checked by building its levels when it is made, and has each
+layer decomposed and matched against S.  Elements of a Hom space cross function
 boundaries as flat rows (the `ModuleMap.flat` layout); a map is built only
 where blocks are composed, factored or inverted.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 
@@ -28,6 +30,7 @@ from .modules import (
     Module,
     ModuleMap,
     _sub_from_spaces,
+    _sum2,
     cokernel,
     combination_flats,
     combine,
@@ -88,9 +91,11 @@ def _sset_sig(sset) -> tuple:
 # -- filtration values -----------------------------------------------------------
 
 class _Level:
-    """Level i of a filtration: the submodule M_i with its inclusion, the
-    layer M_i / M_{i+1} with its quotient map, and the layer's multiplicity
-    vector over S."""
+    """Level i of a filtration: the submodule M_i with its inclusion, a
+    layer with a surjection qmap: M_i ->> layer with kernel M_{i+1}, and
+    the layer's multiplicity vector over S (None until `levels` counts it).
+    A search's layer is X = sum of S_j^{m_j} and qmap its surjection f; for
+    a chain given without levels they are the quotient M_i / M_{i+1}."""
 
     __slots__ = ("sub", "incl", "layer", "qmap", "mults")
 
@@ -102,54 +107,59 @@ class _Level:
         self.mults = mults
 
 
+def _search_level(sset, sub, incl, x, f, mv) -> _Level:
+    """A search's level f: sub ->> X.  f shows the layer isomorphic to X, so
+    by Krull-Schmidt mv counts it when S is basic (`_is_basic`); otherwise
+    X is decomposed when the levels are read."""
+    return _Level(sub, incl, x, f, mv if _is_basic(sub.algebra, sset) else None)
+
+
+def _moved_levels(levels, incl: ModuleMap) -> list[_Level]:
+    """levels of a filtration of incl's source, as levels of its target."""
+    return [_Level(lv.sub, incl.compose(lv.incl), lv.layer, lv.qmap, lv.mults)
+            for lv in levels]
+
+
 class Filtration:
     """Chain of arrow-stable subspaces of module with add(S) layers.
 
-    Each chain is checked once, where it enters.  Every chain must start at
-    the module, end at zero and strictly drop.  A chain given without
-    `mults` (a loaded file, reconstruct) is reduced to echelon row bases
-    and builds each level's submodule M_i and M_{i+1} inside it at once,
-    which refuses a level that is not a submodule or not nested in the one
-    above; `levels` reuses that build.  A search's chain is taken as it
-    is: the searches build every level as an echelon row basis already.
-
-    `mults`, given only by the searches, is the multiplicity vector of each
-    layer as the search found it: each step takes a surjection f: M_i ->>
-    X = sum of S_j^{m_j} with kernel M_{i+1}.  So each level is the image
-    of a composite kernel inclusion, a submodule by construction, built
-    only when `levels` asks for it; and f shows the layer M_i / M_{i+1}
-    isomorphic to X.  The vectors are used only when S is a basic set
-    (`_is_basic`), where Krull-Schmidt makes them the counts that
-    decomposing the layer finds; otherwise, and for a chain given without
-    them, each layer is decomposed and its summands matched against S.
+    A search builds a filtration from its levels (`levels=`): each step
+    takes a surjection f: M_i ->> X = sum of S_j^{m_j} with kernel M_{i+1},
+    so every level is a submodule by construction and its layer is X.  The
+    chain is read off the levels, the echelon row basis of each inclusion's
+    image, then zero; the levels are not checked again.  A chain given
+    without levels (a loaded file, reconstruct) is checked once, where it
+    enters: it is reduced to echelon row bases and builds each level's
+    submodule M_i and M_{i+1} inside it at once, which refuses a level that
+    is not a submodule or not nested in the one above; `levels` then builds
+    each layer as the quotient.  Every chain must start at the module, end
+    at zero and strictly drop.
 
     A filtration also keeps its S-radical certificate once
     `verify_s_radical` has computed it.  The greedy filtrations are
-    memoised (`s_radical_filtration`), so a filtration may share read-only
-    chain arrays with the kept one."""
+    memoised (`s_radical_filtration`): a filtration of an equal-key module
+    shares the kept one's levels, read-only chain arrays and certificate."""
 
-    __slots__ = ("module", "sset", "chain", "_mults", "_levels", "_subs", "_cert")
+    __slots__ = ("module", "sset", "chain", "_levels", "_subs", "_cert")
 
-    def __init__(self, module: Module, sset, chain, mults=None):
+    def __init__(self, module: Module, sset, chain=None, levels=None):
         self.module = module
         self.sset = list(sset)
-        rows = [np.asarray(r, dtype=np.int16) for r in chain]
-        self.chain = rows if mults is not None else \
-            [module.algebra.field.row_space(r) for r in rows]
+        fld = module.algebra.field
+        if levels is None:
+            self.chain = [fld.row_space(np.asarray(r, dtype=np.int16)) for r in chain]
+        else:
+            self.chain = [*(fld.row_space(lv.incl.global_matrix().T) for lv in levels),
+                          _empty_rows(module)]
         if not self.chain or self.chain[0].shape[0] != module.dim:
             raise PresentationError("filtration must start at the full module")
         if self.chain[-1].shape[0] != 0:
             raise PresentationError("filtration must end at zero")
         if any(lo.shape[0] >= hi.shape[0] for hi, lo in zip(self.chain, self.chain[1:])):
             raise PresentationError("filtration steps must strictly drop")
-        self._levels = None
-        self._cert = None
-        self._mults = None
-        if mults is not None:
-            self._mults = tuple(tuple(int(c) for c in mv) for mv in mults)
-            if len(self._mults) != len(self):
-                raise PresentationError("one multiplicity vector per layer expected")
-        self._subs = self._build_subs() if mults is None else None
+        self._levels = levels
+        self._subs = self._build_subs() if levels is None else None
+        self._cert = []
 
     def __len__(self) -> int:
         return len(self.chain) - 1
@@ -163,34 +173,21 @@ class Filtration:
             out.append((sub, incl, _rows_in_sub(incl, self.chain[i + 1])))
         return out
 
-    def _certified_mults(self):
-        """The search's multiplicities, or None where they may differ from
-        the layers' decompositions (no search, or S not basic)."""
-        if self._mults is not None and _is_basic(self.module.algebra, self.sset):
-            return self._mults
-        return None
-
     def levels(self) -> list[_Level]:
-        """Materialize submodules and layer quotients with their
-        multiplicities: the search's when certified, else counted by
-        decomposing each layer (NotFiltrable if a summand is in no add(S))."""
-        if self._levels is not None:
-            return self._levels
-        known = self._certified_mults()
-        out = []
-        for i, (sub, incl, inner) in enumerate(self._subs or self._build_subs()):
-            layer, qmap = quotient(sub, inner, name=f"L_{i}")
-            mults = known[i] if known is not None else _layer_mults(layer, self.sset)
-            out.append(_Level(sub, incl, layer, qmap, mults))
-        self._levels, self._subs = out, None
-        return out
+        """The levels, each multiplicity vector not known from a search
+        counted by decomposing its layer (NotFiltrable if a summand is in
+        no add(S))."""
+        if self._levels is None:
+            self._levels = [_Level(sub, incl, *quotient(sub, inner, name=f"L_{i}"), None)
+                            for i, (sub, incl, inner) in enumerate(self._subs)]
+            self._subs = None
+        for lv in self._levels:
+            if lv.mults is None:
+                lv.mults = _layer_mults(lv.layer, self.sset)
+        return self._levels
 
     def mult_sequence(self) -> tuple[tuple[int, ...], ...]:
-        """Layer multiplicity vectors, top first: the certified search
-        multiplicities without building any level, else from `levels`."""
-        known = self._certified_mults()
-        if known is not None:
-            return known
+        """Layer multiplicity vectors, top first."""
         return tuple(lv.mults for lv in self.levels())
 
     def layer_multiset(self) -> tuple[tuple[int, ...], ...]:
@@ -342,35 +339,36 @@ def s_radical_filtration(m: Module, sset, seed: int = 0) -> Filtration:
     The filtration depends on (m.key, S) alone, so it is built once per
     pair and kept in the algebra memo with read-only chain arrays: a call
     with the kept module gets the kept Filtration, a call with an
-    equal-key module a Filtration bound to it over the kept chain and
-    multiplicities.  A stall is kept as its message and raised again as
-    NotFiltrable; any other error is raised and not kept."""
+    equal-key module a Filtration bound to it that shares the kept levels,
+    chain and certificate.  A stall is kept as its message and raised
+    again as NotFiltrable; any other error is raised and not kept."""
     kept = m.algebra.cached(("s-radical", _sset_sig(sset), m.key),
                             lambda: _greedy(m, sset))
     if isinstance(kept, str):
         raise NotFiltrable(kept)
     if kept.module is m:
         return kept
-    return Filtration(m, sset, kept.chain, mults=kept._mults)
+    filt = copy.copy(kept)
+    filt.module, filt.sset = m, list(sset)
+    return filt
 
 
 def _greedy(m: Module, sset) -> Filtration | str:
     """The greedy filtration of m, its chain read-only, or the message of
-    the level where it stalls."""
-    chain, mults = [_full_rows(m)], []
-    cur, to_m = m, ModuleMap.identity(m)
+    the level where it stalls: each level is a canonical top layer
+    (`top_layer`), and its kernel the next level."""
+    levels, cur, to_m = [], m, ModuleMap.identity(m)
     while cur.dim:
         try:
-            _, _, k, incl, mv = top_layer(cur, sset)
+            x, f, k, incl, mv = top_layer(cur, sset)
         except NoSurjectionInCoset as e:
             return f"greedy filtration stalled: {e}"
-        to_m = to_m.compose(incl)
-        chain.append(_transport_rows(to_m, _full_rows(k)))
-        mults.append(mv)
-        cur = k
-    for rows in chain:
+        levels.append(_search_level(sset, cur, to_m, x, f, mv))
+        cur, to_m = k, to_m.compose(incl)
+    filt = Filtration(m, sset, levels=levels)
+    for rows in filt.chain:
         rows.flags.writeable = False
-    return Filtration(m, sset, chain, mults=mults)
+    return filt
 
 
 # -- filtrability ---------------------------------------------------------------
@@ -552,12 +550,13 @@ def _surjections_onto(m: Module, sset, mv, budget: _Budget):
 def _top_kernels(m: Module, sset, budget: _Budget):
     """(mv, X, vec, spaces) for the top quotients f: m ->> X = sum of
     S_i^{mv[i]}, by `_mult_candidates` then `_surjections_onto`, once per
-    kernel K of m, vec being f's flat row: both searches use f only through
-    K, and keep mv as the layer m / K; only the enumeration's stable test
-    builds f.  spaces are the per-vertex echelon kernels of f's blocks:
-    canonical, so they identify K.  Callers build K from them
-    (`_sub_from_spaces`) only for the kernels they go on to test; the
-    enumeration first drops those failing its stable test.
+    kernel K of m, vec being f's flat row: both searches test f only
+    through K; f is built only for the enumeration's stable test and for a
+    level a search keeps (X its layer, mv its count).  spaces are the
+    per-vertex echelon kernels of f's blocks: canonical, so they identify
+    K.  Callers build K from them (`_sub_from_spaces`) only for the
+    kernels they go on to test; the enumeration first drops those failing
+    its stable test.
 
     A candidate is known by the echelon forms `_surjections_onto` reduced
     its blocks to: each block's row space is the annihilator of its kernel,
@@ -596,7 +595,7 @@ def _filtrable(m: Module, sset, budget, cache) -> Filtration | None:
     if key in cache:
         return cache[key]
     if m.dim == 0:
-        filt = Filtration(m, sset, [_empty_rows(m)], mults=())
+        filt = Filtration(m, sset, levels=[])
         cache[key] = filt
         return filt
     if not _dims_feasible(m.dims, sset):
@@ -636,26 +635,23 @@ def _split_and_filter(m, sset, rest, part, budget, cache):
         return None
     rest_to_m = combine([p.incl.compose(pr) for p, pr in zip(rest, rest_prs)], [1] * len(rest))
     part_to_m = combine([p.incl.compose(pr) for p, pr in zip(part, part_prs)], [1] * len(part))
-    fld = m.algebra.field
-    chain = []
-    part_full = _transport_rows(part_to_m, _full_rows(part_mod))
-    for rows in f_rest.chain:
-        top = _transport_rows(rest_to_m, rows)
-        chain.append(fld.row_space(np.concatenate([top, part_full], axis=0)))
-    for rows in f_part.chain[1:]:
-        chain.append(_transport_rows(part_to_m, rows))
-    # the layers of rest, each plus all of part, then those of part
-    return Filtration(m, sset, chain, mults=f_rest._mults + f_part._mults)
+    # the levels of rest, each plus all of part, then those of part
+    levels = []
+    for lv in f_rest._levels:
+        sub, _, (pr, pp) = _sum2(lv.sub, part_mod)
+        incl = rest_to_m.compose(lv.incl).compose(pr).add(part_to_m.compose(pp))
+        levels.append(_Level(sub, incl, lv.layer, lv.qmap.compose(pr), lv.mults))
+    return Filtration(m, sset, levels=levels + _moved_levels(f_part._levels, part_to_m))
 
 
 def _search_filtration(m, sset, budget, cache) -> Filtration | None:
     """Bounded exhaustive search over quotients in add(S)."""
-    for mv, _, _, spaces in _top_kernels(m, sset, budget):
+    for mv, x, vec, spaces in _top_kernels(m, sset, budget):
         k, incl = _sub_from_spaces(m, spaces, "ker")
         sub = _filtrable(k, sset, budget, cache)
         if sub is not None:
-            chain = [_full_rows(m)] + [_transport_rows(incl, r) for r in sub.chain]
-            return Filtration(m, sset, chain, mults=(mv, *sub._mults))
+            top = _search_level(sset, m, ModuleMap.identity(m), x, flat_to_map(m, x, vec), mv)
+            return Filtration(m, sset, levels=[top, *_moved_levels(sub._levels, incl)])
     return None
 
 
@@ -734,11 +730,12 @@ def _canonical_stable_matrix(layer, qmap, sub, s):
 
 
 def verify_s_radical(filt: Filtration) -> RadicalCertificate:
-    """The S-radical certificate of filt, computed once per Filtration and
+    """The S-radical certificate of filt, computed once per Filtration (a
+    memoised greedy filtration and its equal-key copies count as one) and
     kept on it; callers share it and must not change it."""
-    if filt._cert is None:
-        filt._cert = _verify_s_radical(filt)
-    return filt._cert
+    if not filt._cert:
+        filt._cert.append(_verify_s_radical(filt))
+    return filt._cert[0]
 
 
 def _verify_s_radical(filt: Filtration) -> RadicalCertificate:
@@ -816,26 +813,22 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
         # undecided kernel leaves the enumeration undecided: it raises
         out = []
         for mv, x, vec, spaces in _top_kernels(cur, sset, budget):
-            if not stably_onto(cur, x, flat_to_map(cur, x, vec)):
+            f = flat_to_map(cur, x, vec)
+            if not stably_onto(cur, x, f):
                 continue
             k, incl = _sub_from_spaces(cur, spaces, "ker")
             if is_filtrable(k, sset) is not None and not has_projective_remainder(k, sset):
-                out.append((mv, k, incl))
+                out.append((mv, x, f, k, incl))
         return out
 
-    def dfs(cur, to_m, chain, mults):
+    def dfs(cur, to_m, levels):
         if cur.dim == 0:
-            results.append(Filtration(m, sset, list(chain), mults=mults))
+            results.append(Filtration(m, sset, levels=levels))
             return
-        for mv, k, incl in minimal_step(cur):
-            nxt = to_m.compose(incl)
-            chain.append(_transport_rows(nxt, _full_rows(k)))
-            mults.append(mv)
-            dfs(k, nxt, chain, mults)
-            chain.pop()
-            mults.pop()
+        for mv, x, f, k, incl in minimal_step(cur):
+            dfs(k, to_m.compose(incl), levels + [_search_level(sset, cur, to_m, x, f, mv)])
 
-    dfs(m, ModuleMap.identity(m), [_full_rows(m)], [])
+    dfs(m, ModuleMap.identity(m), [])
     if budget.hit:
         raise Undecided("radical filtration enumeration hit its cap")
     return results

@@ -618,10 +618,6 @@ def radical_series(m: Module) -> list[list[np.ndarray]]:
     return series
 
 
-def loewy_length(m: Module) -> int:
-    return len(radical_series(m)) - 1
-
-
 def projective_cover(m: Module):
     """Minimal projective cover.
 

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _random_filtrable
-from test_modules import built_bytes, known_indecomposables, scrambled, submodule_closure
+from test_modules import known_indecomposables, scrambled, submodule_closure
 
 import stabrec
 from stabrec import filtration, fixtures, io
@@ -747,16 +747,19 @@ def search_filtrations(m, sset, cap):
     return [(route, f) for route, f in out if f is not None]
 
 
-def _levels_bytes(f: Filtration) -> list:
-    return [built_bytes(lv.sub, lv.incl) + built_bytes(lv.layer, lv.qmap) + (lv.mults,)
-            for lv in f.levels()]
+def _cert_fields(f: Filtration) -> tuple:
+    c = verify_s_radical(f)
+    return c.ok, c.levels, c.reasons, c.level0_bijective
 
 
 def test_search_multiplicities_equal_the_layer_witnesses():
-    # every filtration a search builds keeps the multiplicities of its top
-    # quotients, and they are the ones decomposing its layers finds: over
-    # the corpus with its simples, and over criterion 5's module and the
-    # enumeration stream with the ka4 family at caps 500 and 5,000
+    # every filtration a search builds is its levels: each inclusion is
+    # injective onto its chain level, each surjection onto its layer has
+    # the next level as kernel, and the multiplicities are the ones
+    # decomposing its layers finds; the same chain given without levels
+    # is certified alike.  Over the corpus with its simples, and over
+    # criterion 5's module and the enumeration stream with the ka4 family
+    # at caps 500 and 5,000
     cases = []
     for name in fixtures.CORPUS:
         alg = fixtures.load(name)
@@ -772,13 +775,19 @@ def test_search_multiplicities_equal_the_layer_witnesses():
     routes = collections.Counter()
     for m, sset, cap in cases:
         for route, f in search_filtrations(m, sset, cap):
-            assert f._mults is not None, route
+            assert f._subs is None, route
             assert f.mult_sequence() == layer_witness_mults(f), route
-            assert tuple(lv.mults for lv in f.levels()) == f.mult_sequence()
-            # a search's chain is not checked when it is made: the same
-            # chain given without multiplicities is, and builds the same levels
-            rebuilt = Filtration(f.module, f.sset, f.chain)
-            assert _levels_bytes(rebuilt) == _levels_bytes(f), route
+            for i, lv in enumerate(f.levels()):
+                assert lv.incl.is_map() and lv.incl.is_injective_map(), route
+                assert np.array_equal(_transport_rows(lv.incl, _full_rows(lv.sub)),
+                                      f.chain[i]), route
+                assert lv.qmap.is_map() and lv.qmap.is_surjective_map(), route
+                k, kin = kernel(lv.qmap)
+                assert np.array_equal(_transport_rows(lv.incl.compose(kin), _full_rows(k)),
+                                      f.chain[i + 1]), route
+                assert _layer_mults(lv.layer, f.sset) == lv.mults, route
+            given = Filtration(f.module, f.sset, f.chain)
+            assert _cert_fields(given) == _cert_fields(f), route
             routes[route] += 1
     assert set(routes) == {"greedy", "split", "search", "is_filtrable", "enumeration"}
     assert routes["enumeration"] > 24
@@ -817,7 +826,7 @@ def test_search_chains_are_their_own_echelon_bases():
 
 
 def test_loaded_chain_in_another_basis_is_reduced(n3):
-    # a chain given without multiplicities (here a file) may list each
+    # a chain given without levels (here a file) may list each
     # level in any basis; Filtration reduces it to the echelon one
     sset = fixtures.simples(n3)
     filt = s_radical_filtration(_random_filtrable(n3, sset, 5), sset)
@@ -865,7 +874,8 @@ def _counting(monkeypatch, name: str) -> list:
 
 def test_c6_sequence_builds_the_greedy_and_its_certificate_once(monkeypatch):
     # criterion 6's calls on one module: two greedy filtrations, is_filtrable,
-    # the lift to a copy with the same key, and the alignment of the two;
+    # the lift to a copy with the same key, the alignment of the two, and
+    # the greedy filtration of the copy, aligned with itself;
     # no level of n has a projective summand, so every canonical top is
     # one of the greedy's levels
     built = fixtures.load("ka4")
@@ -880,8 +890,13 @@ def test_c6_sequence_builds_the_greedy_and_its_certificate_once(monkeypatch):
     assert is_filtrable(n, ss) is f1 and f2 is f1
     assert stable_iso_lifts(n, copy, ss).is_iso()
     assert align_filtrations(f1, f2).is_iso()
+    # the copy's greedy filtration is its own, and shares f1's certificate
+    f3 = s_radical_filtration(copy, ss)
+    assert f3 is not f1 and f3.module is copy
+    assert align_filtrations(f3, f3).is_iso()
     assert len(f1) == 2 and len(tops) == len(f1)
     assert len(certs) == 1 and verify_s_radical(f2).ok
+    assert verify_s_radical(f3) is verify_s_radical(f1)
 
 
 def test_equal_key_module_gets_the_kept_chain_read_only():
