@@ -6,9 +6,9 @@ by a search is its levels: per level the submodule M_i, its inclusion, the
 sum X of S-copies and the surjection f: M_i ->> X with kernel M_{i+1} that
 the search found; its chain is read off them and is not checked again.  Any
 other chain is checked by building its levels when it is made, and has each
-layer decomposed and matched against S.  Elements of a Hom space cross function
-boundaries as flat rows (the `ModuleMap.flat` layout); a map is built only
-where blocks are composed, factored or inverted.
+layer decomposed and matched against S.  Elements of a Hom space cross
+function boundaries as flat rows (the `ModuleMap.flat` layout); a map is
+built only where blocks are composed, factored or inverted.
 """
 
 from __future__ import annotations
