@@ -147,8 +147,8 @@ class Algebra:
         and filtrability answers per simple set; per module key the top
         generators, generator inverses and decomposition; per pair of keys
         the Hom basis and stable Hom; per (key, name) the projective
-        cover, injective hull and stable core, whose names carry the
-        module's; per complex content key the deepest projective
+        cover, injective hull, stable core and each Omega^d, whose names
+        carry the module's; per complex content key the deepest projective
         resolution built so far, which a deeper call extends downward in
         place by adding degrees; per (simple set, multiplicity vector)
         the sum X = S_1^{m_1} + ... with its copy injections, onto which

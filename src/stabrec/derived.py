@@ -798,15 +798,11 @@ class Tower:
         """Certify the tower; returns a list of problems, empty when valid."""
         _gate(self.algebra)
         problems = []
-        cache: dict[tuple[int, int], Module] = {}
         for j, st in enumerate(self.steps):
             if not is_exact_pair(st.sub, st.quot):
                 problems.append(f"step {j} is not a short exact sequence")
                 continue
-            key = (st.member, st.d)
-            if key not in cache:
-                cache[key] = syzygy(self.members[st.member], st.d)
-            if stably_isomorphic(st.quot.tgt, cache[key]) is None:
+            if stably_isomorphic(st.quot.tgt, syzygy(self.members[st.member], st.d)) is None:
                 problems.append(
                     f"step {j} layer is not stably Omega^{st.d} of member {st.member}")
         for j in range(len(self.steps) - 1):

@@ -38,6 +38,7 @@ from .modules import (
     decompose,
     direct_sum,
     extend_along_injection,
+    factor_through_injection,
     flat_to_map,
     hom_flats,
     injective_hull,
@@ -51,7 +52,7 @@ from .modules import (
     sum_module,
     zero_module,
 )
-from .stable import _projective_flats, stable_hom, stably_isomorphic
+from .stable import stable_hom, stably_isomorphic
 
 
 # -- row-space plumbing --------------------------------------------------------
@@ -95,7 +96,8 @@ class _Level:
     layer with a surjection qmap: M_i ->> layer with kernel M_{i+1}, and
     the layer's multiplicity vector over S (None until `levels` counts it).
     A search's layer is X = sum of S_j^{m_j} and qmap its surjection f; for
-    a chain given without levels they are the quotient M_i / M_{i+1}."""
+    a chain given without levels they are the quotient M_i / M_{i+1}.
+    Level 0 is the module (or an equal-key copy) with an identity inclusion."""
 
     __slots__ = ("sub", "incl", "layer", "qmap", "mults")
 
@@ -641,6 +643,9 @@ def _split_and_filter(m, sset, rest, part, budget, cache):
         sub, _, (pr, pp) = _sum2(lv.sub, part_mod)
         incl = rest_to_m.compose(lv.incl).compose(pr).add(part_to_m.compose(pp))
         levels.append(_Level(sub, incl, lv.layer, lv.qmap.compose(pr), lv.mults))
+    top, unit = levels[0], ModuleMap.identity(m)  # level 0 is m itself
+    onto = top.qmap.compose(factor_through_injection(top.incl, unit))
+    levels[0] = _Level(m, unit, top.layer, onto, top.mults)
     return Filtration(m, sset, levels=levels + _moved_levels(f_part._levels, part_to_m))
 
 
@@ -849,7 +854,7 @@ def align_surjections(f: ModuleMap, fp: ModuleMap) -> ModuleMap:
     fld = m.algebra.field
     if not stable_hom(m, f.tgt).is_projective_map(f.sub(fp)):
         raise PresentationError("maps are not stably equal")
-    pend = _projective_flats(m, m)
+    pend = stable_hom(m, m).proj
     if not len(pend):
         if np.any(f.sub(fp).flat()):
             raise PresentationError("no projective endomorphisms to adjust by")
@@ -883,7 +888,13 @@ def align_filtrations(f1: Filtration, f2: Filtration) -> ModuleMap:
     Refuses modules with a projective remainder: uniqueness genuinely fails
     there (a projective module can carry radical filtrations with different
     layers).
-    """
+
+    The recursion walks the levels A_i of f1 and B_i of f2 together, with
+    an iso beta: B_i.sub -> A_i.sub, at level 0 the identity of M.  An
+    automorphism s of B_i.sub, stably the identity, aligns the surjections
+    A_i.qmap beta and B_i.qmap onto the layers, so beta s restricts to the
+    next level's beta; the iso aligning the levels below differs from that
+    by a projective map, which extends along B_{i+1}'s inclusion."""
     if f1.module.key != f2.module.key:
         raise PresentationError("filtrations live on different modules")
     m = f1.module
@@ -896,18 +907,19 @@ def align_filtrations(f1: Filtration, f2: Filtration) -> ModuleMap:
         raise PresentationError("radical filtrations of equal length expected")
 
     fld = m.algebra.field
+    levels_a, levels_b = f1.levels(), f2.levels()
 
-    def recurse(cur, chain_a, chain_b):
-        if len(chain_a) <= 1 or cur.dim == 0:
-            return ModuleMap.identity(cur)
-        la, qa = quotient(cur, chain_a[1], name="LA")
-        lb, qb = quotient(cur, chain_b[1], name="LB")
+    def recurse(i, beta):
+        """An iso B_i.sub -> A_i.sub carrying every B_j onto A_j, j >= i."""
+        a, b = levels_a[i], levels_b[i]
+        cur, la, lb = b.sub, a.layer, b.layer
+        qa, qb = a.qmap.compose(beta), b.qmap
         homs = hom_flats(lb, la)
         h = len(homs)
         if not h:
             raise PresentationError("no maps between top layers")
         mat = np.concatenate([compose_flats(homs, lb, la, right=qb),
-                              _projective_flats(cur, la)]).T
+                              stable_hom(cur, la).proj]).T
         sol = fld.solve(mat, qa.flat())
         if sol is None:
             raise PresentationError("layer quotients are not stably equal")
@@ -919,24 +931,29 @@ def align_filtrations(f1: Filtration, f2: Filtration) -> ModuleMap:
             psi = lift_to_surjection(psi0, fld.matmul(ker[ker.any(axis=1)], homs))
         except NoSurjectionInCoset as e:
             raise PresentationError("no stable iso between top layers") from e
-        sigma1 = align_surjections(qa, psi.compose(qb))
-        moved = [_transport_rows(sigma1, r) for r in chain_b]
-        if not np.array_equal(moved[1], chain_a[1]):
+        top = beta.compose(align_surjections(qa, psi.compose(qb)))
+        if i + 1 == len(levels_a):
+            return top
+        # the inclusions of level i + 1 into level i; level 0 is M
+        r_a, r_b = (lv[1].incl if i == 0 else factor_through_injection(lv[0].incl, lv[1].incl)
+                    for lv in (levels_a[i:], levels_b[i:]))
+        try:
+            inner = factor_through_injection(r_a, top.compose(r_b))
+        except PresentationError:
+            inner = None
+        if inner is None or r_a.src.dim != r_b.src.dim:
             raise PresentationError("alignment failed to match the next level")
-        sub, incl = submodule(cur, chain_a[1], name="M1")
-        sub_a = [_rows_in_sub(incl, r) for r in chain_a[1:]]
-        sub_b = [_rows_in_sub(incl, r) for r in moved[1:]]
-        tau = recurse(sub, sub_a, sub_b)
-        p = tau.sub(ModuleMap.identity(sub))
+        p = recurse(i + 1, inner).sub(inner)
         if not np.any(p.flat()):
-            return sigma1
-        qmap = _extend_projective_map(incl, p)
-        sigma2 = ModuleMap.identity(cur).add(incl.compose(qmap))
-        if not sigma2.is_iso():
+            return top
+        out = top.add(r_a.compose(_extend_projective_map(r_b, p)))
+        if not out.is_iso():
             raise PresentationError("extension of the inner automorphism failed")
-        return sigma2.compose(sigma1)
+        return out
 
-    sigma = recurse(m, f1.chain, f2.chain)
+    sigma = ModuleMap.identity(m)
+    if len(f1):
+        sigma = ModuleMap(m, m, recurse(0, ModuleMap.identity(levels_a[0].sub)).blocks)
     for ra, rb in zip(f1.chain, f2.chain):
         if not np.array_equal(_transport_rows(sigma, rb), ra):
             raise PresentationError("filtration alignment verification failed")

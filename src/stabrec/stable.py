@@ -156,18 +156,17 @@ def stably_isomorphic(m: Module, n: Module, seed: int = 0) -> ModuleMap | None:
 
 def syzygy(m: Module, d: int = 1) -> Module:
     """Omega^d m for d >= 0, cosyzygy for d < 0, projective summands
-    stripped at each step."""
+    stripped at each step.  Kept in the algebra memo under (m.key, m.name,
+    d), as the name reaches it, and built from Omega^(d -+ 1) m."""
     _gate(m.algebra)
-    cur = stable_core(m)[0]
-    while d > 0:
-        k, _, _, _ = cover_kernel(cur)
-        cur = stable_core(k)[0]
-        d -= 1
-    while d < 0:
-        c, _, _, _ = hull_cokernel(cur)
-        cur = stable_core(c)[0]
-        d += 1
-    return cur
+
+    def build():
+        if d == 0:
+            return stable_core(m)[0]
+        if d > 0:
+            return stable_core(cover_kernel(syzygy(m, d - 1))[0])[0]
+        return stable_core(hull_cokernel(syzygy(m, d + 1))[0])[0]
+    return m.algebra.cached(("syzygy", m.key, m.name, d), build)
 
 
 # -- Nakayama functor ---------------------------------------------------------

@@ -757,15 +757,17 @@ def test_search_multiplicities_equal_the_layer_witnesses():
     # injective onto its chain level, each surjection onto its layer has
     # the next level as kernel, and the multiplicities are the ones
     # decomposing its layers finds; the same chain given without levels
-    # is certified alike.  Over the corpus with its simples, and over
-    # criterion 5's module and the enumeration stream with the ka4 family
-    # at caps 500 and 5,000
+    # is certified alike.  Over the corpus with its simples (a simple plus
+    # a projective also in another basis, so a split's summands are not
+    # coordinate blocks), and over criterion 5's module and the
+    # enumeration stream with the ka4 family at caps 500 and 5,000
     cases = []
     for name in fixtures.CORPUS:
         alg = fixtures.load(name)
         ss = fixtures.simples(alg)
         last = alg.projective(alg.nvertices - 1)
         mods = [direct_sum(ss)[0], alg.projective(0), direct_sum([ss[0], last])[0]]
+        mods += [scrambled(mods[-1], 3)]
         mods += [_random_filtrable(alg, ss, seed) for seed in (1, 2, 3)]
         cases += [(m, ss, 500) for m in mods if m.dim]
     fam = fixtures.ka4_family()
@@ -777,6 +779,10 @@ def test_search_multiplicities_equal_the_layer_witnesses():
         for route, f in search_filtrations(m, sset, cap):
             assert f._subs is None, route
             assert f.mult_sequence() == layer_witness_mults(f), route
+            # level 0 is the module itself (align_filtrations starts there)
+            top = f.levels()[0]
+            assert top.sub.key == f.module.key, route
+            assert np.array_equal(top.incl.global_matrix(), np.eye(m.dim)), route
             for i, lv in enumerate(f.levels()):
                 assert lv.incl.is_map() and lv.incl.is_injective_map(), route
                 assert np.array_equal(_transport_rows(lv.incl, _full_rows(lv.sub)),
@@ -799,11 +805,11 @@ def test_search_multiplicities_equal_the_layer_witnesses():
             is_filtrable(direct_sum(fixtures.simples(alg))[0], fixtures.simples(alg))
 
 
-def test_search_chains_are_their_own_echelon_bases():
-    # Filtration takes a search's chain as it is, without reducing it: so
-    # every route must build each level as its echelon row basis already
-    # (corpus fixtures with their simples, criterion 5's module and the
-    # first enumeration stream modules with the ka4 family)
+def _route_chains_digest() -> str:
+    """sha256 over the chain of every search route's filtration, each level
+    as its shape and int16 bytes, in `search_filtrations` order at cap 500:
+    corpus fixtures with their simples, criterion 5's module and the first
+    enumeration stream modules with the ka4 family."""
     cases = []
     for name in fixtures.CORPUS:
         alg = fixtures.load(name)
@@ -815,14 +821,24 @@ def test_search_chains_are_their_own_echelon_bases():
     fam = fixtures.ka4_family()
     cases += [(fixtures.ka4_restricted_projective(), fam)]
     cases += [(_random_filtrable(fam[0].algebra, fam, s), fam) for s in (1, 2, 3)]
-    routes = collections.Counter()
+    routes, digest = collections.Counter(), hashlib.sha256()
     for m, sset in cases:
-        fld = m.algebra.field
         for route, f in search_filtrations(m, sset, 500):
             for rows in f.chain:
-                assert np.array_equal(rows, fld.row_space(rows)), route
+                digest.update(np.asarray(rows.shape, dtype=np.int64).tobytes())
+                digest.update(rows.astype(np.int16).tobytes())
             routes[route] += 1
     assert set(routes) == {"greedy", "split", "search", "is_filtrable", "enumeration"}
+    return digest.hexdigest()
+
+
+def test_search_chains_are_their_own_echelon_bases():
+    # a search's chain is read off its levels, the echelon row basis of
+    # each inclusion's image; the pin is the bytes every route gave when it
+    # still kept the echelon rows it built as its chain, so a route that
+    # reads a level in another basis, or another level, changes them
+    assert _route_chains_digest() == (
+        "a572151391f099fcc5d88f1f5e06b8c06679b30a4cbd78cf4e4e24f83283ef47")
 
 
 def test_loaded_chain_in_another_basis_is_reduced(n3):
@@ -1134,6 +1150,34 @@ def test_align_refuses_projective_remainder(lam):
     filt = is_filtrable(lam.projective(0), [su, sv])
     with pytest.raises(PresentationError):
         align_filtrations(filt, filt)
+
+
+def test_align_filtrations_on_distinct_chains():
+    # criterion 6 aligns a greedy filtration with itself; here the greedy
+    # one is aligned with every other enumerated chain, both ways, and with
+    # that chain given without levels: over nak3 with S = Omega^1 and
+    # Omega^-1 of its simples and random filtrable modules
+    alg = fixtures.load("nak3")
+    fld = alg.field
+    pairs = 0
+    for d in (1, -1):
+        sset = [syzygy(s, d) for s in fixtures.simples(alg)]
+        for seed in range(1, 16):
+            m = _random_filtrable(alg, sset, seed)
+            g = s_radical_filtration(m, sset)
+            for e in exhaustive_radical_filtrations(m, sset, search_cap=5000):
+                if len(e) == len(g) and all(map(np.array_equal, e.chain, g.chain)):
+                    continue
+                given = Filtration(m, sset, e.chain)
+                for f1, f2 in ((g, e), (e, g), (g, given), (given, g)):
+                    sigma = align_filtrations(f1, f2)
+                    assert sigma.is_iso() and sigma.src is f1.module
+                    assert sigma.is_map()
+                    for ra, rb in zip(f1.chain, f2.chain):
+                        moved = fld.row_space(fld.matmul(rb, sigma.global_matrix().T))
+                        assert np.array_equal(moved, ra)
+                pairs += 1
+    assert pairs == 54
 
 
 def test_stable_iso_lifts(n3):
