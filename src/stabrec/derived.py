@@ -406,7 +406,7 @@ def _build_degree(res: Resolution, n: int):
     dps = [[np.zeros((d, 0), dtype=np.int16)] for d in pt.dims]
     for v, (s, r) in enumerate(zip(spaces, rad)):
         rows = np.concatenate(r)
-        piv = fld.rref(rows)[1] if len(rows) else ()
+        piv = fld.pivots(rows)
         g = s[[c for c in range(len(s)) if c not in piv]]
         if not len(g):
             continue

@@ -500,8 +500,9 @@ def _surjections_onto(m: Module, sset, mv, budget: _Budget):
     """(X, vec, forms) for one surjection f: m ->> X = sum of S_i^{mv[i]}
     per orbit of prod GL_{mv[i]}(q) on the maps whose coefficient blocks
     have full row rank, spending one unit of budget per orbit: vec is f's
-    flat row (`flat_to_map(m, X, vec)` is f) and forms its vertex blocks'
-    (rref, pivots).
+    flat row (`flat_to_map(m, X, vec)` is f) and forms the (rref, pivots)
+    of its vertex blocks with their columns reversed, which `rref_kernel`
+    reads their kernels from.
 
     Only ker f is used, and ker(g f) = ker f for every automorphism g of X.
     The component of f onto the copies of S_i is an mv[i] x h_i block of
@@ -518,9 +519,9 @@ def _surjections_onto(m: Module, sset, mv, budget: _Budget):
     (`combination_flats`), which are stacked once per call (one
     `compose_flats` per copy c); X and its injections are memoised per
     (S, mv) (`_copies`).  Each vertex
-    block of a candidate is reduced once, in vertex order, and the
-    candidate is dropped at the first block short of full row rank (f is
-    onto exactly when every block is); no map is built here."""
+    block of a candidate is reduced once, column-reversed, in vertex order,
+    and the candidate is dropped at the first block short of full row rank
+    (f is onto exactly when every block is); no map is built here."""
     fld = m.algebra.field
     homs = {si: hom_flats(m, sset[si]) for si, r in enumerate(mv) if r}
     if any(mv[si] > len(h) for si, h in homs.items()):
@@ -541,7 +542,7 @@ def _surjections_onto(m: Module, sset, mv, budget: _Budget):
         forms = []
         for lo, hi, a, c in shapes:
             block = vec[lo:hi].reshape(a, c)
-            form = fld.rref(block) if a else (block, ())
+            form = fld.rref(block[:, ::-1]) if a else (block, ())
             if len(form[1]) < a:
                 break
             forms.append(form)
@@ -561,10 +562,11 @@ def _top_kernels(m: Module, sset, budget: _Budget):
     its stable test.
 
     A candidate is known by the echelon forms `_surjections_onto` reduced
-    its blocks to: each block's row space is the annihilator of its kernel,
-    so equal forms are equal kernels, and the other way round.  Only for a
-    kernel not seen before are spaces read off those forms
-    (`Field.rref_kernel`)."""
+    its column-reversed blocks to: each block's row space is the
+    annihilator of its kernel, and reversing the columns of every block
+    alike keeps the form canonical, so equal forms are equal kernels, and
+    the other way round.  Only for a kernel not seen before are spaces read
+    off those forms, with no further reduction (`Field.rref_kernel`)."""
     fld = m.algebra.field
     seen = set()
     for mv in _mult_candidates(m, sset):

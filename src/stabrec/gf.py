@@ -32,7 +32,14 @@ both use the same pivot rule).  Matrices of at most SMALL_RREF_ENTRIES
 entries, which are nearly all the calls the searches make, are reduced on
 Python lists with list copies of the tables, free of numpy's per-call
 overhead; larger ones are reduced with one vectorised row operation per
-pivot.
+pivot, on the columns from the pivot's onward.  Each reduction is only as
+full as its caller reads:
+- `rref` and `row_space` run Gauss-Jordan, clearing above and below each
+  pivot;
+- `pivots` and `rank` run forward elimination alone, clearing only below
+  each pivot, which finds the same pivot columns;
+- `kernel` reduces the matrix with its columns reversed, once, and reads
+  the kernel's reduced echelon basis straight off that (`rref_kernel`).
 
 All matrix routines are exact and deterministic.  Matrices are numpy arrays
 of dtype int16 (float64 and int64 internally where products can overflow).
@@ -85,6 +92,14 @@ SMALL_MATMUL_PRODUCT = 512
 
 class FieldError(ValueError):
     pass
+
+
+def _matrix(a) -> np.ndarray:
+    """a as a fresh int16 matrix, for a row reduction to overwrite."""
+    m = np.array(a, dtype=np.int16)
+    if m.ndim != 2:
+        raise FieldError("rref expects a matrix")
+    return m
 
 
 class Field:
@@ -168,6 +183,9 @@ class Field:
         self._add_l = self._add_t.tolist()
         self._neg_l = self._neg_t.tolist()
         self._inv_l = self._inv_t.tolist()
+
+        # for the vectorised row operation: -(a b) in one lookup
+        self._negmul = self._neg_t[self._mul_t]
 
     # -- scalar / elementwise arithmetic -----------------------------------
 
@@ -297,12 +315,21 @@ class Field:
     def rref(self, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         """Reduced row echelon form.  Pivot choice: leftmost column, then
         smallest row index.  Returns (rref matrix, pivot column tuple)."""
-        m = np.array(a, dtype=np.int16)
-        if m.ndim != 2:
-            raise FieldError("rref expects a matrix")
+        m = _matrix(a)
         if m.size <= SMALL_RREF_ENTRIES:
             return self._rref_small(m)
         return self._rref_vectorised(m)
+
+    def pivots(self, a: np.ndarray) -> tuple[int, ...]:
+        """The pivot columns of `rref`, by forward elimination alone: each
+        pivot clears only the rows below it, which leaves the pivot columns
+        of the (unique) rref without its back-substitution."""
+        m = _matrix(a)
+        if not m.size:
+            return ()
+        if m.size <= SMALL_RREF_ENTRIES:
+            return self._pivots_small(m)
+        return self._rref_vectorised(m, reduce=False)[1]
 
     def _rref_small(self, m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         """Gauss-Jordan on Python lists with the list copies of the tables;
@@ -335,10 +362,46 @@ class Field:
             r += 1
         return np.array(rows, dtype=np.int16).reshape(nrows, ncols), tuple(pivots)
 
-    def _rref_vectorised(self, m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Gauss-Jordan with one numpy row operation per pivot; m is
-        overwritten."""
+    def _pivots_small(self, m: np.ndarray) -> tuple[int, ...]:
+        """`pivots` on Python lists: `_rref_small` with each pivot row left
+        unscaled and only the rows below it cleared, by -(f / pivot)."""
         nrows, ncols = m.shape
+        rows = m.tolist()
+        mul, add, neg, inv = self._mul_l, self._add_l, self._neg_l, self._inv_l
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            if r == nrows:
+                break
+            i = r
+            while i < nrows and not rows[i][c]:
+                i += 1
+            if i == nrows:
+                continue
+            row = rows[i]
+            rows[i] = rows[r]
+            rows[r] = row
+            scale = mul[neg[inv[row[c]]]]
+            # rows r+1..i are zero at c: row i now holds the old row r
+            for j in range(i + 1, nrows):
+                f = rows[j][c]
+                if f:
+                    minus = mul[scale[f]]
+                    rows[j] = [add[y][minus[x]] for x, y in zip(row, rows[j])]
+            pivots.append(c)
+            r += 1
+        return tuple(pivots)
+
+    def _rref_vectorised(self, m: np.ndarray, reduce: bool = True
+                         ) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Gauss-Jordan with one numpy row operation per pivot; m is
+        overwritten.  Left of its pivot column c the pivot row is zero, so
+        the operation adds -(f x) (one `_negmul` lookup) to columns c onward
+        only.  With reduce False only the rows below each pivot are cleared:
+        the pivots are those of the rref, the matrix is only in echelon
+        form."""
+        nrows, ncols = m.shape
+        mul, negmul, add, inv = self._mul_t, self._negmul, self._add_t, self._inv_t
         pivots = []
         r = 0
         for c in range(ncols):
@@ -349,23 +412,21 @@ class Field:
                 continue
             i = r + int(nz[0])
             if i != r:
-                m[[r, i]] = m[[i, r]]
-            piv = int(m[r, c])
-            if piv != 1:
-                m[r] = self.mul(self.inv(piv), m[r])
-            col = m[:, c].copy()
-            col[r] = 0
-            rows_to_fix = np.nonzero(col)[0]
+                m[[r, i], c:] = m[[i, r], c:]
+            if m[r, c] != 1:
+                m[r, c:] = mul[inv[m[r, c]], m[r, c:]]
+            rows_to_fix = r + nz[1:]
+            if reduce:
+                rows_to_fix = np.concatenate([np.nonzero(m[:r, c])[0], rows_to_fix])
             if rows_to_fix.size:
-                factors = m[rows_to_fix, c]
-                update = self.mul(factors[:, None], m[r][None, :])
-                m[rows_to_fix] = self.sub(m[rows_to_fix], update)
+                update = negmul[m[rows_to_fix, c][:, None], m[r, c:]]
+                m[rows_to_fix, c:] = add[m[rows_to_fix, c:], update]
             pivots.append(c)
             r += 1
         return m, tuple(pivots)
 
     def rank(self, a: np.ndarray) -> int:
-        return len(self.rref(a)[1])
+        return len(self.pivots(a))
 
     def row_space(self, a: np.ndarray) -> np.ndarray:
         """Canonical basis (RREF rows, zero rows dropped) of the row space."""
@@ -373,25 +434,30 @@ class Field:
         return r[: len(piv)]
 
     def kernel(self, a: np.ndarray) -> np.ndarray:
-        """Canonical (RREF) basis of the right kernel {x : a x = 0}, as rows."""
-        return self.rref_kernel(*self.rref(a))
+        """Canonical (RREF) basis of the right kernel {x : a x = 0}, as rows:
+        one elimination, of a with its columns reversed (`rref_kernel`)."""
+        return self.rref_kernel(*self.rref(_matrix(a)[:, ::-1]))
 
     def rref_kernel(self, r: np.ndarray, piv: tuple[int, ...]) -> np.ndarray:
-        """`kernel` of a matrix from its rref r and pivots piv, as `rref`
-        returns them, so that a caller holding them does not reduce the
-        matrix again.  The basis read off r is reduced once more to make it
-        canonical, except with no pivots: then the kernel is everything, and
-        the identity is already its echelon basis."""
+        """`kernel` of a matrix a from the rref r and pivots piv of a with
+        its columns reversed, a[:, ::-1], as `rref` returns them, so that a
+        caller holding them does not reduce a again.
+
+        Read in a's own column order, the basis vector of each free column
+        c is 1 at c, 0 at every other free column, and nonzero elsewhere
+        only at pivot columns right of c.  So in order of c it is already
+        the reduced echelon basis of the kernel, and none of it is reduced
+        again.  With no pivots the
+        kernel is everything, and the identity is its echelon basis."""
         ncols = r.shape[1]
         if not piv:
             return self.eye(ncols)
+        piv = [ncols - 1 - c for c in piv]
         free = [c for c in range(ncols) if c not in piv]
-        if not free:
-            return np.zeros((0, ncols), dtype=np.int16)
         basis = np.zeros((len(free), ncols), dtype=np.int16)
         basis[range(len(free)), free] = 1
-        basis[:, piv] = self.neg(r[: len(piv), free].T)
-        return self.row_space(basis)
+        basis[:, piv] = self.neg(r[: len(piv), ::-1][:, free].T)
+        return basis
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         """One solution x of a x = b (free variables set to 0), or None: the

@@ -664,7 +664,7 @@ def _top_generators(m: Module) -> tuple[tuple[int, int], ...]:
         f = m.algebra.field
         gens = []
         for v, img in enumerate(_arrow_images(m)):
-            piv = f.rref(img)[1]
+            piv = f.pivots(img)
             gens.extend((v, c) for c in range(m.dims[v]) if c not in piv)
         return tuple(gens)
     return m.algebra.cached(("top", m.key), build)

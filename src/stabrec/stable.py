@@ -111,9 +111,9 @@ def stable_hom(m: Module, n: Module) -> StableHom:
 def _stable_hom(m: Module, n: Module) -> StableHom:
     """The reps are the hom basis elements outside the span of the
     projective maps and the earlier elements: the pivot columns past proj
-    of one rref of the columns [proj | hom]."""
+    of the columns [proj | hom] (`Field.pivots`)."""
     hom, proj = hom_flats(m, n), _projective_flats(m, n)
-    piv = m.algebra.field.rref(np.concatenate([proj, hom]).T)[1]
+    piv = m.algebra.field.pivots(np.concatenate([proj, hom]).T)
     return StableHom(m, n, hom, proj, [j - len(proj) for j in piv if j >= len(proj)])
 
 

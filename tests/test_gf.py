@@ -319,8 +319,9 @@ def test_small_matmul_against_the_digit_blowup(f):
 
 
 def reference_kernel(f, a):
-    """The kernel as Field.kernel built it before rref_kernel: the basis
-    read off the rref, reduced again."""
+    """The kernel read off the rref of a in its own column order, which is
+    not yet reduced, and reduced once more: Field.kernel's result by a
+    second elimination instead of the column-reversed one."""
     ncols = a.shape[1]
     r, piv = f.rref(a)
     free = [c for c in range(ncols) if c not in piv]
@@ -406,6 +407,17 @@ def test_rref_against_scalar_reference(fm):
     assert got.dtype == np.int16 and got.shape == a.shape
     assert piv == want_piv
     assert np.array_equal(got, want)
+    assert f.pivots(a) == want_piv and f.rank(a) == len(want_piv)
+    ker, want_ker = f.kernel(a), reference_kernel(f, a)
+    assert ker.dtype == want_ker.dtype and ker.shape == want_ker.shape
+    assert ker.tobytes() == want_ker.tobytes()
+
+
+def test_pivots_and_rank_refuse_a_non_matrix():
+    for a in (np.zeros(3, dtype=np.int16), np.zeros(0, dtype=np.int16)):
+        for call in (F5.pivots, F5.rank, F5.kernel):
+            with pytest.raises(FieldError, match="rref expects a matrix"):
+                call(a)
 
 
 def reference_products(f, t, x, y):
