@@ -15,8 +15,10 @@ n (p-1)^2 < 2^25, exact), reduced mod p; over GF(2^k) from the
 multiplication table, summed by bitwise xor, since adding digit vectors
 mod 2 is xor; over any other extension field from the table too, with the
 products' base-p digits summed in int64 (at most n (p-1)) and reduced mod
-p digit by digit.  A larger product is a single product over GF(p): the
-left factor is written out in base-p digits and each entry of the right
+p digit by digit.  A larger product first drops every inner index j at
+which column j of a or row j of b is zero, since a_ij b_jk is then zero
+for all i, k; what is left is a single product over GF(p): the left
+factor is written out in base-p digits and each entry of the right
 factor becomes the k x k GF(p)-matrix of multiplication by that entry.
 That product is taken in float64, so that BLAS runs it; its entries are
 integers of at most n k (p-1)^2 <= 62,500 n for an inner dimension n,
@@ -27,17 +29,22 @@ extension fields the two paths cost about the same); past the threshold
 the blow-up wins, by 2-2.5 times at 30 x 30 x 30 over GF(4) on a 2-vCPU
 Xeon.
 
-Row reduction has two paths with the same result (the RREF is unique and
-both use the same pivot rule).  Matrices of at most SMALL_RREF_ENTRIES
-entries, which are nearly all the calls the searches make, are reduced on
-Python lists with list copies of the tables, free of numpy's per-call
-overhead; larger ones are reduced with one vectorised row operation per
-pivot, on the columns from the pivot's onward.  Each reduction is only as
-full as its caller reads:
+Row reduction has three paths with the same result: the RREF and its
+pivot columns are unique, whatever order the rows are reduced in.
+Matrices of at most SMALL_RREF_ENTRIES entries, which are nearly all the
+calls the searches make, are reduced on Python lists with list copies of
+the tables, free of numpy's per-call overhead.  A larger matrix with at
+most SPARSE_RREF_NONZEROS_PER_LINE * (rows + cols) nonzeros, as the total
+Hom complexes of the derived checks are, is reduced on its nonzeros: each
+row a {column: value} dict, eliminated by the pivot rows found so far
+(`_rref_sparse`).  Any other matrix is reduced with one vectorised row
+operation per pivot, on the columns from the pivot's onward.  Each
+reduction is only as full as its caller reads:
 - `rref` and `row_space` run Gauss-Jordan, clearing above and below each
   pivot;
 - `pivots` and `rank` run forward elimination alone, clearing only below
-  each pivot, which finds the same pivot columns;
+  each pivot (the sparse path: reducing each row to a new leading column),
+  which finds the same pivot columns;
 - `kernel` reduces the matrix with its columns reversed, once, and reads
   the kernel's reduced echelon basis straight off that (`rref_kernel`).
 
@@ -85,6 +92,14 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
 # resolutions actually reduce, 256 was the cheapest cutoff tried.
 SMALL_RREF_ENTRIES = 256
 
+# a larger matrix with at most this many nonzeros per row and column
+# together, nnz <= 4 (rows + cols), is reduced on its nonzeros.  The
+# vectorised path pays numpy's per-call overhead on every pivot whatever the
+# density, the dict path pays per nonzero touched: on dense matrices 64 to
+# 200 on a side it is 3.5-7 times slower (128 x 128 over GF(251): 17 ms
+# vectorised, 123 ms on dicts, 2-vCPU Xeon), so they stay vectorised.
+SPARSE_RREF_NONZEROS_PER_LINE = 4
+
 # matmul takes a product of at most this many scalar products m n r from the
 # tables and int64 sums, larger ones as one float64 product over GF(p)
 SMALL_MATMUL_PRODUCT = 512
@@ -100,6 +115,11 @@ def _matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise FieldError("rref expects a matrix")
     return m
+
+
+def _sparse(m: np.ndarray) -> bool:
+    """Whether a matrix past SMALL_RREF_ENTRIES is reduced on its nonzeros."""
+    return np.count_nonzero(m) <= SPARSE_RREF_NONZEROS_PER_LINE * sum(m.shape)
 
 
 class Field:
@@ -236,10 +256,12 @@ class Field:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a @ b.  With m, n or r zero the product is the zero matrix.  With
         m n r at most SMALL_MATMUL_PRODUCT it is summed from the products of
-        the entries (`_matmul_small`); above that it is one product over
-        GF(p): the base-p digits of a (m x nk) times the blow-up of b into
-        multiplication matrices (nk x rk), reduced mod p and recombined
-        digit by digit.
+        the entries (`_matmul_small`).  Above that, only the inner indices j
+        where column j of a and row j of b are both nonzero contribute; the
+        product is zero if there is none, and otherwise one product over
+        GF(p) on those indices: the base-p digits of a (m x nk) times the
+        blow-up of b into multiplication matrices (nk x rk), reduced mod p
+        and recombined digit by digit.
 
         The blow-up product is taken in float64, so BLAS runs it.  Its
         entries are integers of at most n k (p-1)^2 < 2^53, exact whatever
@@ -255,6 +277,11 @@ class Field:
             return np.zeros((m, r), dtype=np.int16)
         if m * n * r <= SMALL_MATMUL_PRODUCT:
             return self._matmul_small(a, b)
+        inner = np.flatnonzero(a.any(axis=0) & b.any(axis=1))
+        if not inner.size:
+            return np.zeros((m, r), dtype=np.int16)
+        if inner.size < n:
+            a, b, n = a[:, inner], b[inner], inner.size
         digits = self._digits.take(a, axis=0).reshape(m, n * k)
         blown = self._blowup[self._krange, b[:, None, :]].reshape(n * k, r * k)
         out = (digits @ blown).astype(np.int64)
@@ -313,22 +340,31 @@ class Field:
         return np.asarray(self.sub(a, b), dtype=np.int16)
 
     def rref(self, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Reduced row echelon form.  Pivot choice: leftmost column, then
-        smallest row index.  Returns (rref matrix, pivot column tuple)."""
+        """Reduced row echelon form.  Returns (rref matrix, pivot column
+        tuple).  The dense paths (`_rref_small`, `_rref_vectorised`) choose
+        each pivot as the leftmost column, then the smallest row index; the
+        sparse path (`_rref_sparse`) inserts the rows in turn instead.  All
+        reach the same matrix, since the RREF of a matrix is unique."""
         m = _matrix(a)
         if m.size <= SMALL_RREF_ENTRIES:
             return self._rref_small(m)
+        if _sparse(m):
+            return self._rref_sparse(m)
         return self._rref_vectorised(m)
 
     def pivots(self, a: np.ndarray) -> tuple[int, ...]:
-        """The pivot columns of `rref`, by forward elimination alone: each
-        pivot clears only the rows below it, which leaves the pivot columns
-        of the (unique) rref without its back-substitution."""
+        """The pivot columns of `rref`, by forward elimination alone, on the
+        same path `rref` takes: on the dense paths each pivot clears only
+        the rows below it, and on the sparse path each row is reduced only
+        until it leads at a new column.  Either leaves the pivot columns of
+        the (unique) rref without its back-substitution."""
         m = _matrix(a)
         if not m.size:
             return ()
         if m.size <= SMALL_RREF_ENTRIES:
             return self._pivots_small(m)
+        if _sparse(m):
+            return self._rref_sparse(m, reduce=False)[1]
         return self._rref_vectorised(m, reduce=False)[1]
 
     def _rref_small(self, m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -391,6 +427,62 @@ class Field:
             pivots.append(c)
             r += 1
         return tuple(pivots)
+
+    def _rref_sparse(self, m: np.ndarray, reduce: bool = True
+                     ) -> tuple[np.ndarray | None, tuple[int, ...]]:
+        """Gaussian elimination on the nonzeros, with the list copies of the
+        tables.  Each row is a {column: value} dict.  The rows are inserted
+        in turn: a row is reduced by the pivot row at its leading column
+        until it leads at a column with no pivot row, where it is scaled to
+        a leading 1 and becomes that column's pivot row, or vanishes.  The
+        pivot rows are then an echelon basis of the row space, so their
+        leading columns are the rref's pivot columns.  With reduce False
+        only those are returned, with None for the matrix.  Otherwise each
+        pivot row, from the last pivot column down, is cleared at the later
+        pivot columns by the rows already reduced, which gives the rref's
+        rows."""
+        mul, add, neg, inv = self._mul_l, self._add_l, self._neg_l, self._inv_l
+
+        def clear(row, c, pivot_row):
+            """row - row[c] pivot_row, in place; pivot_row is 1 at c."""
+            minus = mul[neg[row[c]]]
+            for col, x in pivot_row.items():
+                y = add[row.get(col, 0)][minus[x]]
+                if y:
+                    row[col] = y
+                else:
+                    del row[col]
+
+        i, j = np.nonzero(m)
+        rows = [{} for _ in range(m.shape[0])]
+        for r, c, x in zip(i.tolist(), j.tolist(), m[i, j].tolist()):
+            rows[r][c] = x
+        piv = {}
+        for row in rows:
+            while row:
+                c = min(row)
+                if c not in piv:
+                    if row[c] != 1:
+                        scale = mul[inv[row[c]]]
+                        row = {col: scale[x] for col, x in row.items()}
+                    piv[c] = row
+                    break
+                clear(row, c, piv[c])
+        cols = sorted(piv)
+        if not reduce:
+            return None, tuple(cols)
+        for c in reversed(cols):
+            row = piv[c]
+            # the rows of later pivot columns are zero at every other one,
+            # so clearing one of them leaves the others as they are
+            for later in [col for col in row if col != c and col in piv]:
+                clear(row, later, piv[later])
+        reduced = [piv[c] for c in cols]
+        out = np.zeros(m.shape, dtype=np.int16)
+        out[[r for r, row in enumerate(reduced) for _ in row],
+            [col for row in reduced for col in row]] = [
+                x for row in reduced for x in row.values()]
+        return out, tuple(cols)
 
     def _rref_vectorised(self, m: np.ndarray, reduce: bool = True
                          ) -> tuple[np.ndarray, tuple[int, ...]]:

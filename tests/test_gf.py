@@ -18,6 +18,7 @@ from stabrec.gf import (
     DEFAULT_MODULI,
     SMALL_MATMUL_PRODUCT,
     SMALL_RREF_ENTRIES,
+    SPARSE_RREF_NONZEROS_PER_LINE,
     Field,
     FieldError,
     coset_rank_maximize,
@@ -318,6 +319,29 @@ def test_small_matmul_against_the_digit_blowup(f):
                 assert got.tobytes() == want.tobytes(), (m, n, r)
 
 
+@pytest.mark.parametrize("f", [F2, Field(3), F4, F9, F251], ids=lambda f: f"GF({f.q})")
+def test_trimmed_matmul_against_the_digit_blowup(f):
+    # a large product drops the inner indices where a's column or b's row is
+    # zero; the zero columns of a and zero rows of b overlap only in part,
+    # or cover every inner index, and the result is the untrimmed blow-up's
+    rng = np.random.default_rng(f.q)
+    for m, n, r in [(9, 40, 7), (3, 200, 2), (20, 30, 20), (1, 600, 1)]:
+        assert m * n * r > SMALL_MATMUL_PRODUCT
+        a = rng.integers(1, f.q, size=(m, n)).astype(np.int16)
+        b = rng.integers(1, f.q, size=(n, r)).astype(np.int16)
+        a_zero, b_zero = rng.random(n) < 0.4, rng.random(n) < 0.4
+        a_zero[:2], b_zero[:2] = (True, False), (True, True)  # overlap in part
+        a[:, a_zero], b[b_zero] = 0, 0
+        everywhere = b.copy()
+        everywhere[~a_zero] = 0
+        for x, y in [(a, b), (a, everywhere)]:
+            want = digit_blowup_matmul(f, x, y)
+            got = f.matmul(x, y)
+            assert got.shape == want.shape == (m, r) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (m, n, r)
+        assert not f.matmul(a, everywhere).any()
+
+
 def reference_kernel(f, a):
     """The kernel read off the rref of a in its own column order, which is
     not yet reduced, and reduced once more: Field.kernel's result by a
@@ -374,18 +398,26 @@ def reference_rref(f, a):
 
 
 # sides up to twice the square root of the cutoff: about 40% of the shapes
-# drawn are past it, so rref takes both its list and its vectorised path
+# drawn are past it, so rref takes its list path and, by density, its
+# sparse or its vectorised one
 RREF_SIDE = 2 * int(SMALL_RREF_ENTRIES ** 0.5)
 
 
 @st.composite
 def rref_input(draw):
     f = draw(fields)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.integers(0, 2)) == 0:
+        # a third of the draws: kron(I_t, B) with its rows and columns permuted, up to 64 a side:
+        # sparse, with long runs of fill-in and back-substitution
+        b = rng.integers(0, f.q, size=(draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+        t = draw(st.integers(1, 64 // max(b.shape)))
+        a = f.kron(np.eye(t, dtype=np.int16), b.astype(np.int16))
+        return f, a[rng.permutation(a.shape[0])][:, rng.permutation(a.shape[1])]
     m = draw(st.integers(0, RREF_SIDE))
     n = draw(st.integers(0, RREF_SIDE))
     rank = draw(st.integers(0, RREF_SIDE))
-    zeros = draw(st.sampled_from([0.0, 0.5, 0.9]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.5, 0.9, 0.98]))
     if rank < min(m, n):
         a = f.matmul(rng.integers(0, f.q, size=(m, rank)).astype(np.int16),
                      rng.integers(0, f.q, size=(rank, n)).astype(np.int16))
@@ -399,7 +431,7 @@ def rref_input(draw):
 @example((F5, np.zeros((0, 0), dtype=np.int16)))
 @example((F4, np.zeros((0, RREF_SIDE), dtype=np.int16)))
 @example((F9, np.zeros((RREF_SIDE, 0), dtype=np.int16)))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_rref_against_scalar_reference(fm):
     f, a = fm
     got, piv = f.rref(a)
@@ -411,6 +443,56 @@ def test_rref_against_scalar_reference(fm):
     ker, want_ker = f.kernel(a), reference_kernel(f, a)
     assert ker.dtype == want_ker.dtype and ker.shape == want_ker.shape
     assert ker.tobytes() == want_ker.tobytes()
+
+
+def pinned_nonzeros(f, shape, nnz, seed):
+    """A matrix of the given shape with exactly nnz nonzero entries."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros(shape, dtype=np.int16)
+    a.flat[rng.choice(a.size, size=nnz, replace=False)] = rng.integers(1, f.q, size=nnz)
+    return a
+
+
+def test_rref_paths_on_either_side_of_their_thresholds(monkeypatch):
+    # at most SMALL_RREF_ENTRIES entries: the list path; past it, at most
+    # SPARSE_RREF_NONZEROS_PER_LINE (rows + cols) nonzeros: the sparse path;
+    # one more, or dense: the vectorised path.  rref, pivots, rank and
+    # kernel all take the matrix's path and give the references' answers.
+    assert (SMALL_RREF_ENTRIES, SPARSE_RREF_NONZEROS_PER_LINE) == (256, 4)
+    taken = []
+    for name, path in [("_rref_small", "list"), ("_pivots_small", "list"),
+                       ("_rref_sparse", "sparse"), ("_rref_vectorised", "vectorised")]:
+        def counted(self, m, *args, _run=getattr(Field, name), _path=path, **kwargs):
+            taken.append(_path)
+            return _run(self, m, *args, **kwargs)
+        monkeypatch.setattr(Field, name, counted)
+    cases = []
+    for f in (F5, F4, F251):
+        cases += [
+            (f, pinned_nonzeros(f, (16, 16), 200, f.q), "list"),
+            (f, pinned_nonzeros(f, (1, 256), 256, f.q), "list"),
+            (f, pinned_nonzeros(f, (17, 16), 4 * 33, f.q), "sparse"),
+            (f, pinned_nonzeros(f, (40, 60), 4 * 100, f.q), "sparse"),
+            (f, pinned_nonzeros(f, (17, 16), 4 * 33 + 1, f.q), "vectorised"),
+            (f, pinned_nonzeros(f, (40, 60), 4 * 100 + 1, f.q), "vectorised"),
+            (f, pinned_nonzeros(f, (30, 20), 600, f.q), "vectorised"),
+        ]
+    for f, a, path in cases:
+        want, want_piv = reference_rref(f, a)
+        want_ker = reference_kernel(f, a)
+        taken.clear()
+        got, piv = f.rref(a)
+        assert f.pivots(a) == piv == want_piv and f.rank(a) == len(want_piv)
+        ker = f.kernel(a)
+        assert taken == [path] * 4, (a.shape, np.count_nonzero(a))
+        assert got.dtype == np.int16 and got.tobytes() == want.tobytes()
+        assert ker.shape == want_ker.shape and ker.tobytes() == want_ker.tobytes()
+    assert {path for _, _, path in cases} == {"list", "sparse", "vectorised"}
+    # dense matrices keep the vectorised path, where the dict path is slower
+    for f in (F251, F4):
+        taken.clear()
+        f.rank(np.random.default_rng(f.q).integers(1, f.q, size=(200, 200)).astype(np.int16))
+        assert taken == ["vectorised"]
 
 
 def test_pivots_and_rank_refuse_a_non_matrix():
