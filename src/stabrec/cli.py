@@ -261,10 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("set")
     p.add_argument("module")
     p.add_argument("--search-cap", type=int, default=200000,
-                   help="top quotients M ->> sum of S_i^(m_i) to try, counted as "
-                        "orbit representatives under prod GL(m_i); m_i > dim "
-                        "Hom(M, S_i) admits none, a certified absence, not a cap "
-                        "hit (default %(default)s)")
+                   help="top quotients M ->> X = sum of S_i^(m_i) to try, counted "
+                        "as orbit representatives under prod GL(m_i); m_i > dim "
+                        "Hom(M, S_i), or dim X above the codimension of the common "
+                        "kernel of all maps M -> S_i, admits none, a certified "
+                        "absence, not a cap hit; at dim X equal to it, an X whose "
+                        "orbits exceed the cap left is decided by one isomorphism "
+                        "test, for one unit (default %(default)s)")
     common(p)
     p.set_defaults(fn=cmd_filtrate)
 

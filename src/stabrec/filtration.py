@@ -29,6 +29,7 @@ from .errors import (
 from .modules import (
     Module,
     ModuleMap,
+    _quot_from_spaces,
     _sub_from_spaces,
     _sum2,
     cokernel,
@@ -496,6 +497,14 @@ def _copies(sset, mv):
     return sset[0].algebra.cached(("X", _sset_sig(sset), tuple(mv)), build)
 
 
+def _orbit_count(m: Module, sset, mv) -> int:
+    """prod_i [h_i, mv[i]]_q, h_i = dim Hom(m, S_i): the orbits
+    `_surjections_onto` walks, 0 when some mv[i] > h_i."""
+    q = m.algebra.field.q
+    return math.prod(_gaussian_binomial(len(hom_flats(m, s)), r, q)
+                     for s, r in zip(sset, mv) if r)
+
+
 def _surjections_onto(m: Module, sset, mv, budget: _Budget):
     """(X, vec, forms) for one surjection f: m ->> X = sum of S_i^{mv[i]}
     per orbit of prod GL_{mv[i]}(q) on the maps whose coefficient blocks
@@ -509,10 +518,12 @@ def _surjections_onto(m: Module, sset, mv, budget: _Budget):
     coefficients over the basis of Hom(m, S_i), of dimension h_i; f is onto
     only if every block has full row rank (else some g in GL_{mv[i]} zeroes
     a copy), and each orbit of such blocks holds one reduced-echelon block.
-    So the [h_i, mv[i]]_q products of echelon blocks reach every kernel.
-    Some mv[i] > h_i leaves no surjection: nothing is yielded and the budget
-    is untouched (a certified absence).  More orbits than the maps left is
-    a refusal: budget.hit is set and nothing is yielded.
+    So the [h_i, mv[i]]_q products of echelon blocks reach every kernel
+    (`_orbit_count` of them).  Some mv[i] > h_i leaves no surjection:
+    nothing is yielded and the budget is untouched (a certified absence).
+    More orbits than the maps left is a refusal: budget.hit is set and
+    nothing is yielded.  `_top_kernels` decides some X before walking them
+    (dim X against codim K_all), so it calls this only where it must walk.
 
     The candidates' flat rows come a chunk at a time from one field product
     of their coefficient rows with the composites inj_c h
@@ -526,8 +537,7 @@ def _surjections_onto(m: Module, sset, mv, budget: _Budget):
     homs = {si: hom_flats(m, sset[si]) for si, r in enumerate(mv) if r}
     if any(mv[si] > len(h) for si, h in homs.items()):
         return
-    orbits = math.prod(_gaussian_binomial(len(h), mv[si], fld.q) for si, h in homs.items())
-    if orbits > budget.maps:
+    if _orbit_count(m, sset, mv) > budget.maps:
         budget.hit = True
         return
     x, injs, layout = _copies(sset, mv)
@@ -550,7 +560,24 @@ def _surjections_onto(m: Module, sset, mv, budget: _Budget):
             yield x, vec, forms
 
 
-def _top_kernels(m: Module, sset, budget: _Budget):
+def _common_kernel(m: Module, sset) -> list[np.ndarray]:
+    """Per vertex, the echelon basis of K_all, the common kernel of every
+    map m -> S_i: one `Field.kernel` per vertex of the stacked vertex
+    blocks of every `hom_flats` basis element."""
+    fld = m.algebra.field
+    homs = [hom_flats(m, s) for s in sset]
+    cuts, spaces = [0] * len(sset), []
+    for v, c in enumerate(m.dims):
+        blocks = []
+        for i, (s, h) in enumerate(zip(sset, homs)):
+            t = s.dims[v]
+            blocks.append(h[:, cuts[i]: cuts[i] + t * c].reshape(len(h) * t, c))
+            cuts[i] += t * c
+        spaces.append(fld.kernel(np.concatenate(blocks)))
+    return spaces
+
+
+def _top_kernels(m: Module, sset, budget: _Budget, keep=None):
     """(mv, X, vec, spaces) for the top quotients f: m ->> X = sum of
     S_i^{mv[i]}, by `_mult_candidates` then `_surjections_onto`, once per
     kernel K of m, vec being f's flat row: both searches test f only
@@ -559,23 +586,66 @@ def _top_kernels(m: Module, sset, budget: _Budget):
     per-vertex echelon kernels of f's blocks: canonical, so they identify
     K.  Callers build K from them (`_sub_from_spaces`) only for the
     kernels they go on to test; the enumeration first drops those failing
-    its stable test.
+    its stable test.  keep, if given, is a predicate on mv; an mv it
+    refuses is skipped and spends nothing.
 
-    A candidate is known by the echelon forms `_surjections_onto` reduced
-    its column-reversed blocks to: each block's row space is the
+    Every map m -> X is a sum of maps m -> S_i, so its kernel contains
+    K_all, their common kernel (`_common_kernel`); let c = codim K_all.
+    The candidates come by dim X, and an X with dim X > c has no
+    surjection: that and every later X is a certified absence that spends
+    nothing.  At dim X = c the only possible kernel is K_all, and m ->> X
+    exists exactly when m / K_all is isomorphic to X.  If the orbits fit
+    in the budget left they are walked up to the first surjection, which
+    is then the one an unbounded walk yields first; otherwise (where the
+    walk would be refused) `module_isomorphic` decides: None is a
+    certified absence, an iso g gives f = g (m ->> m / K_all) for one unit.
+    Once K_all is yielded, no later X of dimension c is looked at.  Only X
+    with dim X < c are walked in full.
+
+    A walked candidate is known by the echelon forms `_surjections_onto`
+    reduced its column-reversed blocks to: each block's row space is the
     annihilator of its kernel, and reversing the columns of every block
     alike keeps the form canonical, so equal forms are equal kernels, and
     the other way round.  Only for a kernel not seen before are spaces read
     off those forms, with no further reduction (`Field.rref_kernel`)."""
     fld = m.algebra.field
-    seen = set()
+    k_all = _common_kernel(m, sset)
+    c = m.dim - sum(len(k) for k in k_all)
+    seen, top_done = set(), False
     for mv in _mult_candidates(m, sset):
+        dim_x = sum(r * s.dim for r, s in zip(mv, sset))
+        if dim_x > c:
+            return
+        if (top_done and dim_x == c) or (keep is not None and not keep(mv)):
+            continue
+        if dim_x == c:
+            if _orbit_count(m, sset, mv) <= budget.maps:
+                top = next(((x, vec) for x, vec, _ in _surjections_onto(m, sset, mv, budget)),
+                           None)
+            else:
+                top = _onto_through_common_kernel(m, sset, mv, k_all)
+                if top is not None and not budget.spend():
+                    top = None
+            if top is not None:
+                top_done = True
+                yield mv, *top, k_all
+            continue
         for x, vec, forms in _surjections_onto(m, sset, mv, budget):
             key = tuple(r.tobytes() for r, _ in forms)
             if key not in seen:
                 seen.add(key)
                 spaces = [fld.rref_kernel(r, piv) for r, piv in forms]
                 yield mv, x, vec, spaces
+
+
+def _onto_through_common_kernel(m: Module, sset, mv, k_all):
+    """(X, vec) for a surjection f: m ->> X = sum of S_i^{mv[i]} with
+    kernel k_all, f = g (m ->> m / k_all) for an iso g, or None when
+    m / k_all is not isomorphic to X."""
+    q, proj = _quot_from_spaces(m, k_all, "top")
+    x = _copies(sset, mv)[0]
+    iso = module_isomorphic(q, x)
+    return None if iso is None else (x, iso.compose(proj).flat())
 
 
 def _projective_splits(m: Module):
@@ -668,8 +738,12 @@ def is_filtrable(m: Module, sset, search_cap: int = 200000) -> Filtration | None
     Greedy first; then splitting off projective summand groups; then a
     bounded exhaustive search over top quotients.  search_cap counts the
     quotients tried, one per orbit of prod GL_{m_i}(q) on the surjections
-    onto X = sum of S_i^{m_i}; an X with some m_i > dim Hom(M, S_i) has no
-    surjection, a certified absence that spends nothing.  A None returned
+    onto X = sum of S_i^{m_i}.  An X with some m_i > dim Hom(M, S_i), or
+    with dim X above the codimension c of the common kernel K_all of all
+    maps M -> S_i, has no surjection: a certified absence that spends
+    nothing.  At dim X = c the only possible kernel is K_all; where the
+    orbits onto X would not fit the cap left, `module_isomorphic` of M /
+    K_all and X decides it for one unit (`_top_kernels`).  A None returned
     after a search that hit no cap is a certified negative; otherwise
     Undecided.
     """
@@ -794,14 +868,29 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
     undecided.  All three depend on f only through ker f, fixed by
     automorphisms of X, so one surjection per orbit of prod GL_{m_i}(q) is
     tried, and search_cap counts these orbit representatives, over the
-    whole search; a sum with some m_i > dim Hom(m, S_i) has no surjection,
-    a certified absence that spends nothing.  A cap hit, here or in testing
-    a kernel, raises Undecided, never a partial list.
+    whole search.  Three kinds of X are certified absences that spend
+    nothing: a sum with some m_i > dim Hom(cur, S_i), or with dim X above
+    the codimension of the common kernel of all maps cur -> S_i, has no
+    surjection (`_top_kernels`), and the row bound drops a sum whose
+    stable Homs are too few to pass the stable test: g -> g f maps
+    stable Hom(X, S_i), of dimension sum_j m_j dim stable Hom(S_j, S_i),
+    onto stable Hom(cur, S_i) only if that is at least dim stable
+    Hom(cur, S_i).  At dim X equal to that codimension the one possible
+    kernel is decided by `module_isomorphic` where its orbits would not
+    fit the cap, for one unit.  A cap hit, here or in testing a kernel,
+    raises Undecided, never a partial list.
     `seed` is ignored; it is kept because the benchmark workloads pass it.
     """
     budget = _Budget(search_cap)
     fld = m.algebra.field
     results: list[Filtration] = []
+
+    def enough_rows(cur):
+        # the row bound on mv: stable Hom(X, S_i) against stable Hom(cur, S_i)
+        need = [stable_hom(cur, s).dim for s in sset]
+        rows = [[stable_hom(a, s).dim for s in sset] for a in sset]
+        return lambda mv: all(sum(r * row[i] for r, row in zip(mv, rows)) >= n
+                              for i, n in enumerate(need))
 
     def stably_onto(cur, x, f):
         for s in sset:
@@ -819,7 +908,7 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
         # distinct kernels of cur give distinct chains below it; an
         # undecided kernel leaves the enumeration undecided: it raises
         out = []
-        for mv, x, vec, spaces in _top_kernels(cur, sset, budget):
+        for mv, x, vec, spaces in _top_kernels(cur, sset, budget, enough_rows(cur)):
             f = flat_to_map(cur, x, vec)
             if not stably_onto(cur, x, f):
                 continue

@@ -133,17 +133,23 @@ def test_filtrate_certified_negative(capsys, tmp_path):
 
 
 def test_filtrate_cap_is_undecided(capsys, tmp_path):
+    # criterion 5's module over the simples and over the ka4 family: each
+    # search needs more than one top quotient (the family's decides at 1,000)
     ka4 = fixtures.load("ka4")
-    sset = write(tmp_path / "s.json",
-                 [io.dump_module(s) for s in fixtures.simples(ka4)])
     mod = write(tmp_path / "rp.json",
                 io.dump_module(fixtures.ka4_restricted_projective()))
+    for name, members in (("simples", fixtures.simples(ka4)),
+                          ("family", fixtures.ka4_family())):
+        sset = write(tmp_path / f"{name}.json", [io.dump_module(s) for s in members])
+        code, rep = run(capsys, "filtrate", str(DATA / "ka4.json"), sset, mod,
+                        "--search-cap", "1")
+        assert code == 2
+        assert rep["outcome"] == "undecided"
+        assert "cap" in rep["result"]["reason"]
+        assert rep["artifacts"] == []
     code, rep = run(capsys, "filtrate", str(DATA / "ka4.json"), sset, mod,
-                    "--search-cap", "1")
-    assert code == 2
-    assert rep["outcome"] == "undecided"
-    assert "cap" in rep["result"]["reason"]
-    assert rep["artifacts"] == []
+                    "--search-cap", "1000")
+    assert (code, rep["outcome"]) == (0, "filtrable")
 
 
 def test_reconstruct_against_oracle(capsys, lam_files):

@@ -553,7 +553,8 @@ def kernels_key(fld, blocks) -> tuple:
 def test_surjections_onto_against_the_map_by_map_search():
     # the candidate-row search yields the maps and kernels of the map-by-map
     # one, in the same order, with the same budget spent at every yield, and
-    # leaves budget.hit as it does
+    # leaves budget.hit as it does; _top_kernels, which decides some tops
+    # without walking them, against the bound-free map-by-map reference
     cases = 0
     for m, sset, mv in orbit_cases():
         fld = m.algebra.field
@@ -575,18 +576,25 @@ def test_surjections_onto_against_the_map_by_map_search():
     mods = [fixtures.ka4_restricted_projective()]
     mods += [_random_filtrable(fam[0].algebra, fam, s) for s in range(1, 17)]
 
-    def trace(top, m, cap, flat):
-        def run(budget):
-            for mv, x, f, spaces in top(m, fam, budget):
-                yield mv, x.key, flat(f).tobytes(), tuple(sp.tobytes() for sp in spaces)
-        return spend_trace(run, cap)
+    def kernels(top, m, cap):
+        budget = _Budget(cap)
+        got = [tuple(sp.tobytes() for sp in spaces) for *_, spaces in top(m, fam, budget)]
+        assert len(got) == len(set(got))
+        return set(got), budget
 
+    # decided wherever the reference is at the same cap, spending no more;
+    # where the reference finishes at 5,000, the same kernels when decided
+    # and some of them when not (seed 11's reference needs over 10^5)
     hits = collections.Counter()
-    for cap in (500, 5000):
-        for m in mods:
-            got = trace(_top_kernels, m, cap, lambda vec: vec)
-            assert got == trace(reference_top_kernels, m, cap, ModuleMap.flat), (cap, m.dims)
-            hits[cap, got[1][1]] += 1
+    for m in mods:
+        refs = {cap: kernels(reference_top_kernels, m, cap) for cap in (500, 5000)}
+        full, full_budget = refs[5000]
+        for cap, (_, ref) in refs.items():
+            got, budget = kernels(_top_kernels, m, cap)
+            assert budget.hit <= ref.hit and budget.maps >= ref.maps, (cap, m.dims)
+            if not full_budget.hit:
+                assert got <= full if budget.hit else got == full, (cap, m.dims)
+            hits[cap, budget.hit] += 1
     assert all(hits[cap, hit] for cap in (500, 5000) for hit in (True, False))
 
 
@@ -612,8 +620,8 @@ def test_enumeration_searches_only_stably_onto_kernels(monkeypatch):
     real_top, real_filtrable = filtration._top_kernels, filtration.is_filtrable
     real_remainder = filtration.has_projective_remainder
 
-    def top_kernels(m, sset, budget):
-        for mv, x, vec, spaces in real_top(m, sset, budget):
+    def top_kernels(m, sset, budget, keep=None):
+        for mv, x, vec, spaces in real_top(m, sset, budget, keep):
             if not depth[0]:
                 f = flat_to_map(m, x, vec)
                 events.append(("top", stably_onto(m, x, f, sset), kernel(f)[0].key))
@@ -643,6 +651,123 @@ def test_enumeration_searches_only_stably_onto_kernels(monkeypatch):
             assert events[i + 1] == ("filtrable", e[2])
 
 
+# -- the bounds that decide a top before walking it --------------------------------
+
+
+def bound_cases(seeds) -> list:
+    """Criterion 5's module and the ka4 stream modules of the given seeds."""
+    fam = fixtures.ka4_family()
+    return [fixtures.ka4_restricted_projective()] + [
+        _random_filtrable(fam[0].algebra, fam, s) for s in seeds]
+
+
+def common_kernel_by_maps(m, sset) -> list:
+    """Per vertex, the echelon basis of the common kernel of every map in
+    the hom_space bases of Hom(m, S_i), read off the maps' own blocks."""
+    fld = m.algebra.field
+    maps = [h for s in sset for h in hom_space(m, s)]
+    return [fld.kernel(np.concatenate([np.zeros((0, d), dtype=np.int16)]
+                                      + [h.blocks[v] for h in maps]))
+            for v, d in enumerate(m.dims)]
+
+
+def spaces_key(spaces) -> tuple:
+    return tuple(sp.tobytes() for sp in spaces)
+
+
+def test_every_surjection_kills_the_common_kernel():
+    # K_all, the common kernel of all maps m -> S_i, lies in the kernel of
+    # every surjection an uncapped walk yields, so dim X <= codim K_all, and
+    # at dim X = codim K_all the kernel is K_all itself
+    fam = fixtures.ka4_family()
+    seen = collections.Counter()
+    for m in bound_cases(range(1, 9)):
+        fld = m.algebra.field
+        k_all = common_kernel_by_maps(m, fam)
+        assert spaces_key(filtration._common_kernel(m, fam)) == spaces_key(k_all)
+        c = m.dim - sum(len(k) for k in k_all)
+        budget = _Budget(10 ** 6)
+        for mv in _mult_candidates(m, fam):
+            for x, vec, _ in _surjections_onto(m, fam, mv, budget):
+                f = flat_to_map(m, x, vec)
+                assert not any(fld.matmul(b, k.T).any() for b, k in zip(f.blocks, k_all))
+                assert x.dim <= c
+                if x.dim == c:
+                    assert spaces_key(fld.kernel(b) for b in f.blocks) == spaces_key(k_all)
+                seen["at c" if x.dim == c else "below c"] += 1
+        assert not budget.hit
+        seen["K_all > 0"] += c < m.dim
+    assert seen["at c"] and seen["below c"] and seen["K_all > 0"]
+
+
+def test_row_bound_drops_only_tops_with_no_stably_onto_kernel(monkeypatch):
+    # every multiplicity vector the enumeration's row bound drops, walked in
+    # full, has no surjection that passes the stable test map by map
+    fam = fixtures.ka4_family()
+    real_top, dropped = filtration._top_kernels, {}
+
+    def top_kernels(m, sset, budget, keep=None):
+        for mv in _mult_candidates(m, sset):
+            if keep is not None and not keep(mv):
+                dropped[m.key, mv] = m
+        return real_top(m, sset, budget, keep)
+
+    monkeypatch.setattr(filtration, "_top_kernels", top_kernels)
+    for m in bound_cases(range(1, 9)):
+        exhaustive_radical_filtrations(m, fam, search_cap=500)
+    monkeypatch.undo()
+    walked = 0
+    for (_, mv), m in dropped.items():
+        budget = _Budget(10 ** 5)
+        for x, vec, _ in _surjections_onto(m, fam, mv, budget):
+            assert not stably_onto(m, x, flat_to_map(m, x, vec), fam), mv
+            walked += 1
+        assert not budget.hit
+    assert len(dropped) > 10 and walked
+
+
+def test_top_at_the_common_kernel_codimension_is_decided_by_isomorphism():
+    # at dim X = codim K_all the only possible kernel is K_all; where the
+    # orbits onto X do not fit the budget left, _top_kernels yields it for
+    # one unit exactly when m / K_all is isomorphic to X, which is exactly
+    # when an uncapped walk reaches a surjection onto X; with no unit left
+    # it is a refusal
+    fam = fixtures.ka4_family()
+    seen = collections.Counter()
+    for m in bound_cases(range(1, 17)):
+        fld = m.algebra.field
+        k_all = common_kernel_by_maps(m, fam)
+        c = m.dim - sum(len(k) for k in k_all)
+        k, incl = _sub_from_spaces(m, k_all, "K_all")
+        top = quotient(m, _transport_rows(incl, _full_rows(k)))[0]
+        for mv in _mult_candidates(m, fam):
+            x = _copies(fam, mv)[0]
+            if x.dim != c:
+                continue
+            onto = next(_surjections_onto(m, fam, mv, _Budget(10 ** 5)), None) is not None
+            assert onto == (module_isomorphic(top, x) is not None)
+            orbits = math.prod(_gaussian_binomial(len(hom_space(m, s)), r, fld.q)
+                               for s, r in zip(fam, mv) if r)
+            budget = _Budget(orbits - 1)
+            got = list(_top_kernels(m, fam, budget, keep=lambda w: w == mv))
+            if not onto:
+                assert (got, budget.maps, budget.hit) == ([], orbits - 1, False)
+                seen["absent"] += 1
+            elif orbits == 1:
+                assert (got, budget.maps, budget.hit) == ([], 0, True)
+                seen["no unit left"] += 1
+            else:
+                [(got_mv, got_x, vec, spaces)] = got
+                assert (got_mv, got_x.key, budget.maps, budget.hit) == (mv, x.key, orbits - 2,
+                                                                        False)
+                f = flat_to_map(m, got_x, vec)
+                assert f.is_map() and f.is_surjective_map()
+                assert spaces_key(spaces) == spaces_key(k_all)
+                assert spaces_key(fld.kernel(b) for b in f.blocks) == spaces_key(k_all)
+                seen["iso"] += 1
+    assert seen["absent"] and seen["no unit left"] and seen["iso"]
+
+
 def test_enumeration_decides_a_ka4_stream_module_at_cap_500():
     # ka4 stream module 1 (one of the enumeration benchmark's seeds 1-16):
     # its tops have more than 500 maps q^h but few orbits, so cap 500
@@ -668,19 +793,20 @@ def test_capped_enumeration_is_undecided_not_partial():
 # (count, digest) of every filtration exhaustive_radical_filtrations returns,
 # None for Undecided, per input and cap: criterion 5's module, then
 # _random_filtrable(ka4, fam, s) for s = 1..16.  Recorded before the
-# enumeration tested each kernel's stable surjectivity first.
+# enumeration tested each kernel's stable surjectivity first.  Seeds 3, 5, 9
+# and 12-16 were Undecided at cap 500 before the row and common-kernel
+# bounds; their entries are the chains the enumeration gave at cap 5,000
+# then, and seed 11's (Undecided at both caps then) those it gave at cap
+# 500,000.
 _SAME = (1, "5e011d0e0b615008")
 _C5 = (24, "f327e313bf15a6c5")
-PINNED_ENUMERATIONS = {
-    500: [_C5, (1, "1c364aada2641c05"), (1, "2f46ecaa3a3cb817"), None,
-          (1, "340c1236ca8cfdb3"), None, _SAME, _SAME, (1, "085b38f149913515"),
-          None, _SAME, None, None, None, None, (1, "eb2948b07595a2ca"), None],
-    5000: [_C5, (1, "1c364aada2641c05"), (1, "2f46ecaa3a3cb817"),
-           (1, "6909a501eb166139"), (1, "340c1236ca8cfdb3"), (1, "b04a8edeb4ec5ba8"),
-           _SAME, _SAME, (1, "085b38f149913515"), (1, "89ab5fc81aaa6e79"), _SAME,
-           None, (1, "b04a8edeb4ec5ba8"), (1, "b04a8edeb4ec5ba8"),
-           (1, "6909a501eb166139"), (1, "eb2948b07595a2ca"), (1, "b04a8edeb4ec5ba8")],
-}
+_S3 = (1, "6909a501eb166139")
+_S5 = (1, "b04a8edeb4ec5ba8")
+_DECIDED = [_C5, (1, "1c364aada2641c05"), (1, "2f46ecaa3a3cb817"), _S3,
+            (1, "340c1236ca8cfdb3"), _S5, _SAME, _SAME, (1, "085b38f149913515"),
+            (1, "89ab5fc81aaa6e79"), _SAME, (1, "1adc8625a049e63e"), _S5, _S5, _S3,
+            (1, "eb2948b07595a2ca"), _S5]
+PINNED_ENUMERATIONS = {500: _DECIDED, 5000: _DECIDED}
 
 
 def chain_digest(filts) -> str:
@@ -836,9 +962,12 @@ def test_search_chains_are_their_own_echelon_bases():
     # a search's chain is read off its levels, the echelon row basis of
     # each inclusion's image; the pin is the bytes every route gave when it
     # still kept the echelon rows it built as its chain, so a route that
-    # reads a level in another basis, or another level, changes them
+    # reads a level in another basis, or another level, changes them.  The
+    # row and common-kernel bounds decided one more route at cap 500 (the
+    # enumeration of stream seed 3); every route decided before them gives
+    # the bytes it gave then
     assert _route_chains_digest() == (
-        "a572151391f099fcc5d88f1f5e06b8c06679b30a4cbd78cf4e4e24f83283ef47")
+        "e3d8745ee288497ea97666e6c89dc80f19f89b043601e8882d322a6a6811c48d")
 
 
 def test_loaded_chain_in_another_basis_is_reduced(n3):
