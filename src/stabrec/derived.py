@@ -37,7 +37,7 @@ from .modules import (Module, ModuleMap, zero_module, direct_sum, sum_module, ke
                       match_summands, module_isomorphic, lift_through_surjection,
                       factor_through_surjection, factor_through_injection,
                       combine, _sum2, _generator_inverses, _path_images,
-                      _top_generators)
+                      _projective_cover, _top_generators)
 from .stable import _gate, stable_core, stably_isomorphic, syzygy, \
     nakayama_module
 
@@ -311,9 +311,9 @@ def projective_resolution(x: Complex, depth: int) -> Resolution:
 
     The truncation degree is cut = min_degree(X) - depth + 1.  The top term
     is the projective cover of the highest term of X; each next term P^n
-    covers V = {(x, p) in X^n + P^{n+1} : d_X x = eps p, d_P p = 0}, built
-    in generator coordinates (see `_build_degree`), so no module is built
-    for V.
+    is the projective cover of the submodule
+    V = {(x, p) in X^n + P^{n+1} : d_X x = eps p, d_P p = 0} (see
+    `_build_degree`).
 
     Each degree is built once per complex: the deepest resolution built so
     far is kept in the algebra memo under ("resolution", content key of X)
@@ -372,57 +372,29 @@ def _extend(kept: Resolution, cut: int):
 
 def _build_degree(res: Resolution, n: int):
     """(P^n, eps^n, d_P^n) for the degree n just below the lowest one res
-    holds: at the top of X the projective cover of X^n, else the
-    generator-list step (Green-Solberg-Zacharia, "Minimal projective
-    resolutions", Trans. AMS 353, 2001).  Per vertex v, V_v is the kernel
-    of [d_X^n | -eps^{n+1}; 0 | d_P^{n+1}] on X^n_v + P^{n+1}_v, an
-    echelon basis; rad V is the span of the arrow images of V, read in
-    those echelon coordinates at the basis's pivot columns.  The top
-    generators are the echelon complement of rad V (as `_top_generators`
-    takes them), P^n is the sum of the P(v_g), and eps^n and d_P^n are
-    the path images of the generator vectors, ordered as in
-    `_generator_images`, split at the X^n / P^{n+1} row boundary."""
+    holds: at the top of X the projective cover of X^n, else the cover of
+    V = ker [d_X^n | -eps^{n+1}; 0 | d_P^{n+1}], the submodule of
+    X^n + P^{n+1} (Green-Solberg-Zacharia, "Minimal projective
+    resolutions", Trans. AMS 353, 2001).  eps^n and d_P^n are the
+    inclusion of V after its cover, split at the X^n / P^{n+1} row
+    boundary.  Each degree is built once, so the cover is not memoised; a
+    nonzero P^n is named P^n."""
     x, p = res.of, res.complex
     if n == x.max_degree():
         pn, eps = projective_cover(x.term(n))
         return pn, eps, ModuleMap.zero(pn, p.term(n + 1))
-    algebra = x.algebra
-    fld = algebra.field
+    fld = x.algebra.field
     xt, pt = x.term(n), p.term(n + 1)
     dx, up, dp = x.diff(n), res.maps[n + 1], p.diff(n + 1)
-    spaces = [fld.kernel(np.block([
-        [dx.blocks[v], fld.neg(up.blocks[v])],
-        [np.zeros((dp.tgt.dims[v], xt.dims[v]), dtype=np.int16), dp.blocks[v]]]))
-        for v in range(algebra.nvertices)]
-    rad = [[np.zeros((0, len(s)), dtype=np.int16)] for s in spaces]
-    for a, (_, u, v) in enumerate(algebra.arrows):
-        ku, kv = spaces[u], spaces[v]
-        if len(ku) and len(kv):
-            img = np.concatenate([fld.matmul(ku[:, : xt.dims[u]], xt.mats[a].T),
-                                  fld.matmul(ku[:, xt.dims[u]:], pt.mats[a].T)], axis=1)
-            rad[v].append(img[:, np.argmax(kv != 0, axis=1)])
-    gens = []
-    eps = [[np.zeros((d, 0), dtype=np.int16)] for d in xt.dims]
-    dps = [[np.zeros((d, 0), dtype=np.int16)] for d in pt.dims]
-    for v, (s, r) in enumerate(zip(spaces, rad)):
-        rows = np.concatenate(r)
-        piv = fld.pivots(rows)
-        g = s[[c for c in range(len(s)) if c not in piv]]
-        if not len(g):
-            continue
-        gens.extend([v] * len(g))
-        # b g = sum_c g_c (b e_c) in X^n and in P^{n+1}: the path images of
-        # the unit vectors times the generators' coordinates
-        for m, cols, out in ((xt, g[:, : xt.dims[v]], eps), (pt, g[:, xt.dims[v]:], dps)):
-            for w, y in enumerate(_path_images(m, v, slice(None))):
-                (mw, mv, paths) = y.shape
-                prod = fld.matmul(y.transpose(0, 2, 1).reshape(mw * paths, mv), cols.T)
-                out[w].append(prod.reshape(mw, paths, len(g)).transpose(0, 2, 1)
-                              .reshape(mw, len(g) * paths))
-    pn = (sum_module([algebra.projective(v) for v in gens], name=f"P^{n}") if gens
-          else zero_module(algebra))
-    return (pn, ModuleMap(pn, xt, [np.concatenate(b, axis=1) for b in eps]),
-            ModuleMap(pn, pt, [np.concatenate(b, axis=1) for b in dps]))
+    _, incl = kernel(ModuleMap(sum_module([xt, pt]), sum_module([dx.tgt, dp.tgt]), [
+        np.block([[a, fld.neg(e)], [np.zeros((len(c), xt.dims[v]), dtype=np.int16), c]])
+        for v, (a, e, c) in enumerate(zip(dx.blocks, up.blocks, dp.blocks))]))
+    pn, cover = _projective_cover(incl.src)
+    if pn.dim:
+        pn.name = f"P^{n}"
+    blocks = incl.compose(cover).blocks
+    return (pn, ModuleMap(pn, xt, [b[:d] for b, d in zip(blocks, xt.dims)]),
+            ModuleMap(pn, pt, [b[d:] for b, d in zip(blocks, xt.dims)]))
 
 
 def _check_resolution(res: Resolution, degrees=None):

@@ -447,6 +447,8 @@ def _mult_candidates(m: Module, sset):
 
 def _gaussian_binomial(h: int, r: int, q: int) -> int:
     """[h, r]_q, the number of r-dimensional subspaces of GF(q)^h."""
+    if r > h:
+        return 0
     num = den = 1
     for j in range(r):
         num *= q ** (h - j) - 1

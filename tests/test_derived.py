@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 
 import numpy as np
 import pytest
-from test_modules import pullback
+from test_modules import pullback, scrambled, stream_module
 
 from stabrec import derived, fixtures, io
 from stabrec.errors import PresentationError, Undecided
@@ -358,6 +359,50 @@ def test_resolutions_match_the_pullback_reference(name, monkeypatch):
             w = (-top - 1, -res.cut + 1)
             for y in targets:
                 assert total_hom_dims(res.complex, y, w) == total_hom_dims(ref.complex, y, w)
+
+
+def _pinned_resolutions(name):
+    """Depth-4 resolutions over a fresh copy of the fixture of: the simples,
+    the injectives, Omega^{+-1} of the simples and two random tower tops
+    where the algebra is self-injective, three scrambled stream modules,
+    and on lambda4 the two-term complex P(u) -> P(v)."""
+    alg = _fresh(name)
+    sset = fixtures.simples(alg)
+    mods = sset + [alg.injective(v) for v in range(alg.nvertices)]
+    if alg.self_injectivity().ok:
+        mods += [syzygy(s, d) for d in (1, -1) for s in sset]
+        mods += [random_tower(alg, sset, 3, seed=seed).top for seed in (1, 2)]
+    mods += [scrambled(stream_module(alg, seed), seed) for seed in (1, 2, 3)]
+    cxs = [as_complex(m) for m in mods] + ([two_term(alg)] if name == "lambda4" else [])
+    return [projective_resolution(x, 4) for x in cxs]
+
+
+def _resolution_digest(resolutions) -> str:
+    """sha256 over each degree n of each resolution: the name, dims and key
+    of P^n (the source of eps^n, a zero term included), then the shape and
+    bytes of every block of eps^n and of d_P^n."""
+    h = hashlib.sha256()
+    for res in resolutions:
+        for n in sorted(res.maps):
+            pn = res.maps[n].src
+            h.update(f"{n}|{pn.name}|{pn.dims}|".encode() + pn.key)
+            for b in res.maps[n].blocks + res.complex.diff(n).blocks:
+                h.update(f"{b.shape}".encode() + b.tobytes())
+    return h.hexdigest()[:16]
+
+
+RESOLUTION_DIGESTS = {
+    "lambda4": "1b405ca8c3157930", "n3": "0f5f4ad8025e2cda", "kx2": "dfbf592b76061186",
+    "nak3": "b6751528a3ac6c33", "ka4": "9e2519fe4dabcd68", "a2": "a3ed6f74f1b8cc7c",
+    "staircase": "b7e7dd31a460846d",
+}
+
+
+@pytest.mark.parametrize("name", fixtures.CORPUS + fixtures.EXTRAS)
+def test_resolutions_keep_their_bytes(name):
+    # every term name (P^n, the top's P(X^n), a zero term's "0"), term key
+    # and comparison and differential block, as first pinned
+    assert _resolution_digest(_pinned_resolutions(name)) == RESOLUTION_DIGESTS[name]
 
 
 def test_kind_i_pattern_builds_each_member_once(monkeypatch):

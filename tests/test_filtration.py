@@ -454,7 +454,7 @@ def test_surjections_onto_visit_every_kernel_once_per_orbit():
 
 
 def test_echelon_rows_against_brute_force():
-    for r, h, q in ((0, 3, 2), (1, 3, 5), (2, 4, 3), (2, 3, 4), (3, 3, 2)):
+    for r, h, q in ((0, 3, 2), (1, 3, 5), (2, 4, 3), (2, 3, 4), (3, 3, 2), (3, 1, 2), (2, 0, 4)):
         fld = Field(*{2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}[q])
         brute = set()
         for flat in itertools.product(range(q), repeat=r * h):
@@ -465,6 +465,9 @@ def test_echelon_rows_against_brute_force():
         got = list(_echelon_rows(r, h, q))
         assert len(got) == len(set(got)) == _gaussian_binomial(h, r, q)
         assert set(got) == brute
+        if r > h:  # the int 0, not the float -0.0 a negative power of q gives
+            count = _gaussian_binomial(h, r, q)
+            assert type(count) is int and count == 0
 
 
 def test_of_total_against_a_sorted_product():

@@ -8,6 +8,7 @@ beta alpha; all were worked out on paper first.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from stabrec.modules import (
     ModuleMap,
     cokernel,
     combinations,
+    combine,
     cover_kernel,
     decompose,
     direct_sum,
@@ -337,7 +339,7 @@ def test_ext_realize_round_trip(lam):
 def pullback(f: ModuleMap, g: ModuleMap):
     """Pullback of f: Y -> X and g: Z -> X, the kernel of (f, -g) on Y + Z:
     (W, py, pz) with py: W -> Y, pz: W -> Z and f py = g pz.  The reference
-    the generator-coordinate resolution step is checked against."""
+    each resolution step is checked against."""
     if f.tgt.key != g.tgt.key:
         raise PresentationError("pullback legs must share their target")
     _, _, (py, pz) = direct_sum([f.src, g.src])
@@ -417,6 +419,24 @@ def scrambled(m: Module, seed: int) -> Module:
     mats = [fld.matmul(fld.matmul(cs[t], m.mats[a]), fld.matinv(cs[s]))
             for a, (_, s, t) in enumerate(m.algebra.arrows)]
     return Module(m.algebra, m.dims, mats, name=f"{m.name}~")
+
+
+def stream_module(alg, seed: int) -> Module:
+    """Random nonsplit extensions of simples by the module built so far,
+    split sums where Ext^1 vanishes."""
+    rng = random.Random(seed)
+    sset = fixtures.simples(alg)
+    m = sset[rng.randrange(len(sset))]
+    for _ in range(rng.randint(1, 3)):
+        s = sset[rng.randrange(len(sset))]
+        ex = ext1(s, m)
+        if ex.dim:
+            coeffs = [rng.randrange(alg.field.q) for _ in range(ex.dim)]
+            coeffs[0] = coeffs[0] or 1
+            m = ex.realize(combine(ex.reps, coeffs))[0]
+        else:
+            m = direct_sum([m, s], name="m")[0]
+    return m
 
 
 def nilpotent_or_invertible(fld, g: np.ndarray) -> bool:

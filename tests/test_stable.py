@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_modules import known_indecomposables, scrambled
+from test_modules import known_indecomposables, scrambled, stream_module
 
 from stabrec import fixtures, io, modules
 from stabrec.derived import as_complex, projective_resolution
@@ -325,6 +325,25 @@ def test_nakayama_nak3():
         assert module_isomorphic(nu_p, a.injective(v)) is not None
         src = perm.index(v)
         assert module_isomorphic(a.injective(v), a.projective(src)) is not None
+
+
+@pytest.mark.parametrize("name", fixtures.CORPUS)
+def test_serre_duality(name):
+    # Omega nu is the Serre functor of stmod A (the Auslander-Reiten
+    # formula; Happel, Triangulated categories in the representation
+    # theory of finite dimensional algebras, 1988), so
+    # dim stHom(X, Y) = dim stHom(Y, Omega nu X): stable_hom, syzygy and
+    # nakayama_module against one another, over the simples, Omega^{+-1}
+    # of the simples, scrambled stream modules and on ka4 its family
+    alg = fixtures.load(name)
+    sset = fixtures.simples(alg)
+    mods = sset + [syzygy(s, d) for d in (1, -1) for s in sset]
+    mods += [scrambled(stream_module(alg, seed), seed) for seed in (1, 2, 3)]
+    mods += fixtures.ka4_family() if name == "ka4" else []
+    for x in mods:
+        serre_x = syzygy(nakayama_module(x), 1)
+        for y in mods:
+            assert stable_hom(x, y).dim == stable_hom(y, serre_x).dim, (x.name, y.name)
 
 
 def test_check_simple_set(lam, n3):
