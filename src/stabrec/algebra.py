@@ -563,12 +563,7 @@ class Algebra:
         return True
 
     def _layer_complement(self, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-        f = self.field
-        reps = []
-        cur = lower.copy()
-        for row in upper:
-            test = np.concatenate([cur, row[None, :]], axis=0)
-            if f.rank(test) > cur.shape[0]:
-                reps.append(row)
-                cur = test
-        return np.stack(reps) if reps else np.zeros((0, self.dim), dtype=np.int16)
+        """The rows of upper outside the span of lower (a basis) and of the
+        earlier rows: the pivot columns past lower of [lower; upper]^T."""
+        piv = self.field.pivots(np.concatenate([lower, upper]).T)
+        return upper[[j - len(lower) for j in piv if j >= len(lower)]]

@@ -24,10 +24,11 @@ That product is taken in float64, so that BLAS runs it; its entries are
 integers of at most n k (p-1)^2 <= 62,500 n for an inner dimension n,
 below 2^53 for any n up to 10^11, so it is exact in any summation order;
 it is reduced mod p in int64.  The small path saves the blow-up's fixed
-cost, most of a few-entry product over GF(p) or GF(2^k) (over odd-p
-extension fields the two paths cost about the same); past the threshold
-the blow-up wins, by 2-2.5 times at 30 x 30 x 30 over GF(4) on a 2-vCPU
-Xeon.
+cost, most of a few-entry product over GF(p) or GF(2^k), and over odd-p
+extension fields it is 1.2-1.9 times faster on products from 2 x 3 x 4 to
+8 x 8 x 8 (GF(9), GF(25), GF(27), GF(49)); past the threshold the
+blow-up wins, by 2-2.5 times at 30 x 30 x 30 over GF(4), both on a
+2-vCPU Xeon.
 
 Row reduction has three paths with the same result: the RREF and its
 pivot columns are unique, whatever order the rows are reduced in.
@@ -38,13 +39,14 @@ most SPARSE_RREF_NONZEROS_PER_LINE * (rows + cols) nonzeros, as the total
 Hom complexes of the derived checks are, is reduced on its nonzeros: each
 row a {column: value} dict, eliminated by the pivot rows found so far
 (`_rref_sparse`).  Any other matrix is reduced with one vectorised row
-operation per pivot, on the columns from the pivot's onward.  Each
-reduction is only as full as its caller reads:
-- `rref` and `row_space` run Gauss-Jordan, clearing above and below each
-  pivot;
-- `pivots` and `rank` run forward elimination alone, clearing only below
-  each pivot (the sparse path: reducing each row to a new leading column),
-  which finds the same pivot columns;
+operation per pivot, on the columns from the pivot's onward.  The path is
+chosen in one place (`_eliminate`), and each path takes a `reduce` flag,
+so that each reduction is only as full as its caller reads:
+- `rref` and `row_space` run Gauss-Jordan (reduce True), clearing above
+  and below each pivot;
+- `pivots` and `rank` run forward elimination alone (reduce False),
+  clearing only below each pivot (the sparse path: reducing each row to a
+  new leading column), which finds the same pivot columns;
 - `kernel` reduces the matrix with its columns reversed, once, and reads
   the kernel's reduced echelon basis straight off that (`rref_kernel`).
 
@@ -115,11 +117,6 @@ def _matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise FieldError("rref expects a matrix")
     return m
-
-
-def _sparse(m: np.ndarray) -> bool:
-    """Whether a matrix past SMALL_RREF_ENTRIES is reduced on its nonzeros."""
-    return np.count_nonzero(m) <= SPARSE_RREF_NONZEROS_PER_LINE * sum(m.shape)
 
 
 class Field:
@@ -341,35 +338,40 @@ class Field:
 
     def rref(self, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         """Reduced row echelon form.  Returns (rref matrix, pivot column
-        tuple).  The dense paths (`_rref_small`, `_rref_vectorised`) choose
-        each pivot as the leftmost column, then the smallest row index; the
-        sparse path (`_rref_sparse`) inserts the rows in turn instead.  All
-        reach the same matrix, since the RREF of a matrix is unique."""
-        m = _matrix(a)
-        if m.size <= SMALL_RREF_ENTRIES:
-            return self._rref_small(m)
-        if _sparse(m):
-            return self._rref_sparse(m)
-        return self._rref_vectorised(m)
+        tuple), by Gauss-Jordan on the path `_eliminate` chooses.  The dense
+        paths (`_rref_small`, `_rref_vectorised`) choose each pivot as the
+        leftmost column, then the smallest row index; the sparse path
+        (`_rref_sparse`) inserts the rows in turn instead.  All reach the
+        same matrix, since the RREF of a matrix is unique."""
+        return self._eliminate(_matrix(a), True)
 
     def pivots(self, a: np.ndarray) -> tuple[int, ...]:
-        """The pivot columns of `rref`, by forward elimination alone, on the
-        same path `rref` takes: on the dense paths each pivot clears only
-        the rows below it, and on the sparse path each row is reduced only
-        until it leads at a new column.  Either leaves the pivot columns of
-        the (unique) rref without its back-substitution."""
-        m = _matrix(a)
-        if not m.size:
-            return ()
-        if m.size <= SMALL_RREF_ENTRIES:
-            return self._pivots_small(m)
-        if _sparse(m):
-            return self._rref_sparse(m, reduce=False)[1]
-        return self._rref_vectorised(m, reduce=False)[1]
+        """The pivot columns of `rref`, by forward elimination alone on the
+        same path: on the dense paths each pivot clears only the rows below
+        it, and on the sparse path each row is reduced only until it leads
+        at a new column.  Either leaves the pivot columns of the (unique)
+        rref without its back-substitution."""
+        return self._eliminate(_matrix(a), False)[1]
 
-    def _rref_small(self, m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Gauss-Jordan on Python lists with the list copies of the tables;
-        same pivot rule as the vectorised path, so the same (unique) RREF."""
+    def _eliminate(self, m: np.ndarray, reduce: bool
+                   ) -> tuple[np.ndarray | None, tuple[int, ...]]:
+        """(rref of m, or None when reduce is False; pivot columns), on
+        Python lists up to SMALL_RREF_ENTRIES entries, past that on the
+        nonzeros when there are at most SPARSE_RREF_NONZEROS_PER_LINE
+        (rows + cols) of them, and vectorised otherwise."""
+        if m.size <= SMALL_RREF_ENTRIES:
+            return self._rref_small(m, reduce)
+        if np.count_nonzero(m) <= SPARSE_RREF_NONZEROS_PER_LINE * sum(m.shape):
+            return self._rref_sparse(m, reduce)
+        return self._rref_vectorised(m, reduce)
+
+    def _rref_small(self, m: np.ndarray, reduce: bool
+                    ) -> tuple[np.ndarray | None, tuple[int, ...]]:
+        """Elimination on Python lists with the list copies of the tables;
+        same pivot rule as the vectorised path, so the same (unique) RREF.
+        Each pivot clears the rows below it by -(f / pivot); with reduce
+        True the pivot row is first scaled to a leading 1 and the rows
+        above it are cleared too, and the rref is returned."""
         nrows, ncols = m.shape
         rows = m.tolist()
         mul, add, neg, inv = self._mul_l, self._add_l, self._neg_l, self._inv_l
@@ -385,50 +387,24 @@ class Field:
                 continue
             row = rows[i]
             rows[i] = rows[r]
-            if row[c] != 1:
+            if reduce and row[c] != 1:
                 scale = mul[inv[row[c]]]
                 row = [scale[x] for x in row]
             rows[r] = row
-            for j in range(nrows):
-                f = rows[j][c]
-                if f and j != r:
-                    minus = mul[neg[f]]
-                    rows[j] = [add[y][minus[x]] for x, y in zip(row, rows[j])]
-            pivots.append(c)
-            r += 1
-        return np.array(rows, dtype=np.int16).reshape(nrows, ncols), tuple(pivots)
-
-    def _pivots_small(self, m: np.ndarray) -> tuple[int, ...]:
-        """`pivots` on Python lists: `_rref_small` with each pivot row left
-        unscaled and only the rows below it cleared, by -(f / pivot)."""
-        nrows, ncols = m.shape
-        rows = m.tolist()
-        mul, add, neg, inv = self._mul_l, self._add_l, self._neg_l, self._inv_l
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            i = r
-            while i < nrows and not rows[i][c]:
-                i += 1
-            if i == nrows:
-                continue
-            row = rows[i]
-            rows[i] = rows[r]
-            rows[r] = row
             scale = mul[neg[inv[row[c]]]]
             # rows r+1..i are zero at c: row i now holds the old row r
-            for j in range(i + 1, nrows):
+            for j in range(0 if reduce else i + 1, nrows):
                 f = rows[j][c]
-                if f:
+                if f and j != r:
                     minus = mul[scale[f]]
                     rows[j] = [add[y][minus[x]] for x, y in zip(row, rows[j])]
             pivots.append(c)
             r += 1
-        return tuple(pivots)
+        if not reduce:
+            return None, tuple(pivots)
+        return np.array(rows, dtype=np.int16).reshape(nrows, ncols), tuple(pivots)
 
-    def _rref_sparse(self, m: np.ndarray, reduce: bool = True
+    def _rref_sparse(self, m: np.ndarray, reduce: bool
                      ) -> tuple[np.ndarray | None, tuple[int, ...]]:
         """Gaussian elimination on the nonzeros, with the list copies of the
         tables.  Each row is a {column: value} dict.  The rows are inserted
@@ -484,14 +460,13 @@ class Field:
                 x for row in reduced for x in row.values()]
         return out, tuple(cols)
 
-    def _rref_vectorised(self, m: np.ndarray, reduce: bool = True
-                         ) -> tuple[np.ndarray, tuple[int, ...]]:
+    def _rref_vectorised(self, m: np.ndarray, reduce: bool
+                         ) -> tuple[np.ndarray | None, tuple[int, ...]]:
         """Gauss-Jordan with one numpy row operation per pivot; m is
         overwritten.  Left of its pivot column c the pivot row is zero, so
         the operation adds -(f x) (one `_negmul` lookup) to columns c onward
-        only.  With reduce False only the rows below each pivot are cleared:
-        the pivots are those of the rref, the matrix is only in echelon
-        form."""
+        only.  With reduce False only the rows below each pivot are cleared,
+        which finds the rref's pivots, and None is returned for the matrix."""
         nrows, ncols = m.shape
         mul, negmul, add, inv = self._mul_t, self._negmul, self._add_t, self._inv_t
         pivots = []
@@ -515,7 +490,7 @@ class Field:
                 m[rows_to_fix, c:] = add[m[rows_to_fix, c:], update]
             pivots.append(c)
             r += 1
-        return m, tuple(pivots)
+        return (m if reduce else None), tuple(pivots)
 
     def rank(self, a: np.ndarray) -> int:
         return len(self.pivots(a))

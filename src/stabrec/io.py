@@ -78,6 +78,18 @@ def _dim(value, vertex: str) -> int:
     return value
 
 
+def _term(term) -> tuple[int, list[str]]:
+    """A relation term [coefficient, path]: a JSON integer (no float, bool
+    or string, which int() would truncate or parse) and a list of arrow
+    names (list() would split a string into its letters)."""
+    c, path = term
+    if isinstance(c, bool) or not isinstance(c, int):
+        raise PresentationError(f"relation coefficient must be an integer, got {c!r}")
+    if not isinstance(path, list) or not all(isinstance(x, str) for x in path):
+        raise PresentationError(f"relation path must be a list of arrow names, got {path!r}")
+    return c, list(path)
+
+
 def _name(data: dict, default: str) -> str:
     """The object's "name": a JSON string, as it reaches labels and memo keys."""
     name = data.get("name", default)
@@ -94,7 +106,7 @@ def load_algebra(src) -> Algebra:
     _expect_schema(data, "algebra.v1")
     fld = data["field"]
     field = Field(*_field_pk(fld), modulus=tuple(fld["modulus"]) if "modulus" in fld else None)
-    relations = [[(int(c), list(path)) for c, path in rel] for rel in data.get("relations", [])]
+    relations = [[_term(t) for t in rel] for rel in data.get("relations", [])]
     return Algebra(field, list(data["vertices"]),
                    [tuple(a) for a in data["arrows"]],
                    relations, name=_name(data, "A"))

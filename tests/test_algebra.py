@@ -285,6 +285,9 @@ def test_gr_oracle_staircase_not_adapted():
     g = a.gr_oracle()
     g.verify()
     assert g.dims_by_degree() == {0: 4, 1: 4, 2: 2, 3: 1}
+    # its layers are complements picked by _layer_complement: pinned bytes
+    assert io.sha256_text(io.canon_dumps(io.dump_graded(g))) == \
+        "3e498c6b01f91ac1454191976d4cfa4a7adfa2a2d2ec86eec92979e2ca11ac70"
     # d*c dies in gr degree 2 because dc lies in rad^3
     f = a.field
     i_d = a.word_index[(3,)]

@@ -366,6 +366,36 @@ def test_malformed_input_exits_3(capsys, tmp_path, case):
     assert capsys.readouterr().out == ""
 
 
+def _relation_term(name, term, part, value):
+    """Fixture name's algebra.v1 document with the coefficient (part 0) or
+    path (part 1) of a term of its first relation replaced by value."""
+    alg = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
+    alg["relations"][0][term][part] = value
+    return alg
+
+
+# each case edits one relation term of a corpus algebra for validate: a
+# coefficient that is no JSON integer (int() would truncate or parse it)
+# or a path that is no list of arrow names (list() would split "xx" into
+# kx2's path x x).  Unedited, staircase exits 1 and ka4 and kx2 exit 0.
+RELATION_MALFORMED = {
+    "coefficient_float": ("staircase", 1, 0, 6.5),
+    "coefficient_string": ("staircase", 1, 0, "6"),
+    "coefficient_bool": ("staircase", 1, 0, True),
+    "coefficient_integral_float": ("ka4", 0, 0, 1.0),
+    "path_string": ("kx2", 0, 1, "xx"),
+    "path_of_ints": ("kx2", 0, 1, [0, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELATION_MALFORMED))
+def test_malformed_relation_exits_3(capsys, tmp_path, case):
+    alg = _relation_term(*RELATION_MALFORMED[case])
+    assert main(["validate", write(tmp_path / "alg.json", alg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "relation" in err
+
+
 # a "name" that is no string, one per subcommand: (input edited, where in
 # it, the value); every loader refuses it, so none reaches a memo key or a
 # " + ".join of names

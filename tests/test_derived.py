@@ -751,6 +751,32 @@ def test_reorder_random_classes_when_admissible(lam, n3):
         assert done >= 4
 
 
+def test_reorder_relinks_a_seam_a_cancellation_left_stable(lam, monkeypatch):
+    # towers drawn with connecting classes whose first move cancels a pair:
+    # the steps it brings together meet at a seam that is stable, not
+    # literal, so the next move first relinks it (_relink_pair, through
+    # _stable_transfer), and the result still certifies and truncates
+    members = fixtures.simples(lam)
+    calls = []
+    for name in ("_relink_pair", "_stable_transfer"):
+        def counted(*args, _run=getattr(derived, name), _name=name):
+            calls.append(_name)
+            return _run(*args)
+        monkeypatch.setattr(derived, name, counted)
+    for seed in (20, 31, 63):
+        tw = random_tower(lam, members, 4, seed=seed, d_range=(0, 1))
+        calls.clear()
+        res = tower_reorder(tw)
+        assert calls == ["_relink_pair", "_stable_transfer"], seed
+        assert res.cancelled
+        ds = res.tower.d_list()
+        assert all(a >= b for a, b in zip(ds, ds[1:]))
+        assert _multiset_restored(res, tw)
+        tr = tower_truncate(res.tower)
+        assert tower_side_check(tr.sub_tower, "le").ok
+        assert tower_side_check(tr.quot_tower, "gt").ok
+
+
 def test_truncate_one_sided_towers(lam):
     members = fixtures.simples(lam)
     low = random_tower(lam, members, 4, seed=3, d_range=(-3, 0), split_only=True)

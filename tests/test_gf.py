@@ -456,15 +456,21 @@ def pinned_nonzeros(f, shape, nnz, seed):
 def test_rref_paths_on_either_side_of_their_thresholds(monkeypatch):
     # at most SMALL_RREF_ENTRIES entries: the list path; past it, at most
     # SPARSE_RREF_NONZEROS_PER_LINE (rows + cols) nonzeros: the sparse path;
-    # one more, or dense: the vectorised path.  rref, pivots, rank and
-    # kernel all take the matrix's path and give the references' answers.
+    # one more, or dense: the vectorised path.  rref, row_space, pivots,
+    # rank and kernel all take the matrix's path, once, and give the
+    # references' answers.  Each path is told whether to reduce: rref,
+    # row_space and kernel read the rref, pivots and rank only its pivots
+    # (forward elimination), and a path not asked to reduce returns None
+    # for the matrix.
     assert (SMALL_RREF_ENTRIES, SPARSE_RREF_NONZEROS_PER_LINE) == (256, 4)
     taken = []
-    for name, path in [("_rref_small", "list"), ("_pivots_small", "list"),
-                       ("_rref_sparse", "sparse"), ("_rref_vectorised", "vectorised")]:
-        def counted(self, m, *args, _run=getattr(Field, name), _path=path, **kwargs):
-            taken.append(_path)
-            return _run(self, m, *args, **kwargs)
+    for name, path in [("_rref_small", "list"), ("_rref_sparse", "sparse"),
+                       ("_rref_vectorised", "vectorised")]:
+        def counted(self, m, reduce, _run=getattr(Field, name), _path=path):
+            taken.append((_path, reduce))
+            out = _run(self, m, reduce)
+            assert (out[0] is None) == (not reduce)
+            return out
         monkeypatch.setattr(Field, name, counted)
     cases = []
     for f in (F5, F4, F251):
@@ -477,22 +483,28 @@ def test_rref_paths_on_either_side_of_their_thresholds(monkeypatch):
             (f, pinned_nonzeros(f, (40, 60), 4 * 100 + 1, f.q), "vectorised"),
             (f, pinned_nonzeros(f, (30, 20), 600, f.q), "vectorised"),
         ]
+    reduces = {"rref": True, "row_space": True, "kernel": True,
+               "pivots": False, "rank": False}
     for f, a, path in cases:
         want, want_piv = reference_rref(f, a)
         want_ker = reference_kernel(f, a)
-        taken.clear()
-        got, piv = f.rref(a)
-        assert f.pivots(a) == piv == want_piv and f.rank(a) == len(want_piv)
-        ker = f.kernel(a)
-        assert taken == [path] * 4, (a.shape, np.count_nonzero(a))
-        assert got.dtype == np.int16 and got.tobytes() == want.tobytes()
+        got = {}
+        for name, reduce in reduces.items():
+            taken.clear()
+            got[name] = getattr(f, name)(a)
+            assert taken == [(path, reduce)], (name, a.shape, np.count_nonzero(a))
+        rref, piv = got["rref"]
+        assert got["pivots"] == piv == want_piv and got["rank"] == len(want_piv)
+        assert rref.dtype == np.int16 and rref.tobytes() == want.tobytes()
+        assert got["row_space"].tobytes() == want[: len(want_piv)].tobytes()
+        ker = got["kernel"]
         assert ker.shape == want_ker.shape and ker.tobytes() == want_ker.tobytes()
     assert {path for _, _, path in cases} == {"list", "sparse", "vectorised"}
     # dense matrices keep the vectorised path, where the dict path is slower
     for f in (F251, F4):
         taken.clear()
         f.rank(np.random.default_rng(f.q).integers(1, f.q, size=(200, 200)).astype(np.int16))
-        assert taken == ["vectorised"]
+        assert taken == [("vectorised", False)]
 
 
 def test_pivots_and_rank_refuse_a_non_matrix():
