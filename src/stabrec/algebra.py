@@ -113,7 +113,7 @@ class Algebra:
     def __init__(self, field: Field, vertices: list[str],
                  arrows: list[tuple[str, str, str]],
                  relations: list[list[tuple[int, list[str]]]],
-                 name: str = "A", max_path_len: int = MAX_PATH_LEN):
+                 name: str = "A"):
         self.field = field
         self.name = name
         self.vertices = list(vertices)
@@ -129,7 +129,6 @@ class Algebra:
                 raise PresentationError(f"arrow {aname!r} references unknown vertex")
             self.aindex[aname] = len(self.arrows)
             self.arrows.append((aname, self.vindex[src], self.vindex[tgt]))
-        self.max_path_len = max_path_len
         self.relations = [self._parse_relation(r) for r in relations]
         self._rules: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         self._complete()
@@ -239,10 +238,10 @@ class Algebra:
         if not poly:
             return
         lead = max(poly, key=_degkey)
-        if len(lead) > self.max_path_len:
+        if len(lead) > MAX_PATH_LEN:
             raise PresentationError(
                 f"Groebner completion produced a rule of length {len(lead)} "
-                f"beyond the path cap {self.max_path_len}")
+                f"beyond the path cap {MAX_PATH_LEN}")
         f = self.field
         cinv = f.inv(poly[lead])
         tail = {w: int(f.neg(f.mul(cinv, c))) for w, c in poly.items() if w != lead}
@@ -297,9 +296,9 @@ class Algebra:
         length = 0
         while frontier:
             length += 1
-            if length > self.max_path_len:
+            if length > MAX_PATH_LEN:
                 raise PresentationError(
-                    f"normal paths exceed the cap {self.max_path_len}; "
+                    f"normal paths exceed the cap {MAX_PATH_LEN}; "
                     "the presentation is not admissible")
             nxt = []
             for w in frontier:

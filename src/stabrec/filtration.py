@@ -1,14 +1,15 @@
 """Filtrations with layers in add(S) and the S-radical filtration calculus.
 
-A filtration is stored as a chain of global row spaces of the ambient module,
-each arrow-stable, strictly decreasing, ending at zero.  A filtration built
-by a search is its levels: per level the submodule M_i, its inclusion, the
-sum X of S-copies and the surjection f: M_i ->> X with kernel M_{i+1} that
-the search found; its chain is read off them and is not checked again.  Any
-other chain is checked by building its levels when it is made, and has each
-layer decomposed and matched against S.  Elements of a Hom space cross
-function boundaries as flat rows (the `ModuleMap.flat` layout); a map is
-built only where blocks are composed, factored or inverted.
+A filtration is its levels: per level the submodule M_i, its inclusion, a
+layer and a surjection from M_i onto it with kernel M_{i+1}.  A search
+builds the levels from the sums X of S-copies and the surjections f: M_i ->>
+X that it found.  Any other chain (a loaded file, reconstruct's generator)
+gives its terms M_i with their inclusions, and `_nested_levels` builds each
+layer as the quotient M_i / M_{i+1}, refusing terms that are not nested;
+such layers are decomposed and matched against S when they are counted.
+The chain of echelon row bases is read off the levels.  Elements of a Hom
+space cross function boundaries as flat rows (the `ModuleMap.flat` layout);
+a map is built only where blocks are composed, factored or inverted.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .modules import (
     is_projective,
     kernel,
     module_isomorphic,
-    quotient,
     radical_submodule,
     read_only,
     submodule,
@@ -58,14 +58,6 @@ from .stable import stable_hom, stably_isomorphic
 
 # -- row-space plumbing --------------------------------------------------------
 
-def _full_rows(m: Module) -> np.ndarray:
-    return np.eye(m.dim, dtype=np.int16)
-
-
-def _empty_rows(m: Module) -> np.ndarray:
-    return np.zeros((0, m.dim), dtype=np.int16)
-
-
 def _transport_rows(fmap: ModuleMap, rows: np.ndarray) -> np.ndarray:
     """Row space of the image of a subspace under a map, in target coords."""
     fld = fmap.src.algebra.field
@@ -73,17 +65,6 @@ def _transport_rows(fmap: ModuleMap, rows: np.ndarray) -> np.ndarray:
         return np.zeros((0, fmap.tgt.dim), dtype=np.int16)
     g = fmap.global_matrix()
     return fld.row_space(fld.matmul(rows, g.T))
-
-
-def _rows_in_sub(incl: ModuleMap, rows: np.ndarray) -> np.ndarray:
-    """Express rows (contained in the image of incl) in subobject coords."""
-    fld = incl.src.algebra.field
-    if rows.shape[0] == 0:
-        return np.zeros((0, incl.src.dim), dtype=np.int16)
-    sol = fld.solve_matrix(incl.global_matrix(), rows.T)
-    if sol is None:
-        raise PresentationError("rows do not lie in the submodule")
-    return fld.row_space(sol.T)
 
 
 def _sset_sig(sset) -> tuple:
@@ -97,7 +78,7 @@ class _Level:
     layer with a surjection qmap: M_i ->> layer with kernel M_{i+1}, and
     the layer's multiplicity vector over S (None until `levels` counts it).
     A search's layer is X = sum of S_j^{m_j} and qmap its surjection f; for
-    a chain given without levels they are the quotient M_i / M_{i+1}.
+    a chain given as its terms they are the quotient M_i / M_{i+1}.
     Level 0 is the module (or an equal-key copy) with an identity inclusion."""
 
     __slots__ = ("sub", "incl", "layer", "qmap", "mults")
@@ -108,6 +89,21 @@ class _Level:
         self.layer = layer
         self.qmap = qmap
         self.mults = mults
+
+
+def _nested_levels(terms) -> list[_Level]:
+    """The levels of a chain given as its terms (M_i, M_i -> M), from M_0 =
+    M down to 0: layer i is the cokernel of M_{i+1} -> M_i, its count left
+    to `levels`.  PresentationError where a term is not inside the one
+    above."""
+    levels = []
+    for i, ((sub, incl), (_, below)) in enumerate(zip(terms, terms[1:])):
+        try:
+            inner = factor_through_injection(incl, below)
+        except PresentationError:
+            raise PresentationError("rows do not lie in the submodule") from None
+        levels.append(_Level(sub, incl, *cokernel(inner, name=f"L_{i}"), None))
+    return levels
 
 
 def _search_level(sset, sub, incl, x, f, mv) -> _Level:
@@ -124,26 +120,27 @@ def _moved_levels(levels, incl: ModuleMap) -> list[_Level]:
 
 
 class Filtration:
-    """Chain of arrow-stable subspaces of module with add(S) layers.
+    """Chain of arrow-stable subspaces of module with add(S) layers, held as
+    its levels.
 
     A search builds a filtration from its levels (`levels=`): each step
     takes a surjection f: M_i ->> X = sum of S_j^{m_j} with kernel M_{i+1},
     so every level is a submodule by construction and its layer is X.  The
     chain is read off the levels, the echelon row basis of each inclusion's
-    image, then zero; the levels are not checked again.  A chain given
-    without levels (a loaded file, reconstruct) is checked once, where it
-    enters: it is reduced to echelon row bases and builds each level's
-    submodule M_i and M_{i+1} inside it at once, which refuses a level that
-    is not a submodule or not nested in the one above; `levels` then builds
-    each layer as the quotient.  Every chain must start at the module, end
-    at zero and strictly drop.
+    image, then zero; the levels are not checked again.  A chain given as
+    rows (a loaded file) is reduced to echelon row bases and checked once,
+    where it enters: each term M_i is built as the submodule its rows span,
+    which refuses rows that are not a submodule, and `_nested_levels` builds
+    the layers, which refuses a term not nested in the one above;
+    reconstruct hands its generator's levels from the same builder.  Every
+    chain must start at the module, end at zero and strictly drop.
 
     A filtration also keeps its S-radical certificate once
     `verify_s_radical` has computed it.  The greedy filtrations are
     memoised (`s_radical_filtration`): a filtration of an equal-key module
     shares the kept one's levels, read-only chain arrays and certificate."""
 
-    __slots__ = ("module", "sset", "chain", "_levels", "_subs", "_cert")
+    __slots__ = ("module", "sset", "chain", "_levels", "_cert")
 
     def __init__(self, module: Module, sset, chain=None, levels=None):
         self.module = module
@@ -153,37 +150,24 @@ class Filtration:
             self.chain = [fld.row_space(np.asarray(r, dtype=np.int16)) for r in chain]
         else:
             self.chain = [*(fld.row_space(lv.incl.global_matrix().T) for lv in levels),
-                          _empty_rows(module)]
+                          np.zeros((0, module.dim), dtype=np.int16)]
         if not self.chain or self.chain[0].shape[0] != module.dim:
             raise PresentationError("filtration must start at the full module")
         if self.chain[-1].shape[0] != 0:
             raise PresentationError("filtration must end at zero")
         if any(lo.shape[0] >= hi.shape[0] for hi, lo in zip(self.chain, self.chain[1:])):
             raise PresentationError("filtration steps must strictly drop")
-        self._levels = levels
-        self._subs = self._build_subs() if levels is None else None
+        self._levels = levels if levels is not None else _nested_levels(
+            [submodule(module, rows, name=f"M_{i}") for i, rows in enumerate(self.chain)])
         self._cert = []
 
     def __len__(self) -> int:
         return len(self.chain) - 1
 
-    def _build_subs(self):
-        """Per level, (M_i, its inclusion, M_{i+1} in M_i's coordinates);
-        PresentationError where a level is not a submodule or not nested."""
-        out = []
-        for i in range(len(self)):
-            sub, incl = submodule(self.module, self.chain[i], name=f"M_{i}")
-            out.append((sub, incl, _rows_in_sub(incl, self.chain[i + 1])))
-        return out
-
     def levels(self) -> list[_Level]:
         """The levels, each multiplicity vector not known from a search
         counted by decomposing its layer (NotFiltrable if a summand is in
         no add(S))."""
-        if self._levels is None:
-            self._levels = [_Level(sub, incl, *quotient(sub, inner, name=f"L_{i}"), None)
-                            for i, (sub, incl, inner) in enumerate(self._subs)]
-            self._subs = None
         for lv in self._levels:
             if lv.mults is None:
                 lv.mults = _layer_mults(lv.layer, self.sset)
@@ -1127,19 +1111,18 @@ class HypReport:
         return self.ok
 
 
-def hyp_check(algebra, sset, extra=(), cap: int | None = None) -> HypReport:
+def hyp_check(algebra, sset, cap: int | None = None) -> HypReport:
     """Check the standing hypotheses on (A, S).
 
     Runs the stable-Hom pattern test on S, then a padding search for every
-    simple module, every first syzygy of a member, and any extra modules:
-    each must become filtrable after adding some projective.
+    simple module and every first syzygy of a member: each must become
+    filtrable after adding some projective.
     """
     from .stable import check_simple_set, syzygy
 
     srep = check_simple_set(algebra, sset)
     mods = [algebra.simple(v) for v in range(algebra.nvertices)]
     mods += [syzygy(s, 1) for s in sset]
-    mods += list(extra)
     entries = []
     ok = srep.ok
     for mod in mods:

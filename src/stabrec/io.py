@@ -78,13 +78,19 @@ def _dim(value, vertex: str) -> int:
     return value
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer: no float, bool or string, which int() would truncate
+    or parse."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PresentationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _term(term) -> tuple[int, list[str]]:
-    """A relation term [coefficient, path]: a JSON integer (no float, bool
-    or string, which int() would truncate or parse) and a list of arrow
-    names (list() would split a string into its letters)."""
+    """A relation term [coefficient, path]: a JSON integer (`_integer`) and
+    a list of arrow names (list() would split a string into its letters)."""
     c, path = term
-    if isinstance(c, bool) or not isinstance(c, int):
-        raise PresentationError(f"relation coefficient must be an integer, got {c!r}")
+    _integer(c, "relation coefficient")
     if not isinstance(path, list) or not all(isinstance(x, str) for x in path):
         raise PresentationError(f"relation path must be a list of arrow names, got {path!r}")
     return c, list(path)
@@ -241,11 +247,11 @@ def dump_complex(c: Complex) -> dict:
 def load_complex(src, algebra: Algebra) -> Complex:
     data = _as_dict(src)
     _expect_schema(data, "complex.v1")
-    terms = {int(t["degree"]): load_module(t["module"], algebra)
+    terms = {_integer(t["degree"], "complex term degree"): load_module(t["module"], algebra)
              for t in data["terms"]}
     diffs = {}
     for entry in data["diffs"]:
-        n = int(entry["degree"])
+        n = _integer(entry["degree"], "complex differential degree")
         diffs[n] = _load_map(terms[n], terms[n + 1], entry["blocks"])
     return Complex(algebra, terms, diffs, name=_name(data, "C"))
 
@@ -312,10 +318,14 @@ def load_tower(src, algebra: Algebra) -> Tower:
         amb = load_module(entry["ambient"], algebra)
         src_mod = load_module(entry["sub_src"], algebra)
         layer = load_module(entry["layer"], algebra)
+        member = _integer(entry["member"], "tower step member")
+        if not 0 <= member < len(members):
+            raise PresentationError(
+                f"tower step member {member} out of range for {len(members)} members")
         steps.append(TowerStep(
             _load_map(src_mod, amb, entry["sub_blocks"]),
             _load_map(amb, layer, entry["quot_blocks"]),
-            int(entry["member"]), int(entry["d"])))
+            member, _integer(entry["d"], "tower step d")))
     return Tower(algebra, members, steps, top)
 
 

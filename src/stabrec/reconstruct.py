@@ -17,15 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from stabrec.errors import PresentationError, Undecided
-from stabrec.filtration import (Filtration, _empty_rows, _full_rows, _of_total,
-                                _padded_parts, _sset_sig, _transport_rows,
-                                is_filtrable, padding_search,
+from stabrec.filtration import (Filtration, _nested_levels, _of_total, _padded_parts,
+                                _sset_sig, is_filtrable, padding_search,
                                 s_radical_filtration, verify_s_radical)
 from stabrec.graded import GradedAlgebra, graded_iso_check  # noqa: F401
 from stabrec.modules import (Module, ModuleMap, combine, combinations, cover_kernel,
                              direct_sum, factor_through_injection,
-                             factor_through_surjection, flat_to_map, hom_flats,
-                             module_isomorphic, submodule, sum_module)
+                             factor_through_surjection, flat_to_map, hom_flats, image,
+                             module_isomorphic, sum_module)
 from stabrec.stable import check_simple_set, stable_hom
 
 
@@ -291,15 +290,15 @@ def generator_build(algebra, sset, *, padding_cap: int | None = None) -> Filtere
         inc = combine([einjs[0].compose(incl).compose(dprojs[0])]
                       + [einjs[t].compose(dprojs[t]) for t in range(1, len(parts))],
                       [1] * len(parts))
-        chain = [_full_rows(total)]
-        chain += [_transport_rows(inc, c) for c in inner.chain]
-        block = FilteredModule(Filtration(total, sset, chain))
-        if symmetric:
-            bottom, _ = submodule(total, block.filt.chain[-2], name="bottom")
-            if module_isomorphic(bottom, s) is None:
-                raise PresentationError(
-                    "bottom term of a block is not the member itself "
-                    "on a symmetric algebra")
+        # the terms: P(S) + Q, then the greedy levels of om(S) + Q inside it, then 0
+        maps = [ModuleMap.identity(total), *(inc.compose(lv.incl) for lv in inner._levels),
+                ModuleMap.zero(total, total)]
+        terms = [image(h, name=f"M_{i}") for i, h in enumerate(maps)]
+        block = FilteredModule(Filtration(total, sset, levels=_nested_levels(terms)))
+        if symmetric and module_isomorphic(block.level(-1).sub, s) is None:
+            raise PresentationError(
+                "bottom term of a block is not the member itself "
+                "on a symmetric algebra")
         blocks.append(block)
         infos.append({
             "member": s.name,
@@ -320,20 +319,19 @@ def filtered_direct_sum(fms: list[FilteredModule]) -> FilteredModule:
     keys = _sset_sig(fms[0].sset)
     if any(_sset_sig(f.sset) != keys for f in fms):
         raise PresentationError("filtered modules over different member sets")
-    fld = fms[0].module.algebra.field
     total, injs, _ = direct_sum([f.module for f in fms])
-    rmax = max(len(f) for f in fms)
-    chain = []
-    for t in range(rmax + 1):
-        parts = []
-        for f, inj in zip(fms, injs):
-            c = f.filt.chain
-            rows = c[min(t, len(c) - 1)]
-            if rows.shape[0]:
-                parts.append(_transport_rows(inj, rows))
-        chain.append(fld.row_space(np.concatenate(parts)) if parts
-                     else _empty_rows(total))
-    return FilteredModule(Filtration(total, fms[0].sset, chain))
+    terms = []
+    for t in range(max(len(f) for f in fms) + 1):
+        # term t: the image of the blocks' level-t submodules, block-diagonally
+        lvs = [(f.level(t), inj) for f, inj in zip(fms, injs) if t < len(f)]
+        if lvs:
+            projs = direct_sum([lv.sub for lv, _ in lvs])[2]
+            h = combine([inj.compose(lv.incl).compose(pr) for (lv, inj), pr in zip(lvs, projs)],
+                        [1] * len(lvs))
+        else:
+            h = ModuleMap.zero(total, total)
+        terms.append(image(h, name=f"M_{t}"))
+    return FilteredModule(Filtration(total, fms[0].sset, levels=_nested_levels(terms)))
 
 
 def end_g(mf: FilteredModule, *, name: str | None = None) -> GradedAlgebra:

@@ -96,6 +96,16 @@ def test_hypcheck_pass_and_fail(capsys, lam_files, tmp_path):
     assert any(e["status"] == "fail" for e in rep["result"]["entries"])
 
 
+def test_hypcheck_padding_cap_0_is_undecided(capsys, tmp_path):
+    # over k[x]/(x^3) (one vertex) J1 and Omega J2 = J1 need padding by J3
+    p = fixtures.load("n3").projective(0)
+    j2 = quotient(p, radical_series(p)[2][0], name="J2")[0]
+    sset = write(tmp_path / "j2.json", [io.dump_module(j2)])
+    code, rep = run(capsys, "hypcheck", str(DATA / "n3.json"), sset, "--padding-cap", "0")
+    assert code == 2 and rep["outcome"] == "undecided"
+    assert [e["status"] for e in rep["result"]["entries"]] == ["undecided"] * 2
+
+
 def test_filtrate_emits_deterministic_certificate(capsys, lam_files):
     tmp = lam_files["tmp"]
     args = ("filtrate", lam_files["algebra"], lam_files["set"], lam_files["ss"])
@@ -286,6 +296,30 @@ def test_non_self_injective_algebra_reports_its_witness(capsys, tmp_path):
         assert rep["result"] == {"self_injective": False,
                                  "witness": want["result"]["witness"]}
         assert "not a permutation" in rep["result"]["witness"]
+
+
+# each case edits the degree of a term or differential of the first
+# candidate, I(U) in degrees -1 and 0, to a value that is no JSON integer;
+# int() would have read each as the intended degree and passed
+DEGREE_MALFORMED = {
+    "term_string": ("terms", 1, "0"),
+    "term_integral_float": ("terms", 1, 0.0),
+    "term_bool": ("terms", 1, False),
+    "diff_string": ("diffs", 0, "-1"),
+    "diff_float": ("diffs", 0, -1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGREE_MALFORMED))
+def test_malformed_complex_degree_exits_3(capsys, lam_files, tmp_path, case):
+    members, cands = _derived_inputs(tmp_path)
+    docs = json.loads(Path(cands).read_text(encoding="utf-8"))
+    part, at, value = DEGREE_MALFORMED[case]
+    docs[0][part][at]["degree"] = value
+    bad = write(tmp_path / "bad.json", docs)
+    assert main(["derived", lam_files["algebra"], members, bad]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "degree must be an integer" in err
 
 
 def test_bad_window_is_input_error(capsys, lam_files, tmp_path):

@@ -41,14 +41,12 @@ from stabrec.filtration import (
     _Budget,
     _block_rows,
     _echelon_rows,
-    _full_rows,
     _gaussian_binomial,
     _copies,
     _layer_mults,
     _mult_candidates,
     _of_total,
     _projective_splits,
-    _rows_in_sub,
     _search_filtration,
     _split_and_filter,
     _surjections_onto,
@@ -87,6 +85,18 @@ from stabrec.modules import (
     zero_module,
 )
 from stabrec.stable import projective_maps, stable_hom, syzygy
+
+
+def _full_rows(m):
+    return np.eye(m.dim, dtype=np.int16)
+
+
+def _rows_in_sub(incl, rows):
+    """rows, which lie in the image of incl, in the source's coordinates."""
+    fld = incl.src.algebra.field
+    if rows.shape[0] == 0:
+        return np.zeros((0, incl.src.dim), dtype=np.int16)
+    return fld.row_space(fld.solve_matrix(incl.global_matrix(), rows.T).T)
 
 
 @pytest.fixture(scope="module")
@@ -906,7 +916,6 @@ def test_search_multiplicities_equal_the_layer_witnesses():
     routes = collections.Counter()
     for m, sset, cap in cases:
         for route, f in search_filtrations(m, sset, cap):
-            assert f._subs is None, route
             assert f.mult_sequence() == layer_witness_mults(f), route
             # level 0 is the module itself (align_filtrations starts there)
             top = f.levels()[0]
@@ -1478,6 +1487,18 @@ def test_hyp_check_n3(n3):
     dims = {e["module"]: e["padding_dim"] for e in rep.entries}
     # the simple needs one copy of the projective, Omega J2 = J1 likewise
     assert set(dims.values()) == {3}
+
+
+def test_hyp_check_exhausted_cap_is_undecided(n3):
+    # at cap 0 only the unpadded modules are tried, and neither the simple
+    # J1 nor Omega J2 = J1 is filtrable by J2 alone
+    j2 = jordan(n3, 2)
+    with pytest.raises(Undecided, match="^padding search exhausted its cap$"):
+        padding_search(jordan(n3, 1), [j2], cap=0)
+    rep = hyp_check(n3, [j2], cap=0)
+    assert rep.simple_report.ok and not rep.ok
+    assert [(e["status"], e["reason"]) for e in rep.entries] == \
+        [("undecided", "padding search exhausted its cap")] * 2
 
 
 # -- the ka4 reference family -----------------------------------------------------

@@ -152,3 +152,17 @@ def test_idempotents_past_the_walk(p, k, m):
     for e in idems[1:]:
         total = f.add_mat(total, e)
     assert np.array_equal(total, g.unit())
+
+
+def test_iso_check_tries_every_degree_one_candidate():
+    # e x y z in degrees 0 1 1 2 over GF(2), e the unit and one product z:
+    # x x = z has a symmetric product form, x y = z does not, so none of the
+    # 6 invertible maps on degree 1 extends; y y = z is x x = z renamed
+    unit = {**{(0, l): l for l in range(4)}, **{(l, 0): l for l in range(4)}}
+    xx, xy, yy = (algebra([0, 1, 1, 2], {**unit, pair: 3}, Field(2))
+                  for pair in ((1, 1), (1, 2), (2, 2)))
+    for g in (xx, xy, yy):
+        g.verify()
+    res = graded_iso_check(xx, xy)
+    assert (res.verdict, res.reason) == ("no", "all 6 degree-1 candidates failed")
+    assert graded_iso_check(xx, yy).verdict == "iso"

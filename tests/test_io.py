@@ -155,6 +155,21 @@ def test_tower_round_trip(lam):
     assert io.canon_dumps(io.dump_tower(back)) == io.canon_dumps(d)
 
 
+@pytest.mark.parametrize("key,value,match", [
+    ("member", 7, "out of range"), ("member", -1, "out of range"),
+    ("member", "0", "must be an integer"), ("member", True, "must be an integer"),
+    ("d", 1.9, "must be an integer"), ("d", "1", "must be an integer"),
+    ("d", True, "must be an integer"),
+])
+def test_tower_step_index_checked(lam, key, value, match):
+    # two members: member 7 would reach Tower.verify as an IndexError, and
+    # int() would truncate d = 1.9 or parse "1"
+    d = io.dump_tower(random_tower(lam, fixtures.simples(lam), 3, seed=5, split_only=True))
+    d["steps"][1][key] = value
+    with pytest.raises(PresentationError, match=match):
+        io.load_tower(d, lam)
+
+
 def test_report_hashes_inputs():
     r1 = io.dump_report("validate", {"algebra": "xyz"}, "pass", [], 1.23)
     r2 = io.dump_report("validate", {"algebra": "xyz"}, "pass", [], 9.99)

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from oracle_graded import graded_end_dims
-from stabrec import fixtures
+from stabrec import fixtures, io
 from stabrec.errors import PresentationError
-from stabrec.filtration import Filtration, _full_rows, _empty_rows
+from stabrec.filtration import Filtration
 from stabrec.graded import graded_iso_check
 from stabrec.modules import combine, direct_sum, hom_space, quotient, radical, radical_series
 from stabrec.reconstruct import (
@@ -31,6 +31,7 @@ from stabrec.reconstruct import (
     graded_compose,
     graded_hom,
 )
+from stabrec.stable import syzygy
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,14 @@ def jordan(n3, i: int):
     return q
 
 
+def full_rows(m):
+    return np.eye(m.dim, dtype=np.int16)
+
+
+def empty_rows(m):
+    return np.zeros((0, m.dim), dtype=np.int16)
+
+
 def lam_block(lam, v: int, sset):
     """P(v) with its radical chain, as a filtered module."""
     p = lam.projective(v)
@@ -63,7 +72,7 @@ def lam_block(lam, v: int, sset):
             parts.append(g)
     rad_global = (np.concatenate(parts) if parts
                   else np.zeros((0, p.dim), dtype=np.int16))
-    filt = Filtration(p, sset, [_full_rows(p), rad_global, _empty_rows(p)])
+    filt = Filtration(p, sset, [full_rows(p), rad_global, empty_rows(p)])
     return FilteredModule(filt)
 
 
@@ -114,9 +123,9 @@ def test_filtered_module_rejects_nonradical_chain(n3):
     j2 = jordan(n3, 2)
     m, injs, _ = direct_sum([j2, j2])
     half = injs[0].global_matrix().T
-    filt = Filtration(m, [j2], [_full_rows(m),
+    filt = Filtration(m, [j2], [full_rows(m),
                                m.algebra.field.row_space(half),
-                               _empty_rows(m)])
+                               empty_rows(m)])
     with pytest.raises(PresentationError):
         FilteredModule(filt)
 
@@ -281,3 +290,40 @@ def test_oracle_law_all_fixtures():
         eg = end_g(generator_build(alg, sset))
         res = graded_iso_check(eg, alg.gr_oracle())
         assert res.verdict == "iso", f"{name}: {res.reason}"
+
+
+# -- byte pin -------------------------------------------------------------------
+
+# Per (algebra, d): sha256 prefixes of the canonical dump_graded of end_g of
+# the generator for the members Omega^d of the simples (d = 0: the simples),
+# and of the generator's chain rows, then its layer multiplicity sequence.
+RECONSTRUCT_PIN = {
+    ("lambda4", 0): ("fc503357ed4849f2", "bacc0a2e59c4ffb3", ((1, 1), (1, 1))),
+    ("n3", 0): ("6adf6a1a2447aae8", "829de3a03b4b32af", ((1,), (1,), (1,))),
+    ("kx2", 0): ("577d3aa18bdda9e0", "50756d9d5f9a41c1", ((1,), (1,))),
+    ("nak3", 0): ("bfff1667082c1257", "2652f91f98c84fc3", ((1, 1, 1),) * 3),
+    ("ka4", 0): ("d0e1d878daeaa5ee", "a19eaa2dcab5e8c8",
+                 ((1, 1, 1), (2, 2, 2), (1, 1, 1))),
+    ("lambda4", 1): ("1cfec3ade7fcea95", "3fe57d1e15d7d855", ((1, 1), (1, 1))),
+    ("lambda4", -1): ("cc6af74d9981c4a1", "3fe57d1e15d7d855", ((1, 1), (1, 1))),
+    ("lambda4", 2): ("f238cf00d7160b7c", "bacc0a2e59c4ffb3", ((1, 1), (1, 1))),
+    ("n3", 1): ("12ecf02c22c0cd75", "a2edccccc8a67609", ((1,), (1,), (1,))),
+    ("n3", -1): ("fb406cd6fd243128", "a2edccccc8a67609", ((1,), (1,), (1,))),
+    ("n3", 2): ("b02bda000a047109", "829de3a03b4b32af", ((1,), (1,), (1,))),
+    ("kx2", 1): ("340aa2e873468027", "50756d9d5f9a41c1", ((1,), (1,))),
+    ("kx2", -1): ("eaba44d8af509279", "50756d9d5f9a41c1", ((1,), (1,))),
+    ("kx2", 2): ("3acd18424a882662", "50756d9d5f9a41c1", ((1,), (1,))),
+    ("nak3", 1): ("e71738ca4a91914f", "a7a67f8f61542efd", ((1, 1, 1),) * 3),
+    ("nak3", -1): ("608a236bea88ad64", "a7a67f8f61542efd", ((1, 1, 1),) * 3),
+    ("nak3", 2): ("c0f070f2e80e23ee", "2652f91f98c84fc3", ((1, 1, 1),) * 3),
+}
+
+
+@pytest.mark.parametrize("name,d", sorted(RECONSTRUCT_PIN), ids=str)
+def test_reconstruct_bytes_are_pinned(name, d):
+    alg = fixtures.load(name)
+    sset = [syzygy(s, d) if d else s for s in fixtures.simples(alg)]
+    gen = generator_build(alg, sset)
+    graded = io.sha256_text(io.canon_dumps(io.dump_graded(end_g(gen))))
+    chain = io.sha256_text(io.canon_dumps([r.tolist() for r in gen.filt.chain]))
+    assert (graded[:16], chain[:16], gen.filt.mult_sequence()) == RECONSTRUCT_PIN[name, d]
