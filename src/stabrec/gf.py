@@ -358,7 +358,10 @@ class Field:
         """(rref of m, or None when reduce is False; pivot columns), on
         Python lists up to SMALL_RREF_ENTRIES entries, past that on the
         nonzeros when there are at most SPARSE_RREF_NONZEROS_PER_LINE
-        (rows + cols) of them, and vectorised otherwise."""
+        (rows + cols) of them, and vectorised otherwise.  An empty m is its
+        own rref, with no pivots."""
+        if not m.size:
+            return (m if reduce else None), ()
         if m.size <= SMALL_RREF_ENTRIES:
             return self._rref_small(m, reduce)
         if np.count_nonzero(m) <= SPARSE_RREF_NONZEROS_PER_LINE * sum(m.shape):

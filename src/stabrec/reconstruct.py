@@ -10,6 +10,11 @@ graded algebra.  With the simple modules as members this recovers the graded
 algebra of the radical filtration of the base algebra itself (gr_oracle), and
 for a general certified set it computes the same invariant for the unknown
 stably equivalent algebra presented by the set.
+
+graded_hom gives each degree's image as echelon rows, with one filtered lift
+per row; end_g reads every product in one pass over that basis, inducing
+each lift on a layer once and composing it with the class representative
+of every basis element of that layer's degree.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from stabrec.errors import PresentationError, Undecided
 from stabrec.filtration import (Filtration, _nested_levels, _of_total, _padded_parts,
                                 _sset_sig, is_filtrable, padding_search,
                                 s_radical_filtration, verify_s_radical)
-from stabrec.graded import GradedAlgebra, graded_iso_check  # noqa: F401
+from stabrec.graded import GradedAlgebra
 from stabrec.modules import (Module, ModuleMap, combine, combinations, cover_kernel,
                              direct_sum, factor_through_injection,
                              factor_through_surjection, flat_to_map, hom_flats, image,
@@ -113,12 +118,13 @@ def _induced_layer_map(f: ModuleMap, mf: FilteredModule, j: int,
 
 class GradedComponent:
     """One degree of a graded Hom space: the image of the filtered maps
-    inside the stable Hom of the layers, with lifts for each basis class."""
+    inside the stable Hom of the layers, as echelon rows, with a filtered
+    lift of each row and one filtered map of zero class (None if every
+    nonzero filtered map has a nonzero class)."""
 
-    __slots__ = ("degree", "sh", "rows", "lifts", "trivial")
+    __slots__ = ("sh", "rows", "lifts", "trivial")
 
-    def __init__(self, degree, sh, rows, lifts, trivial):
-        self.degree = degree
+    def __init__(self, sh, rows, lifts, trivial):
         self.sh = sh
         self.rows = rows
         self.lifts = lifts
@@ -129,53 +135,9 @@ class GradedComponent:
         return self.rows.shape[0]
 
 
-class GradedHom:
-    """Degree-indexed Hom of the graded category between two fixed chains."""
-
-    __slots__ = ("src", "tgt", "components")
-
-    def __init__(self, src: FilteredModule, tgt: FilteredModule, components):
-        self.src = src
-        self.tgt = tgt
-        self.components = components
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(c.dim for c in self.components)
-
-    def element(self, degree: int, coords) -> "GradedElement":
-        return GradedElement(self, degree, np.asarray(coords, dtype=np.int16))
-
-    def basis_element(self, degree: int, index: int) -> "GradedElement":
-        return GradedElement(self, degree,
-                             self.components[degree].rows[index].copy())
-
-
-class GradedElement:
-    """A homogeneous element: a stable class in the image at its degree."""
-
-    __slots__ = ("ghom", "degree", "coords")
-
-    def __init__(self, ghom: GradedHom, degree: int, coords: np.ndarray):
-        self.ghom = ghom
-        self.degree = degree
-        self.coords = coords
-
-    def is_zero(self) -> bool:
-        return not np.any(self.coords)
-
-    def lift(self) -> ModuleMap:
-        """A filtered map whose level-0 stable class is this element."""
-        comp = self.ghom.components[self.degree]
-        if not np.any(self.coords):
-            return ModuleMap.zero(self.ghom.src.module, self.ghom.tgt.module)
-        x = comp.sh.src.algebra.field.solve(comp.rows.T, self.coords)
-        if x is None:
-            raise PresentationError("element is outside the graded Hom image")
-        return combine(comp.lifts, x)
-
-
-def graded_hom(mf: FilteredModule, nf: FilteredModule) -> GradedHom:
-    """All degrees of Hom in the graded category, with lifts.
+def graded_hom(mf: FilteredModule, nf: FilteredModule) -> list[GradedComponent]:
+    """All degrees of Hom in the graded category, with lifts, degree i at
+    index i.
 
     Degree i is the image of the maps g: M -> N_i with g(M_j) in N_{i+j},
     taken inside the stable Hom from the top layer of M to layer i of N.
@@ -188,53 +150,16 @@ def graded_hom(mf: FilteredModule, nf: FilteredModule) -> GradedHom:
     for i in range(len(nf)):
         sh = stable_hom(top, nf.layer(i))
         fmaps = filtered_maps(mf, nf, shift=i)
-        rows_all = (np.stack([sh.coords(_induced_layer_map(g, mf, 0, nf, i))
-                              for g in fmaps])
-                    if fmaps else np.zeros((0, sh.dim), dtype=np.int16))
+        if not fmaps:
+            comps.append(GradedComponent(sh, np.zeros((0, sh.dim), dtype=np.int16), [], None))
+            continue
+        rows_all = np.stack([sh.coords(_induced_layer_map(g, mf, 0, nf, i)) for g in fmaps])
         image = fld.row_space(rows_all)
         xs = fld.solve_matrix(rows_all.T, image.T)
-        lifts = list(combinations(fmaps, xs.T)) if fmaps else []
-        trivial = [combine(fmaps, c) for c in fld.kernel(rows_all.T)
-                   if np.any(c)] if fmaps else []
-        comps.append(GradedComponent(i, sh, image, lifts, trivial))
-    return GradedHom(mf, nf, comps)
-
-
-def graded_compose(f: GradedElement, g: GradedElement,
-                   out: GradedHom | None = None) -> GradedElement:
-    """Product: induce f's lift on level deg(g) and compose with g's class.
-
-    The result is checked two ways: recomputing with a lift shifted by a
-    class-trivial filtered map (independence of the lift), and against the
-    level-0 class of the composite of actual lifts.
-    """
-    mf = g.ghom.tgt
-    if f.ghom.src is not mf and f.ghom.src.module.key != mf.module.key:
-        raise PresentationError("elements are not composable")
-    nf, lf = f.ghom.tgt, g.ghom.src
-    if out is None:
-        out = graded_hom(lf, nf)
-    d = f.degree + g.degree
-    if d >= len(nf):
-        # the target chain is exhausted; a filtered lift lands in zero
-        return GradedElement(out, d, np.zeros(0, dtype=np.int16))
-    ft = f.lift()
-    sh_out = out.components[d].sh
-    if f.is_zero() or g.is_zero():
-        return GradedElement(out, d, np.zeros(sh_out.dim, dtype=np.int16))
-    fbar = _induced_layer_map(ft, mf, g.degree, nf, d)
-    gbar = g.ghom.components[g.degree].sh.rep(g.coords)
-    coords = sh_out.coords(fbar.compose(gbar))
-    trivial = f.ghom.components[f.degree].trivial
-    if trivial:
-        fbar2 = _induced_layer_map(ft.add(trivial[0]), mf, g.degree, nf, d)
-        if not np.array_equal(coords, sh_out.coords(fbar2.compose(gbar))):
-            raise PresentationError("composition depends on the choice of lift")
-    gt = g.lift()
-    direct = sh_out.coords(_induced_layer_map(ft.compose(gt), lf, 0, nf, d))
-    if not np.array_equal(coords, direct):
-        raise PresentationError("composite lift disagrees with the product")
-    return GradedElement(out, d, coords)
+        zero = fld.kernel(rows_all.T)
+        comps.append(GradedComponent(sh, image, list(combinations(fmaps, xs.T)),
+                                     combine(fmaps, zero[0]) if zero.shape[0] else None))
+    return comps
 
 
 # -- generator ---------------------------------------------------------------------
@@ -337,37 +262,47 @@ def filtered_direct_sum(fms: list[FilteredModule]) -> FilteredModule:
 def end_g(mf: FilteredModule, *, name: str | None = None) -> GradedAlgebra:
     """The graded endomorphism algebra of a filtered module.
 
-    Basis: per degree, the canonical basis of the graded Hom image; the
-    resulting structure constants are verified (grading, associativity,
-    unit) before returning.
+    Basis: per degree, the canonical basis of the graded Hom image.  The
+    product of basis elements a (degree da) and b (degree db) is the class
+    of fbar g at degree da + db, where g represents b's class and fbar is
+    the map that a's lift f induces from layer db to layer da + db; fbar is
+    built once per a and db.  Each product is checked two ways: against
+    the same product with f shifted by a filtered map of zero class
+    (independence of the lift), and against the level-0 class of the
+    composite of the two lifts.  The structure constants are verified
+    (grading, associativity, unit) before returning.
     """
     fld = mf.module.algebra.field
-    gh = graded_hom(mf, mf)
-    index = [(d, b) for d, comp in enumerate(gh.components)
-             for b in range(comp.dim)]
-    degrees = [d for d, _ in index]
-    labels = [f"d{d}.{b}" for d, b in index]
-    offsets = {}
-    pos = 0
-    for d, comp in enumerate(gh.components):
-        offsets[d] = pos
-        pos += comp.dim
+    comps = graded_hom(mf, mf)
+    index = [(d, b) for d, comp in enumerate(comps) for b in range(comp.dim)]
+    offsets = np.cumsum([0] + [comp.dim for comp in comps]).tolist()
+    reps = [comps[d].sh.rep(comps[d].rows[b]) for d, b in index]
     n = len(index)
     table = np.zeros((n, n, n), dtype=np.int16)
     for a, (da, ba) in enumerate(index):
-        fa = gh.basis_element(da, ba)
-        for b, (db, bb) in enumerate(index):
-            gb = gh.basis_element(db, bb)
-            prod = graded_compose(fa, gb, out=gh)
-            if prod.degree >= len(gh.components) or prod.is_zero():
-                continue
-            comp = gh.components[prod.degree]
-            x = fld.solve(comp.rows.T, prod.coords)
-            if x is None:
-                raise PresentationError(
-                    "product left the graded Hom image")
-            table[a, b, offsets[prod.degree]: offsets[prod.degree] + comp.dim] = x
-    out = GradedAlgebra(fld, degrees, labels, table,
-                        name=name or f"EndG({mf.module.name})")
+        ft = comps[da].lifts[ba]
+        shifted = None if comps[da].trivial is None else ft.add(comps[da].trivial)
+        for db in range(len(comps) - da):
+            d = da + db
+            target = comps[d]
+            fbar = _induced_layer_map(ft, mf, db, mf, d)
+            fbar2 = None if shifted is None else _induced_layer_map(shifted, mf, db, mf, d)
+            for bb, gt in enumerate(comps[db].lifts):
+                b = offsets[db] + bb
+                coords = target.sh.coords(fbar.compose(reps[b]))
+                if fbar2 is not None and not np.array_equal(
+                        coords, target.sh.coords(fbar2.compose(reps[b]))):
+                    raise PresentationError("composition depends on the choice of lift")
+                direct = target.sh.coords(_induced_layer_map(ft.compose(gt), mf, 0, mf, d))
+                if not np.array_equal(coords, direct):
+                    raise PresentationError("composite lift disagrees with the product")
+                if not np.any(coords):
+                    continue
+                x = fld.solve(target.rows.T, coords)
+                if x is None:
+                    raise PresentationError("product left the graded Hom image")
+                table[a, b, offsets[d]: offsets[d + 1]] = x
+    out = GradedAlgebra(fld, [d for d, _ in index], [f"d{d}.{b}" for d, b in index],
+                        table, name=name or f"EndG({mf.module.name})")
     out.verify()
     return out

@@ -7,12 +7,14 @@ by hand from the presentations before running the code.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from stabrec import fixtures, io
 from stabrec.algebra import Algebra, _has_unit_point
+from stabrec.cli import main
 from stabrec.errors import Inconclusive, PresentationError
 from stabrec.gf import Field
 from stabrec.modules import Module, ModuleMap, socle
@@ -309,6 +311,31 @@ def test_infinite_dimensional_rejected():
     f = Field(5)
     with pytest.raises(PresentationError):
         Algebra(f, ["pt"], [("x", "pt", "pt")], [], name="kx_free")
+
+
+def test_later_shorter_relation_retires_the_longer_rule(capsys, tmp_path):
+    # x^3 completes to the rule xxx -> 0 (x^3 + x^2 to xxx -> xx); x^2 then
+    # leads at xx, which the lead xxx contains, so completion retires xxx
+    # and requeues its relation, which reduces to zero.  Either way the
+    # result is the algebra of x^2 alone.
+    def loop(*relations):
+        return Algebra(Field(2), ["pt"], [("x", "pt", "pt")],
+                       [[(1, ["x"] * n) for n in powers] for powers in relations],
+                       name="kx2")
+
+    def validate(a):
+        path = tmp_path / "kx2.json"
+        path.write_text(io.canon_dumps(io.dump_algebra(a)), encoding="utf-8")
+        code = main(["validate", str(path)])
+        rep = json.loads(capsys.readouterr().out)
+        return code, rep["outcome"], rep["result"]
+
+    alone = loop([2])
+    for both in (loop([3], [2]), loop([3, 2], [2])):
+        assert both.basis_words == alone.basis_words == [(), (0,)]
+        assert both._rules == alone._rules == {(0, 0): {}}
+        assert both.mult.tobytes() == alone.mult.tobytes()
+        assert validate(both) == validate(alone)
 
 
 def test_bad_relations_rejected():

@@ -179,6 +179,23 @@ def test_reconstruct_wrong_oracle(capsys, lam_files, tmp_path):
     assert rep["outcome"] == "not iso"
 
 
+def test_reconstruct_oracle_not_generated_in_degree_one(capsys, tmp_path):
+    # n3 from its simple gives dims (1, 1, 1), generated in degree 1; the
+    # oracle e, x, y of degrees 0, 1, 2 with x x = 0 has the same dims but
+    # is not, so the iso search is not exhaustive
+    n3 = fixtures.load("n3")
+    oracle = write(tmp_path / "oracle.json", {
+        "schema": "graded_algebra.v1", "name": "G", "field": {"p": 5, "k": 1},
+        "degrees": [0, 1, 2], "labels": ["e", "x", "y"],
+        "table": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [0, 2, 2, 1], [2, 0, 2, 1]],
+    })
+    sset = write(tmp_path / "set.json", [io.dump_module(s) for s in fixtures.simples(n3)])
+    code, rep = run(capsys, "reconstruct", str(DATA / "n3.json"), sset, "--oracle", oracle)
+    assert (code, rep["outcome"]) == (2, "inconclusive")
+    assert rep["result"]["oracle_verdict"] == "inconclusive"
+    assert rep["result"]["oracle_reason"] == "an input is not generated in degrees 0 and 1"
+
+
 @pytest.fixture()
 def nak3_files(tmp_path):
     simples = fixtures.simples(fixtures.load("nak3"))

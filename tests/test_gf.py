@@ -500,6 +500,17 @@ def test_rref_paths_on_either_side_of_their_thresholds(monkeypatch):
         ker = got["kernel"]
         assert ker.shape == want_ker.shape and ker.tobytes() == want_ker.tobytes()
     assert {path for _, _, path in cases} == {"list", "sparse", "vectorised"}
+    # an empty matrix is its own rref, with no pivots, and takes no path
+    for shape in ((0, 0), (0, 7), (7, 0)):
+        a = np.zeros(shape, dtype=np.int16)
+        want, want_ker = reference_rref(f, a)[0], reference_kernel(f, a)
+        taken.clear()
+        got = {name: getattr(f, name)(a) for name in reduces}
+        assert taken == []
+        assert got["rref"][1] == got["pivots"] == () and got["rank"] == 0
+        for m, w in ((got["rref"][0], want), (got["row_space"], want[:0]),
+                     (got["kernel"], want_ker)):
+            assert m.dtype == w.dtype and m.shape == w.shape and m.tobytes() == w.tobytes()
     # dense matrices keep the vectorised path, where the dict path is slower
     for f in (F251, F4):
         taken.clear()

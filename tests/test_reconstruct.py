@@ -17,18 +17,19 @@ import numpy as np
 import pytest
 
 from oracle_graded import graded_end_dims
-from stabrec import fixtures, io
+from stabrec import fixtures, io, reconstruct
 from stabrec.errors import PresentationError
 from stabrec.filtration import Filtration
 from stabrec.graded import graded_iso_check
-from stabrec.modules import combine, direct_sum, hom_space, quotient, radical, radical_series
+from stabrec.modules import (ModuleMap, combine, direct_sum, hom_space, quotient, radical,
+                             radical_series)
 from stabrec.reconstruct import (
     FilteredModule,
+    _induced_layer_map,
     end_g,
     filtered_direct_sum,
     filtered_maps,
     generator_build,
-    graded_compose,
     graded_hom,
 )
 from stabrec.stable import syzygy
@@ -137,26 +138,22 @@ def test_graded_hom_lambda4_blocks(lam):
     sset = fixtures.simples(lam)
     bu = lam_block(lam, 0, sset)
     bv = lam_block(lam, 1, sset)
-    assert graded_hom(bu, bu).dims() == (1, 0)
-    assert graded_hom(bu, bv).dims() == (0, 1)
-    assert graded_hom(bv, bu).dims() == (0, 1)
+    assert [c.dim for c in graded_hom(bu, bu)] == [1, 0]
+    assert [c.dim for c in graded_hom(bu, bv)] == [0, 1]
+    assert [c.dim for c in graded_hom(bv, bu)] == [0, 1]
 
 
 def test_graded_hom_identity_class(n3):
     j2 = jordan(n3, 2)
     gen = generator_build(n3, [j2])
-    gh = graded_hom(gen, gen)
-    assert gh.dims()[0] >= 1
+    deg0 = graded_hom(gen, gen)[0]
+    assert deg0.dim >= 1
     # the identity is a chain-respecting map and its top-layer class is
     # nonzero, hence lies in the degree-0 image
-    from stabrec.modules import ModuleMap
-    from stabrec.reconstruct import _induced_layer_map
     ident = ModuleMap.identity(gen.module)
-    cls = gh.components[0].sh.coords(
-        _induced_layer_map(ident, gen, 0, gen, 0))
+    cls = deg0.sh.coords(_induced_layer_map(ident, gen, 0, gen, 0))
     assert np.any(cls)
-    fld = n3.field
-    assert fld.solve(gh.components[0].rows.T, cls) is not None
+    assert n3.field.solve(deg0.rows.T, cls) is not None
 
 
 def test_filtered_maps_shift_reduces_space(n3):
@@ -255,22 +252,64 @@ def test_degree_zero_split_semisimple(lam, n3):
                     assert not np.any(prod)
 
 
-def test_graded_compose_random_elements(n3):
-    j2 = jordan(n3, 2)
-    gen = generator_build(n3, [j2])
-    gh = graded_hom(gen, gen)
+def test_end_g_products_match_composite_lifts(n3):
+    # for random x, y of each pair of degrees, the product read off end_g's
+    # table is the level-0 class of the composite of lifts of x and y, each
+    # lift a combination of graded_hom's lifts
+    nak3 = fixtures.load("nak3")
+    for alg, sset in ((n3, [jordan(n3, 2)]), (nak3, fixtures.simples(nak3))):
+        check_products_against_composite_lifts(generator_build(alg, sset))
+
+
+def check_products_against_composite_lifts(gen):
+    eg = end_g(gen)
+    comps = graded_hom(gen, gen)
+    fld = gen.module.algebra.field
     rng = np.random.default_rng(3)
-    q = n3.field.q
-    for _ in range(8):
-        di = int(rng.integers(0, len(gh.components)))
-        dj = int(rng.integers(0, len(gh.components)))
-        ci = rng.integers(0, q, gh.components[di].dim)
-        cj = rng.integers(0, q, gh.components[dj].dim)
-        f = gh.element(di, ci)
-        g = gh.element(dj, cj)
-        # internal lift-independence and composite-lift checks must pass
-        prod = graded_compose(f, g, out=gh)
-        assert prod.degree == di + dj
+    for di, ci in enumerate(comps):
+        for dj, cj in enumerate(comps):
+            if not (ci.dim and cj.dim):
+                continue
+            x = rng.integers(0, fld.q, ci.dim)
+            y = rng.integers(0, fld.q, cj.dim)
+            xv = np.zeros(eg.dim, dtype=np.int16)
+            yv = np.zeros(eg.dim, dtype=np.int16)
+            xv[eg.degree_indices(di)] = x
+            yv[eg.degree_indices(dj)] = y
+            prod = eg.mul_vec(xv, yv)
+            d = di + dj
+            if d >= len(comps):
+                assert not np.any(prod)
+                continue
+            assert not np.any(np.delete(prod, eg.degree_indices(d)))
+            read = fld.matmul(prod[None, eg.degree_indices(d)], comps[d].rows)[0]
+            composite = combine(ci.lifts, x).compose(combine(cj.lifts, y))
+            assert np.array_equal(
+                read, comps[d].sh.coords(_induced_layer_map(composite, gen, 0, gen, d)))
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    ("lifts", "composite lift disagrees with the product"),
+    ("trivial", "composition depends on the choice of lift"),
+], ids=["lifts", "trivial"])
+def test_end_g_checks_catch_lifts_of_the_wrong_class(n3, monkeypatch, corrupt, message):
+    real = reconstruct.graded_hom
+
+    def corrupted(mf, nf):
+        comps = real(mf, nf)
+        if corrupt == "lifts":
+            # degree-1 lifts of twice their rows: the product of the identity
+            # class and a row reads the row, the composite of lifts twice it
+            comps[1].lifts = [combine([g], [2]) for g in comps[1].lifts]
+        else:
+            # a "zero-class" map that is the identity's lift: the shifted
+            # lift induces twice the identity on the top layer
+            comps[0].trivial = comps[0].lifts[0]
+        return comps
+
+    monkeypatch.setattr(reconstruct, "graded_hom", corrupted)
+    with pytest.raises(PresentationError, match=message):
+        end_g(generator_build(n3, [jordan(n3, 2)]))
 
 
 def test_filtered_direct_sum_matches_generator(lam):
