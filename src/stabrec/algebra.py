@@ -54,12 +54,6 @@ class SelfInjectivity:
         self.witness = witness
         self.socle_dims = socle_dims
 
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return f"SelfInjectivity(ok={self.ok}, perm={self.perm}, witness={self.witness!r})"
-
 
 class SymmetryReport:
     """Result of the symmetric-algebra test.  socle_values: a basis (rows)
@@ -204,9 +198,7 @@ class Algebra:
         while changed:
             changed = False
             for word in sorted(poly, key=_degkey, reverse=True):
-                c = poly.get(word)
-                if not c:
-                    continue
+                c = poly[word]
                 hit = None
                 for l in range(len(word), 1, -1):
                     for start in range(0, len(word) - l + 1):
@@ -551,15 +543,12 @@ class Algebra:
         return "*".join(self.arrows[a][0] for a in w)
 
     def _radical_adapted(self) -> bool:
-        """Whether rad^j equals the span of basis words of length >= j."""
-        for j, rows in enumerate(self.radical_powers):
-            want = sum(1 for w in self.basis_words if len(w) >= j)
-            if rows.shape[0] != want:
-                return False
-            short = [i for i in range(self.dim) if len(self.basis_words[i]) < j]
-            if short and np.any(rows[:, short]):
-                return False
-        return True
+        """Whether rad^j equals the span of basis words of length >= j.
+
+        Those words are paths of length >= j, so they lie in rad^j, and they
+        are independent: equal counts make the spans equal."""
+        return all(rows.shape[0] == sum(1 for w in self.basis_words if len(w) >= j)
+                   for j, rows in enumerate(self.radical_powers))
 
     def _layer_complement(self, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
         """The rows of upper outside the span of lower (a basis) and of the

@@ -15,8 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from stabrec import io
 from stabrec.derived import (
     NuFamilyResult,
@@ -117,8 +115,6 @@ def _clean(obj):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
     return obj
 
 

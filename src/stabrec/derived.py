@@ -499,10 +499,6 @@ class Membership:
         self.witness = witness      # (member name, shift i, dim) or None
         self.checked = checked      # list of (member name, window)
 
-    def __repr__(self):
-        tag = "Pass" if self.ok else f"Fail{self.witness}"
-        return f"Membership({self.side}: {tag})"
-
 
 def t_membership(n_obj, members, side: str) -> Membership:
     """Membership of N in the aisle T^{<=0} or T^{>=0} defined by `members`.
@@ -572,10 +568,6 @@ class HomPatternReport:
         self.failures = failures    # (member idx, candidate idx, shift, got, want)
         self.member_names = member_names
         self.candidate_names = candidate_names
-
-    def __repr__(self):
-        tag = "Pass" if self.ok else f"Fail x{len(self.failures)}"
-        return f"HomPatternReport({self.kind}: {tag})"
 
 
 def verify_family_pattern(members, candidates, kind: str) -> HomPatternReport:
@@ -667,9 +659,6 @@ class NuFamilyResult:
         self.matches = matches      # candidate idx -> matching candidate idx
         self.witness = witness      # failing candidate idx or None
         self.detail = detail
-
-    def __repr__(self):
-        return f"NuFamilyResult({self.status})"
 
 
 def nu_family_check(candidates) -> NuFamilyResult:
@@ -1022,9 +1011,6 @@ class SideReport:
         self.side = side
         self.ok = ok
         self.problems = problems
-
-    def __repr__(self):
-        return f"SideReport({self.side}: {'Pass' if self.ok else self.problems})"
 
 
 def tower_side_check(tower: Tower, side: str) -> SideReport:

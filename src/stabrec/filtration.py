@@ -782,9 +782,6 @@ class RadicalCertificate:
         self.reasons = reasons
         self.level0_bijective = level0_bijective
 
-    def __bool__(self):
-        return self.ok
-
 
 def _canonical_stable_matrix(layer, qmap, sub, s):
     """Matrix of stable Hom(layer, s) -> stable Hom(sub, s) over the chosen
@@ -883,10 +880,8 @@ def exhaustive_radical_filtrations(m: Module, sset, seed: int = 0,
             sh_c = stable_hom(cur, s)
             if sh_c.dim == 0:
                 continue
-            sh_x = stable_hom(x, s)
-            if sh_x.dim == 0:
-                return False
-            if fld.rank(sh_c.coords_of(sh_x.precompose(f))) < sh_c.dim:
+            # enough_rows kept only X with dim stable Hom(X, s) >= sh_c.dim > 0
+            if fld.rank(sh_c.coords_of(stable_hom(x, s).precompose(f))) < sh_c.dim:
                 return False
         return True
 
@@ -1106,9 +1101,6 @@ class HypReport:
         self.simple_report = simple_report
         self.entries = entries
         self.ok = ok
-
-    def __bool__(self):
-        return self.ok
 
 
 def hyp_check(algebra, sset, cap: int | None = None) -> HypReport:

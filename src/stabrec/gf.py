@@ -232,10 +232,8 @@ class Field:
 
     # -- matrices -----------------------------------------------------------
 
-    def mat(self, rows, shape: tuple[int, int] | None = None) -> np.ndarray:
+    def mat(self, rows) -> np.ndarray:
         a = np.asarray(rows, dtype=np.int64)
-        if shape is not None:
-            a = a.reshape(shape)
         if a.ndim != 2:
             raise FieldError(f"expected a matrix, got ndim={a.ndim}")
         if self.k == 1:

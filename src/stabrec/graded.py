@@ -178,12 +178,6 @@ class GradedIsoResult:
         self.iso = iso
         self.reason = reason
 
-    def __bool__(self):
-        return self.verdict == "iso"
-
-    def __repr__(self):
-        return f"GradedIsoResult({self.verdict}{', ' + self.reason if self.reason else ''})"
-
 
 def _is_degree_one_generated(g: GradedAlgebra) -> bool:
     """Whether every degree d >= 2 component is spanned by products of
@@ -302,8 +296,6 @@ def _extend_and_verify(g1, g2, e1, e2, perm, slots, combo, blocks1, blocks2,
         if t1t is None:
             return None
         t1 = t1t.T
-        if not f.is_invertible(t1):
-            return None
         blocks = {0: t0, 1: t1}
     else:
         t1 = np.zeros((0, 0), dtype=np.int16)
@@ -312,8 +304,6 @@ def _extend_and_verify(g1, g2, e1, e2, perm, slots, combo, blocks1, blocks2,
     x[:, ones2] = t1.T
     for d in range(2, maxdeg + 1):
         idx_d1 = g1.degree_indices(d)
-        if not idx_d1:
-            continue
         lower1 = g1.degree_indices(d - 1)
         # and of the b_j of degree d - 1
         y = np.zeros((len(lower1), g2.dim), dtype=np.int16)
@@ -325,10 +315,8 @@ def _extend_and_verify(g1, g2, e1, e2, perm, slots, combo, blocks1, blocks2,
         tdt = f.solve_matrix(src_m, img_m)
         if tdt is None:
             return None
-        td = tdt.T
-        if not f.is_invertible(td):
-            return None
-        blocks[d] = td
+        blocks[d] = tdt.T
+    # verify certifies the whole map: multiplicative and invertible
     iso = GradedIso(g1, g2, blocks)
     if iso.verify():
         return iso

@@ -64,9 +64,6 @@ class Module:
         if check:
             algebra.check_relations(self)
 
-    def __repr__(self):
-        return f"Module({self.name}, dims={self.dims})"
-
     @property
     def key(self) -> bytes:
         """Content key: equal keys imply equal representations on the nose."""

@@ -90,10 +90,8 @@ def filtered_maps(mf: FilteredModule, nf: FilteredModule,
         pos += a * c
     anns = {}
     parts = [np.zeros((r, 0), dtype=np.int16)]
-    for j, rows in enumerate(chain_m[:-1]):
+    for j, rows in enumerate(chain_m[:-1]):  # nonzero: chains strictly drop
         s = rows.shape[0]
-        if not s:
-            continue
         t = min(j + shift, len(chain_n) - 1)
         if t not in anns:
             anns[t] = fld.kernel(chain_n[t]).T

@@ -232,13 +232,6 @@ class SimpleSetReport:
         self.pattern = pattern
         self.violations = violations
 
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        tag = "ok" if self.ok else "; ".join(self.violations)
-        return f"SimpleSetReport({tag})"
-
 
 def check_simple_set(algebra, mods: list[Module]) -> SimpleSetReport:
     """Certify that stable Hom between the candidates follows the identity

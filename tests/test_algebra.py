@@ -338,6 +338,23 @@ def test_later_shorter_relation_retires_the_longer_rule(capsys, tmp_path):
         assert validate(both) == validate(alone)
 
 
+def test_relations_whose_terms_cancel_change_nothing():
+    # over GF(2) the terms of xxx + xxx cancel as the relation is read, and
+    # a second xx + yy reduces to zero once yy is rewritten: the algebra is
+    # that of xy, yx and xx + yy alone
+    def loops(relations):
+        return Algebra(Field(2), ["pt"], [("x", "pt", "pt"), ("y", "pt", "pt")],
+                       [[(1, list(w)) for w in rel] for rel in relations])
+
+    base = [["xy"], ["yx"], ["xx", "yy"]]
+    alone = loops(base)
+    both = loops(base + [["xx", "yy"], ["xxx", "xxx"]])
+    assert both.relations[-1] == {}
+    assert both.basis_words == alone.basis_words == [(), (0,), (1,), (0, 0)]
+    assert both._rules == alone._rules
+    assert both.mult.tobytes() == alone.mult.tobytes()
+
+
 def test_bad_relations_rejected():
     f = Field(5)
     with pytest.raises(PresentationError):

@@ -15,7 +15,7 @@ import pytest
 import stabrec
 from stabrec import cli, fixtures, io
 from stabrec.cli import main
-from stabrec.derived import Complex
+from stabrec.derived import Complex, endo_dg_cohomology
 from stabrec.errors import PresentationError, Undecided
 from stabrec.modules import direct_sum, hom_space, quotient, radical_series
 
@@ -343,6 +343,18 @@ def test_bad_window_is_input_error(capsys, lam_files, tmp_path):
     members, cands = _derived_inputs(tmp_path)
     assert main(["derived", lam_files["algebra"], members, cands,
                  "--window", "3..1"]) == 3
+
+
+def test_valid_window_sets_the_cohomology_degrees(capsys, lam_files, tmp_path):
+    members, cands = _derived_inputs(tmp_path)
+    code, rep = run(capsys, "derived", lam_files["algebra"], members, cands,
+                    "--window=-2..1")
+    assert code == 0
+    lam = fixtures.load("lambda4")
+    loaded = cli._complexes(json.loads(Path(cands).read_text(encoding="utf-8")), lam)
+    want = endo_dg_cohomology(loaded, window=(-2, 1))
+    assert rep["result"]["endo_cohomology"] == {str(n): d for n, d in want.items()}
+    assert list(rep["result"]["endo_cohomology"]) == ["-2", "-1", "0", "1"]
 
 
 def test_set_must_be_array(capsys, lam_files, tmp_path):

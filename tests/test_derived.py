@@ -15,6 +15,7 @@ from stabrec.errors import PresentationError, Undecided
 from stabrec.modules import (
     ModuleMap,
     _projective_cover,
+    cokernel,
     direct_sum,
     ext1,
     hom_space,
@@ -103,6 +104,9 @@ def test_complex_shift_and_cohomology(lam):
     assert np.array_equal(got.flat(), want.flat())
     assert sh.shift(-1).cohomology_dims() == iu.cohomology_dims()
     assert iu.shift(2).cohomology_dims() == {-3: 1, -2: 1}
+    # a degree between the terms has no term and no cohomology
+    gap = Complex(lam, {-1: lam.projective(0), 1: lam.simple(0)}, {}, name="gap")
+    assert [gap.cohomology_vertex_dims(n) for n in (-1, 0, 1)] == [(1, 1), (0, 0), (1, 0)]
 
 
 def test_complex_sum_adds_cohomology(lam):
@@ -118,6 +122,11 @@ def test_zero_complex(lam):
     assert z.cohomology_dims() == {}
     assert derived_hom_dims(z, lam.simple(0), (-1, 1)) == (0, 0, 0)
     assert derived_hom_dims(lam.simple(0), z, (-1, 1)) == (0, 0, 0)
+    res = projective_resolution(z, 2)
+    assert res.complex.is_zero and res.maps == {} and res.cut == 0 and res.of is z
+    # the endomorphism cohomology of a zero family is zero on any window
+    assert endo_dg_cohomology([z, z]) == {0: 0}
+    assert endo_dg_cohomology([z], window=(-1, 2)) == {-1: 0, 0: 0, 1: 0, 2: 0}
 
 
 def test_total_hom_projective_pair(lam):
@@ -503,6 +512,15 @@ def test_membership_module_and_shifts(lam):
     assert not r.ok
     assert r.witness == ("S(u)", -1, 1)
     assert t_membership(dn, members, "ge").ok
+    # a member with no cohomology bounds nothing and is not checked
+    p = lam.projective(0)
+    cone = Complex(lam, {0: p, 1: p}, {0: ModuleMap.identity(p)}, name="cone")
+    assert cone.cohomology_support() == []
+    for side in ("le", "ge"):
+        with_cone = t_membership(dn, members + [cone], side)
+        alone = t_membership(dn, members, side)
+        assert (with_cone.ok, with_cone.witness, with_cone.checked) == \
+            (alone.ok, alone.witness, alone.checked)
 
 
 def test_membership_two_term_candidate(lam):
@@ -617,6 +635,13 @@ def test_nu_two_term_family_not_stable(lam):
 def test_nu_multi_term_undecided(lam):
     res = projective_resolution(as_complex(lam.simple(0)), 2)
     assert nu_family_check([res.complex]).status == "Undecided"
+    # nu S(u) = S(v) matches no one-term candidate, but S(v) -> I(S(v)) has
+    # its cohomology in degree 0 too: undecided, not a witness
+    hull, iota = injective_hull(lam.simple(1))
+    two = Complex(lam, {-1: lam.simple(1), 0: hull}, {-1: iota}, name="I")
+    assert two.cohomology_support() == [0]
+    res = nu_family_check([lam.simple(0), two])
+    assert (res.status, res.matches, res.witness) == ("Undecided", {}, None)
 
 
 def test_nu_matches_negative_cohomology(lam, n3):
@@ -641,6 +666,9 @@ def test_random_tower_verifies(lam, n3):
             tw = random_tower(alg, members, 1 + seed, seed=seed, split_only=True)
             assert tw.verify() == []
             assert len(tw.d_list()) == 1 + seed
+    # every syzygy of a projective is zero: no layer, so no step
+    tw = random_tower(lam, [lam.projective(0)], 3, seed=0)
+    assert tw.steps == [] and tw.top.dim == 0 and tw.verify() == []
 
 
 def test_random_tower_deterministic(lam):
@@ -809,6 +837,61 @@ def test_side_check_reports_wrong_sign(lam):
     rep = tower_side_check(tw, "le")
     assert not rep.ok
     assert any("d" in p for p in rep.problems)
+    tw = random_tower(lam, members, 2, seed=1, d_range=(-1, 0), split_only=True)
+    assert tw.d_list() == [-1, -1]
+    rep = tower_side_check(tw, "gt")
+    assert not rep.ok
+    assert rep.problems == ["layer 0 has d = -1 <= 0", "layer 1 has d = -1 <= 0"]
+
+
+def test_verify_names_each_problem_of_a_loaded_tower(lam):
+    # a tower read from a file is outside input: corrupt one thing at a time
+    members = fixtures.simples(lam)
+    tw = random_tower(lam, members, 2, seed=0, split_only=True)
+    assert tw.verify() == []
+    good = io.dump_tower(tw)
+
+    def problems(edit):
+        data = json.loads(json.dumps(good))
+        edit(data["steps"])
+        return io.load_tower(data, lam).verify()
+
+    def zero_quot(steps):
+        steps[0]["quot_blocks"] = [[[0] * len(r) for r in b] for b in steps[0]["quot_blocks"]]
+
+    def bump_d(steps):
+        steps[0]["d"] += 1
+
+    # a one-step tower on a simple that is not stably the upper submodule
+    other = next(i for i, s in enumerate(members)
+                 if stably_isomorphic(s, tw.steps[0].sub.src) is None)
+    s = members[other]
+    lone = Tower(lam, members, [TowerStep(ModuleMap.zero(zero_module(lam, "0"), s),
+                                          ModuleMap.identity(s), other, 0)], s)
+    assert lone.verify() == []
+
+    def swap_seam(steps):
+        steps[1] = io.dump_tower(lone)["steps"][0]
+
+    d = tw.steps[0].d
+    assert problems(zero_quot) == ["step 0 is not a short exact sequence"]
+    assert problems(bump_d) == [f"step 0 layer is not stably Omega^{d + 1} of member "
+                                f"{tw.steps[0].member}"]
+    assert problems(swap_seam) == ["seam 0 is broken"]
+    assert problems(list.pop) == ["bottom of the tower is not stably zero"]
+
+
+def test_exact_pair_refusals(lam):
+    s, (hull, iota) = lam.simple(1), injective_hull(lam.simple(1))
+    _, epi = cokernel(iota)
+    assert is_exact_pair(iota, epi)
+    # the middle terms differ
+    assert not is_exact_pair(iota, ModuleMap.identity(s))
+    # not injective, not surjective
+    assert not is_exact_pair(ModuleMap.zero(s, hull), epi)
+    assert not is_exact_pair(iota, ModuleMap.zero(hull, epi.tgt))
+    # both ends fine but the composite is not zero
+    assert not is_exact_pair(ModuleMap.identity(hull), ModuleMap.identity(hull))
 
 
 def test_ext_classes_with_zero_kernel_term(lam):

@@ -206,6 +206,24 @@ def test_top_layer_kernel(n3):
     assert f.compose(incl).is_zero()
     assert k.dim == 2
     assert module_isomorphic(k, j2) is not None
+    # the zero module is its own kernel, under a zero top
+    z = zero_module(n3)
+    x, f, k, incl, mults = top_layer(z, [j2])
+    assert (x.dim, k, mults) == (0, z, (0,))
+    assert incl.is_iso()
+    assert surjective_representative(f) is f
+
+
+def test_dims_feasible_against_every_combination(lam):
+    # (1, 0) and (2, 0) reach one remainder along two paths, the second
+    # read from the memo; (0, 2) leaves odd v-dimensions infeasible
+    su, sv = lam.simple(0), lam.simple(1)
+    sset = [su, direct_sum([su, su])[0], direct_sum([sv, sv])[0]]
+    vecs = [s.dims for s in sset]
+    for t in itertools.product(range(5), repeat=2):
+        want = any(tuple(sum(c * v[i] for c, v in zip(cs, vecs)) for i in range(2)) == t
+                   for cs in itertools.product(range(5), repeat=3))
+        assert filtration._dims_feasible(t, sset) == want, t
 
 
 def test_lambda4_projective_filtration(lam):

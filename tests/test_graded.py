@@ -14,6 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
+from stabrec.algebra import Algebra
 from stabrec.errors import PresentationError
 from stabrec.gf import Field
 from stabrec.graded import GradedAlgebra, graded_iso_check
@@ -166,3 +167,33 @@ def test_iso_check_tries_every_degree_one_candidate():
     res = graded_iso_check(xx, xy)
     assert (res.verdict, res.reason) == ("no", "all 6 degree-1 candidates failed")
     assert graded_iso_check(xx, yy).verdict == "iso"
+
+
+def test_iso_check_verdicts_before_and_without_a_search():
+    # equal graded dimensions over GF(5) and GF(3)
+    t3 = truncated(3)
+    res = graded_iso_check(t3, GradedAlgebra(Field(3), t3.degrees, t3.labels, t3.table))
+    assert (res.verdict, res.reason) == ("no", "different base fields")
+    # x in degree 1 and z in degree 3, nothing in degree 2: z is no product
+    # of degree-1 elements
+    gap = algebra([0, 1, 3], {**{(0, l): l for l in range(3)}, **{(l, 0): l for l in range(3)}})
+    res = graded_iso_check(gap, gap)
+    assert (res.verdict, res.reason) == ("inconclusive",
+                                         "an input is not generated in degrees 0 and 1")
+    # two vertices and no arrows: everything in degree 0, no degree-1 block
+    two = Algebra(Field(5), ["a", "b"], [], []).gr_oracle()
+    assert two.dims_by_degree() == {0: 2}
+    res = graded_iso_check(two, two)
+    assert res.verdict == "iso" and res.iso.verify()
+
+
+def test_iso_check_budget_is_inconclusive():
+    # gr of k<x,y,z>/(x,y,z)^2 over GF(4): one 3 x 3 degree-1 block, so
+    # 4^9 = 262,144 candidate maps, past the budget of 200,000
+    names = "xyz"
+    cube = Algebra(Field(2, 2), ["pt"], [(a, "pt", "pt") for a in names],
+                   [[(1, [a, b])] for a in names for b in names]).gr_oracle()
+    assert cube.dims_by_degree() == {0: 1, 1: 3}
+    res = graded_iso_check(cube, cube)
+    assert (res.verdict, res.reason) == ("inconclusive",
+                                         "degree-1 search space 262144 exceeds budget")

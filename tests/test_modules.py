@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from stabrec import fixtures
 from stabrec import modules
+from stabrec.algebra import Algebra
 from stabrec.errors import PresentationError
+from stabrec.gf import Field
 from stabrec.modules import (
     Module,
     ModuleMap,
@@ -403,6 +405,19 @@ def test_zero_module_paths(lam):
     assert decompose(z) == []
 
 
+def test_radical_series_skips_arrows_from_an_empty_layer(lam):
+    # rad P(u) = S(v): alpha leaves u, where the layer is already empty
+    series = radical_series(lam.projective(0))
+    assert [[b.shape for b in layer] for layer in series] == \
+        [[(1, 1), (1, 1)], [(0, 1), (1, 1)], [(0, 1), (0, 1)]]
+
+
+def test_maps_over_an_algebra_with_no_vertices():
+    z = zero_module(Algebra(Field(2), [], [], []))
+    flat = ModuleMap.identity(z).flat()
+    assert flat.shape == (0,) and flat.dtype == np.int16
+
+
 # -- the exact decomposition engine against brute force ------------------------
 
 
@@ -471,6 +486,15 @@ def test_decompose_splits_where_no_basis_endomorphism_does():
     assert all(nilpotent_or_invertible(ka4.field, e.global_matrix()) for e in end_space(m))
     pieces = decompose(m)
     assert sorted(p.module.dims for p in pieces) == [(1, 0, 1), (1, 1, 0)]
+    assert resolves_identity(m, pieces)
+    # P(w) + P(wb) in this basis: the same, and End is not commutative, so
+    # its commutator ideal, whose powers are taken, is not zero
+    m = scrambled(direct_sum([ka4.projective(ka4.vindex[v]) for v in ("w", "wb")])[0], 1)
+    assert all(nilpotent_or_invertible(ka4.field, e.global_matrix()) for e in end_space(m))
+    assert any(not np.array_equal(e.compose(f).flat(), f.compose(e).flat())
+               for e in end_space(m) for f in end_space(m))
+    pieces = decompose(m)
+    assert sorted(p.module.dims for p in pieces) == [(1, 1, 2), (1, 2, 1)]
     assert resolves_identity(m, pieces)
 
 

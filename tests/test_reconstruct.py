@@ -167,6 +167,15 @@ def test_filtered_maps_shift_reduces_space(n3):
     assert d3 == 0
 
 
+def test_filtered_maps_with_no_maps_at_all(lam):
+    sset = fixtures.simples(lam)
+    sv = lam.simple(1)
+    top = FilteredModule(Filtration(sv, sset, [full_rows(sv), empty_rows(sv)]))
+    pu = lam_block(lam, 0, sset)
+    assert hom_space(pu.module, sv) == []
+    assert filtered_maps(pu, top) == [] == filtered_maps_by_loop(pu, top, 0)
+
+
 def filtered_maps_by_loop(mf, nf, shift):
     """filtered_maps as first written, one Hom basis map at a time: the
     conditions rows(M_j) G^T ker(N_{j+shift})^T = 0 as one column per map."""

@@ -309,6 +309,8 @@ def test_nakayama_simples_swap(lam):
     su, sv = lam.simple(0), lam.simple(1)
     assert module_isomorphic(nakayama_module(su), sv) is not None
     assert module_isomorphic(nakayama_module(sv), su) is not None
+    nu = nakayama_module(modules.zero_module(lam, "0"))
+    assert (nu.dims, nu.name) == ((0, 0), "nu(0)")
 
 
 def test_nakayama_symmetric_identity(n3):
